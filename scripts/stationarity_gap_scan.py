@@ -12,9 +12,9 @@ import argparse
 import sys
 
 import numpy as np
-from scipy.stats import linregress
 
 from msfbm import ProcessSpec
+from msfbm.analysis import _loglog_fit
 from msfbm.kernels import stationarity_gap
 
 
@@ -34,8 +34,8 @@ def main() -> int:
     xs = np.unique(np.round(np.logspace(np.log10(args.x_min), np.log10(args.x_max),
                                         args.points)))
     gaps = np.array([stationarity_gap(spec, float(x), args.n) for x in xs])
-    fit = linregress(np.log(xs), np.log(np.abs(gaps)))
-    print(f"fitted slope {fit.slope:+.4f} (theory {2 * (spec.h_max - 1):+.2f})",
+    slope, _ = _loglog_fit(xs, np.abs(gaps))
+    print(f"fitted slope {slope:+.4f} (theory {2 * (spec.h_max - 1):+.2f})",
           file=sys.stderr)
 
     lines = ["x,gap"]

@@ -58,6 +58,7 @@ from .analysis import (
 from .classify import (
     Ordering,
     PreconditionViolated,
+    PredictionContradicted,
     SemimartingaleReason,
     SemimartingaleVerdict,
     SignVerdict,

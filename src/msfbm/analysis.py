@@ -20,7 +20,6 @@ from enum import Enum
 from typing import Sequence
 
 import numpy as np
-from scipy.stats import linregress
 
 from .kernels import lag_cov_series, msfbm_cov, msfbm_var
 from .process import ProcessSpec
@@ -139,12 +138,18 @@ class DimensionEstimate:
 
 
 def _loglog_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
-    """OLS slope and stderr of log(y) against log(x)."""
-    if len(x) < 2:
+    """OLS slope and stderr of log(y) against log(x), from population moments with
+    r clamped to [-1, 1]; a nan stderr (constant y) is reported as 0."""
+    n = len(x)
+    if n < 2:
         raise InsufficientResolution("need at least two scales to fit a slope")
-    fit = linregress(np.log(np.asarray(x, dtype=float)), np.log(np.asarray(y, dtype=float)))
-    stderr = 0.0 if math.isnan(fit.stderr) else float(fit.stderr)
-    return float(fit.slope), stderr
+    ssxm, ssxym, _, ssym = np.cov(np.log(x), np.log(y), bias=1).flat
+    if ssxm == 0.0 or ssym == 0.0:
+        r = math.nan if ssxym == 0 else 0.0
+    else:
+        r = min(max(ssxym / np.sqrt(ssxm * ssym), -1.0), 1.0)
+    stderr = 0.0 if n == 2 else np.sqrt((1 - r ** 2) * ssym / ssxm / (n - 2))
+    return float(ssxym / ssxm), 0.0 if math.isnan(stderr) else float(stderr)
 
 
 def empirical_cov(ens: Ensemble, j: int, k: int) -> tuple[float, float, float]:

@@ -21,6 +21,7 @@ __all__ = [
     "SignVerdict",
     "Ordering",
     "PreconditionViolated",
+    "PredictionContradicted",
     "semimartingale_classify",
     "markov_verdict",
     "increment_sign_predict",
@@ -30,6 +31,10 @@ __all__ = [
 
 class PreconditionViolated(ValueError):
     """An operation was called outside its stated precondition."""
+
+
+class PredictionContradicted(ArithmeticError):
+    """A rule-based prediction disagrees with the numeric kernel evaluation."""
 
 
 class SemimartingaleReason(str, Enum):
@@ -141,8 +146,8 @@ def dependence_compare(
     Requires |b| <= |c|.  Returns how the |c| version compares to the |b|
     version: Greater when H_slot > 1/2 (larger weight strengthens the
     positive dependence), Less when H_slot < 1/2, Equal at H_slot = 1/2 or
-    |b| = |c|.  The prediction is checked numerically against the kernel
-    decomposition before being returned.
+    |b| = |c|.  The prediction is checked against the kernel decomposition
+    before being returned; a disagreement raises PredictionContradicted.
     """
     b = float(b)
     c = float(c)
@@ -176,7 +181,7 @@ def dependence_compare(
         else numeric not in (Ordering.EQUAL, predicted)
     )
     if contradiction:
-        raise AssertionError(
+        raise PredictionContradicted(
             f"kernel decomposition gives {numeric.value}, clause predicts {predicted.value}"
         )
     return predicted

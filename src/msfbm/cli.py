@@ -19,12 +19,7 @@ import numpy as np
 from . import analysis, kernels, verify
 from .classify import increment_sign_predict, markov_verdict, semimartingale_classify
 from .process import IncrementWindow, ProcessSpec
-from .sampler import (
-    DENSE_LIMIT,
-    FactorizationFailure,
-    TimeGrid,
-    sample_ensemble,
-)
+from .sampler import FactorizationFailure, TimeGrid, sample_ensemble
 from .seeds import derive_seed
 
 EXIT_OK = 0
@@ -156,13 +151,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     else:
         grid = TimeGrid.uniform(cfg.get("grid_points", 17, int),
                                 cfg.get("horizon", 1.0, float))
-    sampler = cfg.get("sampler", "auto")
-    if sampler == "auto":
-        sampler = "exact" if grid.n_points <= DENSE_LIMIT else "fgn"
     seed = cfg.get("seed", 0, int)
     reps = cfg.get("reps", 1, int)
     out = cfg.get("out")
-    ens = sample_ensemble(spec, grid, reps, seed, sampler=sampler,
+    ens = sample_ensemble(spec, grid, reps, seed, sampler=cfg.get("sampler", "auto"),
                           n_threads=_n_threads())
     meta = {
         "coeffs": ",".join(_fmt(a) for a in spec.coeffs),
@@ -217,17 +209,15 @@ def _cmd_dims(args: argparse.Namespace) -> int:
     level = cfg.get("level", 0.0, float)
     eps = cfg.get("eps", 0.01, float)
     level_reps = cfg.get("level_reps", 20, int)
-    sampler = "fgn" if grid.n_points > DENSE_LIMIT else "auto"
     h_min = spec.h_min
 
-    graph_path = sample_ensemble(spec, grid, 1, derive_seed(seed, 1),
-                                 sampler=sampler).paths[0]
+    graph_path = sample_ensemble(spec, grid, 1, derive_seed(seed, 1)).paths[0]
     graph = analysis.graph_box_dimension(graph_path)
     range_est = analysis.range_dimension(graph_path)
 
     level_values = []
     level_ens = sample_ensemble(spec, grid, level_reps, derive_seed(seed, 2),
-                                sampler=sampler, n_threads=_n_threads())
+                                n_threads=_n_threads())
     for path in level_ens.paths:
         try:
             level_values.append(

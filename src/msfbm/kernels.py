@@ -223,8 +223,8 @@ def _check_lag(n: int) -> int:
 def lag_cov_c(spec: ProcessSpec, x: float, n: int) -> float:
     """Lag covariance C(x, n) of unit increments at (x, x+1) and (x+n, x+n+1).
 
-    Integer x additionally evaluates the six-term closed form and asserts
-    that it agrees with the window evaluation.
+    Integer x additionally evaluates the six-term closed form and raises
+    ArithmeticError when it disagrees with the window evaluation.
     """
     n = _check_lag(n)
     x = float(x)
@@ -242,9 +242,8 @@ def lag_cov_c(spec: ProcessSpec, x: float, n: int) -> float:
             d4 = _p2h(n - 1.0, two_h) - _p2h(float(n), two_h)
             closed += a * a * (0.5 * ((d1 + d2) + (d3 + d4)))
         scale = kernel_scale(spec, x + n + 1.0)
-        assert math.isclose(closed, value, rel_tol=1e-12, abs_tol=1e-12 * scale), (
-            f"closed form {closed!r} deviates from window form {value!r}"
-        )
+        if not math.isclose(closed, value, rel_tol=1e-12, abs_tol=1e-12 * scale):
+            raise ArithmeticError(f"closed form {closed!r} deviates from window form {value!r}")
     return value
 
 

@@ -11,6 +11,7 @@ to the numpy version recorded in the lock/install metadata.
 from __future__ import annotations
 
 import numpy as np
+from numpy.random import PCG64, Generator
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -38,4 +39,4 @@ def replica_seeds(master_seed: int, n_reps: int) -> tuple[int, ...]:
 
 def normal_stream(seed: int, size: int) -> np.ndarray:
     """``size`` i.i.d. standard normals, a pure function of ``seed``."""
-    return np.random.Generator(np.random.PCG64(int(seed))).standard_normal(size)
+    return Generator(PCG64(int(seed))).standard_normal(size)

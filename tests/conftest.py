@@ -1,6 +1,10 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import msfbm
 from msfbm import IncrementWindow, ProcessSpec
 
 
@@ -11,6 +15,13 @@ def scaled_close(lhs, rhs, scale, rtol=1e-12):
     the summands (``scale``), not to a result that may itself vanish.
     """
     return abs(lhs - rhs) <= rtol * max(abs(lhs), abs(rhs), scale)
+
+
+def package_env():
+    """Environment for a child interpreter that imports this checkout of msfbm."""
+    src = str(Path(msfbm.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return dict(os.environ, PYTHONPATH=path)
 
 
 def rand_spec(rng, h_lo=0.05, h_hi=0.95, a_max=10.0, n_max=4):

@@ -5,12 +5,18 @@ scale) live in test_acceptance.py; here the estimators are exercised on
 hand-checkable fixtures, edge cases, and reduced-scale simulations.
 """
 
+import math
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+from scipy.stats import linregress
 
 import msfbm
 from msfbm import ProcessSpec, SamplePath, TimeGrid
 from msfbm.analysis import (
+    _loglog_fit,
     BoxCountMethod,
     DimensionEstimate,
     GridMismatch,
@@ -30,6 +36,8 @@ from msfbm.analysis import (
 )
 from msfbm.sampler import Ensemble, sample_ensemble
 
+from conftest import package_env
+
 
 def constant_zero_path(n_points=2 ** 14 + 1):
     grid = TimeGrid.uniform(n_points, 1.0)
@@ -39,6 +47,52 @@ def constant_zero_path(n_points=2 ** 14 + 1):
 def line_path(n_points=2 ** 14 + 1, slope=1.0):
     grid = TimeGrid.uniform(n_points, 1.0)
     return SamplePath(grid, slope * grid.times)
+
+
+def linregress_fit(x, y):
+    """Oracle: scipy's slope and stderr of log y on log x, nan stderr as 0."""
+    fit = linregress(np.log(np.asarray(x, dtype=float)), np.log(np.asarray(y, dtype=float)))
+    return float(fit.slope), 0.0 if math.isnan(fit.stderr) else float(fit.stderr)
+
+
+class TestLogLogFit:
+    def test_cli_import_leaves_scipy_unloaded(self):
+        cp = subprocess.run(
+            [sys.executable, "-c",
+             "import msfbm.cli, sys; sys.exit('scipy' in sys.modules)"],
+            capture_output=True, text=True, env=package_env(),
+        )
+        assert cp.returncode == 0, cp.stderr or "scipy imported by msfbm.cli"
+
+    def test_matches_linregress_random(self, rng):
+        for _ in range(500):
+            n = int(rng.integers(2, 40))
+            x = np.sort(rng.uniform(0.5, 1e4, n))
+            y = rng.uniform(1e-3, 1e3, n) * x ** rng.uniform(-3.0, 3.0)
+            assert _loglog_fit(x, y) == linregress_fit(x, y)
+
+    def test_matches_linregress_edge_cases(self):
+        scales = np.array([2.0 ** k for k in range(1, 9)])
+        cases = [
+            (scales[:2], np.array([3.0, 7.0])),
+            (scales[:2], np.array([5.0, 5.0])),
+            (scales, np.ones_like(scales)),
+            (scales, 3.0 * scales ** 1.5),
+        ]
+        for x, y in cases:
+            assert _loglog_fit(x, y) == linregress_fit(x, y)
+        assert _loglog_fit(*cases[1]) == (0.0, 0.0)
+        assert _loglog_fit(*cases[2]) == (0.0, 0.0)
+
+    def test_flat_path_range_counts_match_linregress(self):
+        est = range_dimension(constant_zero_path(2 ** 10 + 1))
+        lo, hi = est.scale_range
+        scales = [2.0 ** k for k in range(int(math.log2(lo)), int(math.log2(hi)) + 1)]
+        assert (est.value, est.stderr) == linregress_fit(scales, [1.0] * len(scales))
+
+    def test_needs_two_scales(self):
+        with pytest.raises(InsufficientResolution):
+            _loglog_fit(np.array([2.0]), np.array([3.0]))
 
 
 class TestReportTypes:

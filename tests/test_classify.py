@@ -9,10 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import msfbm
-from msfbm import IncrementWindow, ProcessSpec
+from msfbm import IncrementWindow, ProcessSpec, verify
 from msfbm.classify import (
     Ordering,
     PreconditionViolated,
+    PredictionContradicted,
     SemimartingaleReason,
     SignVerdict,
     dependence_compare,
@@ -182,6 +183,30 @@ class TestDependenceCompare:
         spec = ProcessSpec((1.0,), (0.8,))
         with pytest.raises(PreconditionViolated):
             dependence_compare(spec, 0, 3.0, 2.0, self.W)
+
+    def test_contradiction_raises_named_error(self, monkeypatch):
+        monkeypatch.setattr(msfbm.classify, "increment_cov_component", lambda h, w: -1.0)
+        spec = ProcessSpec((1.0,), (0.8,))
+        with pytest.raises(PredictionContradicted, match="clause predicts Greater"):
+            dependence_compare(spec, 0, 1.0, 2.0, self.W)
+        assert issubclass(PredictionContradicted, ArithmeticError)
+        assert msfbm.PredictionContradicted is PredictionContradicted
+
+    def test_kernels_suite_counts_only_contradictions(self, monkeypatch):
+        def contradict(*args):
+            raise PredictionContradicted("synthetic")
+
+        monkeypatch.setattr(verify, "dependence_compare", contradict)
+        report = verify.run_kernels_suite(n_draws=1)
+        check = next(c for c in report["checks"] if c["name"] == "dependence_compare_consistent")
+        assert check["measured"] == 300.0 and not check["passed"]
+
+        def broken(*args):
+            raise AssertionError("unrelated bug")
+
+        monkeypatch.setattr(verify, "dependence_compare", broken)
+        with pytest.raises(AssertionError, match="unrelated bug"):
+            verify.run_kernels_suite(n_draws=1)
 
     def test_numeric_agreement_randomized(self, rng):
         for _ in range(300):

@@ -6,6 +6,9 @@ the library must reproduce them to 1e-12 relative.
 """
 
 import math
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -15,7 +18,7 @@ from hypothesis import strategies as st
 import msfbm
 from msfbm import IncrementWindow, ProcessSpec, bound_constants, kernel_scale
 
-from conftest import rand_spec, rand_window, scaled_close
+from conftest import package_env, rand_spec, rand_window, scaled_close
 
 approx12 = lambda x: pytest.approx(x, rel=1e-12, abs=1e-15)
 
@@ -212,6 +215,21 @@ class TestLagCov:
     def test_rejects_overlapping(self):
         with pytest.raises(ValueError, match="n = 0"):
             msfbm.lag_cov_c(ProcessSpec([1.0], [0.5]), 0.0, 0)
+
+    def test_closed_form_check_survives_optimize_flag(self):
+        code = textwrap.dedent("""
+            from msfbm import ProcessSpec, kernels
+            honest = kernels.increment_cov
+            kernels.increment_cov = lambda spec, w: honest(spec, w) + 1.0
+            try:
+                kernels.lag_cov_c(ProcessSpec([1.0], [0.75]), 1.0, 1)
+            except ArithmeticError as exc:
+                print("closed form" in str(exc) and "window form" in str(exc))
+        """)
+        cp = subprocess.run([sys.executable, "-O", "-c", code],
+                            capture_output=True, text=True, env=package_env())
+        assert cp.returncode == 0, cp.stderr
+        assert cp.stdout.strip() == "True"
 
     def test_non_integer_x_uses_window_form(self):
         spec = ProcessSpec([1.0], [0.7])
