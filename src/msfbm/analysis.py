@@ -367,7 +367,7 @@ def level_set_box_dimension(
     for k in levels:
         m = 2 ** k
         boxes = np.minimum((rel * m).astype(np.int64), m - 1)
-        counts.append(float(np.unique(boxes).size))
+        counts.append(float(np.count_nonzero(np.bincount(boxes, minlength=m))))
     slope, stderr = _loglog_fit(np.array([2.0 ** k for k in levels]), np.array(counts))
     return DimensionEstimate(
         value=float(np.clip(slope, 0.0, 2.0)),
@@ -394,7 +394,7 @@ def range_dimension(
         for k in levels:
             m = 2 ** k
             boxes = np.minimum((y * m).astype(np.int64), m - 1)
-            counts.append(float(np.unique(boxes).size))
+            counts.append(float(np.count_nonzero(np.bincount(boxes, minlength=m))))
     slope, stderr = _loglog_fit(np.array([2.0 ** k for k in levels]), np.array(counts))
     return DimensionEstimate(
         value=float(np.clip(slope, 0.0, 2.0)),

@@ -32,14 +32,14 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
-def _csv(rows: list[list], header: list[str], meta: Optional[dict] = None) -> str:
+def _csv(rows: list[str], header: list[str], meta: Optional[dict] = None) -> str:
+    """CSV text from rows already formatted as comma-joined strings."""
     lines = []
     if meta:
         for key in sorted(meta):
             lines.append(f"# {key}: {meta[key]}")
     lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row))
+    lines.extend(rows)
     return "\n".join(lines) + "\n"
 
 
@@ -75,6 +75,14 @@ class _Config:
                 self.file = json.load(fh)
             if not isinstance(self.file, dict):
                 raise ValueError("config file must hold one JSON object")
+            # Every option of the subcommand is a Namespace attribute.
+            known = set(vars(args)) - {"command", "func", "config"}
+            unknown = sorted(set(self.file) - known)
+            if unknown:
+                raise ValueError(
+                    f"unknown config key(s) {', '.join(map(repr, unknown))} for "
+                    f"{args.command}; known keys: {', '.join(sorted(known))}"
+                )
 
     def get(self, name: str, default=None, cast=None):
         value = getattr(self.args, name, None)
@@ -115,7 +123,7 @@ def _cmd_cov(args: argparse.Namespace) -> int:
     if window:
         w = IncrementWindow(*_floats(window))
         value = kernels.increment_cov(spec, w)
-        rows = [[w.u, w.v, w.s, w.t, value]]
+        rows = [",".join(map(_fmt, (w.u, w.v, w.s, w.t, value)))]
         header = ["u", "v", "s", "t", "cov"]
         payload = [{"u": w.u, "v": w.v, "s": w.s, "t": w.t, "cov": value}]
     else:
@@ -127,7 +135,7 @@ def _cmd_cov(args: argparse.Namespace) -> int:
         for i, s in enumerate(pts):
             for t in pts[i:]:
                 value = kernels.msfbm_cov(spec, s, t)
-                rows.append([s, t, value])
+                rows.append(",".join(map(_fmt, (s, t, value))))
                 payload.append({"s": s, "t": t, "cov": value})
         header = ["s", "t", "cov"]
     if cfg.get("format", "csv") == "json":
@@ -179,10 +187,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             "paths": [list(p.values) for p in ens.paths],
         }), out)
     else:
-        rows = []
-        for r, path in enumerate(ens.paths):
-            for t, v in zip(grid.times, path.values):
-                rows.append([r, float(t), float(v)])
+        times = [repr(t) for t in grid.times.tolist()]
+        rows = [f"{r},{t},{v!r}" for r, path in enumerate(ens.paths)
+                for t, v in zip(times, path.values.tolist())]
         _emit(_csv(rows, ["replica", "t", "value"], meta), out)
     return EXIT_OK
 
@@ -287,7 +294,8 @@ def _cmd_srd(args: argparse.Namespace) -> int:
             "partial_sums": list(sums),
         }), cfg.get("out"))
     else:
-        rows = [[n + 1, float(terms[n]), float(sums[n])] for n in range(n_max)]
+        rows = [f"{n},{c!r},{total!r}"
+                for n, c, total in zip(range(1, n_max + 1), terms.tolist(), sums.tolist())]
         _emit(_csv(rows, ["n", "lag_cov", "partial_sum"]), cfg.get("out"))
     return EXIT_OK
 

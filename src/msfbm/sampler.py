@@ -55,6 +55,11 @@ DENSE_LIMIT = 2 ** 14
 # embedding over the dense symmetric Gram.
 FGN_CUTOFF = 2 ** 8
 
+# Row height of the blocks in which dense Gram matrices are evaluated: small
+# enough that a block's temporaries stay in cache, tall enough that the
+# per-block numpy call overhead is negligible.
+_GRAM_ROWS = 32
+
 
 class FactorizationFailure(RuntimeError):
     """Gram factorization failed at every jitter level."""
@@ -149,18 +154,55 @@ class FactorResult:
     jitter: float
 
 
+def _symmetric_gram(
+    n: int, n_out: int, fill_block: Callable[[int, int], list[np.ndarray]]
+) -> list[np.ndarray]:
+    """``n_out`` symmetric n x n matrices built from their upper triangles.
+
+    ``fill_block(lo, hi)`` returns one (hi - lo, n - lo) block per matrix:
+    rows lo..hi-1 from the diagonal column lo rightward, of a kernel
+    symmetric in its two points.  Each block is stored and mirrored into
+    the lower triangle, so about half the entries are evaluated and the
+    result is exactly symmetric.
+    """
+    mats = [np.empty((n, n)) for _ in range(n_out)]
+    for lo in range(0, n, _GRAM_ROWS):
+        hi = min(lo + _GRAM_ROWS, n)
+        for mat, block in zip(mats, fill_block(lo, hi)):
+            mat[lo:hi, lo:] = block
+            mat[lo:, lo:hi] = block.T
+    return mats
+
+
+def _log_abs(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """log|x| with zeros mapped to log 1, and the mask of those zeros."""
+    zero = x == 0.0
+    return np.log(np.where(zero, 1.0, np.abs(x))), zero
+
+
+def _pow_from_log(log_x: np.ndarray, zero: np.ndarray, two_h: float) -> np.ndarray:
+    """x^(2h) from ``_log_abs``; the same bits as ``_p2h_array(|x|, two_h)``."""
+    return np.where(zero, 0.0, np.exp(two_h * log_x))
+
+
 def gram_matrix(spec: ProcessSpec, grid: TimeGrid) -> np.ndarray:
     """Process covariance at the positive grid times (t = 0 row excluded)."""
     t = grid.times[1:]
-    ts = t[:, None] + t[None, :]
-    td = np.abs(t[:, None] - t[None, :])
-    g = np.zeros((t.size, t.size))
-    for a, h in zip(spec.coeffs, spec.hurst):
-        two_h = 2.0 * h
-        pt = _p2h_array(t, two_h)
-        g += (a * a) * (pt[:, None] + pt[None, :]
-                        - 0.5 * (_p2h_array(ts, two_h) + _p2h_array(td, two_h)))
-    return 0.5 * (g + g.T)
+    two_hs = [2.0 * h for h in spec.hurst]
+    powers = [_p2h_array(t, two_h) for two_h in two_hs]
+
+    def fill_block(lo: int, hi: int) -> list[np.ndarray]:
+        rows, cols = t[lo:hi, None], t[None, lo:]
+        log_sum = np.log(rows + cols)
+        log_diff, zero = _log_abs(rows - cols)
+        g = np.zeros(log_sum.shape)
+        for a, two_h, pt in zip(spec.coeffs, two_hs, powers):
+            g += (a * a) * (pt[lo:hi, None] + pt[None, lo:]
+                            - 0.5 * (np.exp(two_h * log_sum)
+                                     + _pow_from_log(log_diff, zero, two_h)))
+        return [g]
+
+    return _symmetric_gram(t.size, 1, fill_block)[0]
 
 
 def psd_factor(g: np.ndarray, jitter_ladder: Sequence[float] = JITTER_LADDER) -> FactorResult:
@@ -168,7 +210,7 @@ def psd_factor(g: np.ndarray, jitter_ladder: Sequence[float] = JITTER_LADDER) ->
     g = np.asarray(g, dtype=float)
     if g.ndim != 2 or g.shape[0] != g.shape[1]:
         raise ValueError("gram matrix must be square")
-    if not np.allclose(g, g.T, rtol=0.0, atol=0.0):
+    if not np.array_equal(g, g.T):
         raise ValueError("gram matrix must be symmetric")
     max_diag = float(np.max(np.diag(g))) if g.size else 0.0
     for level in jitter_ladder:
@@ -202,19 +244,26 @@ def _exact_path(grid: TimeGrid, lower: np.ndarray, seed: int) -> SamplePath:
     return _finish_path(grid, lower @ z)
 
 
-def _symmetric_fbm_factors(spec: ProcessSpec, grid: TimeGrid) -> list[FactorResult]:
-    """Per-component factors of the fBm Gram on {-t_k ... -t_1, t_1 ... t_k}."""
+def _symmetric_fbm_grams(spec: ProcessSpec, grid: TimeGrid) -> list[np.ndarray]:
+    """Per-component fBm Grams on {-t_k ... -t_1, t_1 ... t_k}."""
     pos = grid.times[1:]
     sym = np.concatenate([-pos[::-1], pos])
-    abs_sym = np.abs(sym)
-    abs_diff = np.abs(sym[:, None] - sym[None, :])
-    factors = []
-    for h in spec.hurst:
-        two_h = 2.0 * h
-        pt = _p2h_array(abs_sym, two_h)
-        k = 0.5 * (pt[:, None] + pt[None, :] - _p2h_array(abs_diff, two_h))
-        factors.append(psd_factor(0.5 * (k + k.T)))
-    return factors
+    two_hs = [2.0 * h for h in spec.hurst]
+    powers = [_p2h_array(np.abs(sym), two_h) for two_h in two_hs]
+
+    def fill_block(lo: int, hi: int) -> list[np.ndarray]:
+        log_diff, zero = _log_abs(sym[lo:hi, None] - sym[None, lo:])
+        return [0.5 * (pt[lo:hi, None] + pt[None, lo:] - _pow_from_log(log_diff, zero, two_h))
+                for two_h, pt in zip(two_hs, powers)]
+
+    return _symmetric_gram(sym.size, len(two_hs), fill_block)
+
+
+def _symmetric_fbm_factors(spec: ProcessSpec, grid: TimeGrid) -> list[FactorResult]:
+    """Per-component factors of the fBm Gram on {-t_k ... -t_1, t_1 ... t_k}."""
+    grams = _symmetric_fbm_grams(spec, grid)
+    # Pop each Gram as it is factored so it is freed before the next factor.
+    return [psd_factor(grams.pop(0)) for _ in range(len(grams))]
 
 
 def _fbm_dense_path(

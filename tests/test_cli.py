@@ -235,6 +235,22 @@ class TestConfigFile:
         assert payload["master_seed"] == 9
         assert len(payload["grid"]["times"]) == 5
 
+    def test_unknown_config_key_is_refused(self, tmp_path):
+        config = tmp_path / "typo.json"
+        config.write_text(json.dumps({"grid_point": 5000, "seeed": 7}))
+        cp = run_cli("simulate", "--hurst", "0.5", "--config", str(config))
+        assert cp.returncode == 2
+        assert cp.stdout == ""
+        assert "'grid_point'" in cp.stderr and "'seeed'" in cp.stderr
+        assert "Traceback" not in cp.stderr
+
+    def test_times_config_is_accepted(self, tmp_path):
+        config = tmp_path / "grid.json"
+        config.write_text(json.dumps({"times": [0.0, 0.25, 1.0]}))
+        cp = run_cli("simulate", "--hurst", "0.5", "--config", str(config), "--format", "json")
+        assert cp.returncode == 0, cp.stderr
+        assert json.loads(cp.stdout)["grid"]["times"] == [0.0, 0.25, 1.0]
+
     def test_missing_spec_is_validation_error(self):
         cp = run_cli("cov", "--points", "1,2")
         assert cp.returncode == 2

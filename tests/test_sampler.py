@@ -5,7 +5,14 @@ import pytest
 
 import msfbm
 from msfbm import ProcessSpec, SamplePath, TimeGrid
-from msfbm.sampler import FGN_CUTOFF, _fgn_draw, _fgn_spectra
+from msfbm.kernels import _p2h_array
+from msfbm.sampler import (
+    _GRAM_ROWS,
+    FGN_CUTOFF,
+    _fgn_draw,
+    _fgn_spectra,
+    _symmetric_fbm_grams,
+)
 from msfbm.seeds import derive_seed, replica_seeds, splitmix64
 
 from conftest import rand_spec
@@ -91,6 +98,66 @@ class TestGramMatrix:
             assert eig_min >= -1e-10 * float(np.max(np.diag(g)))
 
 
+def _reference_gram(spec, grid):
+    """Unblocked full-matrix msfbm Gram: the formula the blocked evaluator must match."""
+    t = grid.times[1:]
+    ts = t[:, None] + t[None, :]
+    td = np.abs(t[:, None] - t[None, :])
+    g = np.zeros((t.size, t.size))
+    for a, h in zip(spec.coeffs, spec.hurst):
+        two_h = 2.0 * h
+        pt = _p2h_array(t, two_h)
+        g += (a * a) * (pt[:, None] + pt[None, :]
+                        - 0.5 * (_p2h_array(ts, two_h) + _p2h_array(td, two_h)))
+    return 0.5 * (g + g.T)
+
+
+def _reference_fbm_grams(spec, grid):
+    """Unblocked per-component fBm Grams on the symmetric grid."""
+    pos = grid.times[1:]
+    sym = np.concatenate([-pos[::-1], pos])
+    abs_diff = np.abs(sym[:, None] - sym[None, :])
+    grams = []
+    for h in spec.hurst:
+        two_h = 2.0 * h
+        pt = _p2h_array(np.abs(sym), two_h)
+        k = 0.5 * (pt[:, None] + pt[None, :] - _p2h_array(abs_diff, two_h))
+        grams.append(0.5 * (k + k.T))
+    return grams
+
+
+# Positive grid sizes: one point, around one block height, and several
+# blocks plus a remainder (the fBm Gram is twice as wide).
+_BLOCK_EDGE_SIZES = (1, _GRAM_ROWS // 2, _GRAM_ROWS - 1, _GRAM_ROWS, _GRAM_ROWS + 1,
+                     3 * _GRAM_ROWS + 5)
+
+
+class TestBlockedGram:
+    @staticmethod
+    def _grids(rng, n):
+        yield TimeGrid.uniform(n + 1, float(rng.uniform(0.1, 10.0)))
+        steps = rng.uniform(0.01, 1.0, n)
+        yield TimeGrid(np.concatenate([[0.0], np.cumsum(steps)]) ** 1.5)
+
+    @pytest.mark.parametrize("n", _BLOCK_EDGE_SIZES)
+    def test_gram_matrix_bit_equal_to_reference(self, rng, n):
+        for n_comp in (1, 2, 3):
+            spec = ProcessSpec(rng.uniform(-3.0, 3.0, n_comp), rng.uniform(0.05, 0.95, n_comp))
+            for grid in self._grids(rng, n):
+                assert np.array_equal(msfbm.gram_matrix(spec, grid), _reference_gram(spec, grid))
+
+    @pytest.mark.parametrize("n", _BLOCK_EDGE_SIZES)
+    def test_fbm_grams_bit_equal_to_reference(self, rng, n):
+        for n_comp in (1, 2, 3):
+            spec = ProcessSpec(rng.uniform(-3.0, 3.0, n_comp), rng.uniform(0.05, 0.95, n_comp))
+            for grid in self._grids(rng, n):
+                got = _symmetric_fbm_grams(spec, grid)
+                want = _reference_fbm_grams(spec, grid)
+                assert len(got) == n_comp
+                for g, w in zip(got, want):
+                    assert np.array_equal(g, w)
+
+
 class TestPsdFactor:
     def test_identity(self):
         fr = msfbm.psd_factor(np.eye(3))
@@ -119,6 +186,13 @@ class TestPsdFactor:
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError):
             msfbm.psd_factor(np.array([[1.0, 0.5], [0.2, 1.0]]))
+
+    def test_rejects_one_ulp_asymmetry_and_nan(self):
+        off = np.nextafter(0.5, 1.0)
+        with pytest.raises(ValueError, match="must be symmetric"):
+            msfbm.psd_factor(np.array([[1.0, 0.5], [off, 1.0]]))
+        with pytest.raises(ValueError, match="must be symmetric"):
+            msfbm.psd_factor(np.array([[1.0, np.nan], [np.nan, 1.0]]))
 
 
 class TestSampleExact:
