@@ -19,7 +19,7 @@ import numpy as np
 from . import analysis, kernels, verify
 from .classify import increment_sign_predict, markov_verdict, semimartingale_classify
 from .process import IncrementWindow, ProcessSpec
-from .sampler import FactorizationFailure, TimeGrid, sample_ensemble
+from .sampler import FGN_CUTOFF, FactorizationFailure, TimeGrid, sample_ensemble
 from .seeds import derive_seed
 
 EXIT_OK = 0
@@ -49,8 +49,11 @@ def _json_text(obj: dict) -> str:
 
 def _emit(text: str, out: Optional[str]) -> None:
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValueError(f"cannot write output file {out!r}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text)
 
@@ -71,8 +74,13 @@ class _Config:
         self.args = args
         self.file = {}
         if getattr(args, "config", None):
-            with open(args.config) as fh:
-                self.file = json.load(fh)
+            try:
+                with open(args.config) as fh:
+                    self.file = json.load(fh)
+            except OSError as exc:
+                raise ValueError(
+                    f"cannot read config file {args.config!r}: {exc.strerror}"
+                ) from exc
             if not isinstance(self.file, dict):
                 raise ValueError("config file must hold one JSON object")
             # Every option of the subcommand is a Namespace attribute.
@@ -335,7 +343,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reps", type=int, help="replica count (default 1)")
     p.add_argument("--seed", type=int, help="master seed (default 0)")
     p.add_argument("--sampler", choices=("auto", "exact", "fbm", "fgn"),
-                   help="auto routes to the circulant construction beyond the dense limit")
+                   help="auto (default) takes circulant embedding (fgn) on uniform grids "
+                        f"of at least {FGN_CUTOFF} steps where its estimated cost is below "
+                        "the exact route's, and exact otherwise; any route whose arrays "
+                        "would exceed the memory budget exits 2 before allocating")
     p.add_argument("--format", choices=("csv", "json"))
     p.set_defaults(func=_cmd_simulate)
 

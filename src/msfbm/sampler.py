@@ -40,20 +40,27 @@ __all__ = [
     "sample_via_fbm",
     "sample_ensemble",
     "JITTER_LADDER",
-    "DENSE_LIMIT",
     "FGN_CUTOFF",
 ]
 
 # Relative jitter escalation for barely-indefinite Gram matrices.
 JITTER_LADDER = (0.0, 1e-14, 1e-12, 1e-10)
 
-# Largest grid handled by dense factorization; longer uniform grids go
-# through the circulant fBm route.
-DENSE_LIMIT = 2 ** 14
-
-# Uniform-grid size from which sample_via_fbm("auto") prefers circulant
-# embedding over the dense symmetric Gram.
+# Fewest uniform-grid steps on which the "auto" route may take circulant
+# embedding.
 FGN_CUTOFF = 2 ** 8
+
+# Fixed cost of one circulant component draw (seeding its normal stream,
+# Hermitian assembly, fold and path bookkeeping) in the operation units of the
+# routing estimates, measured by scripts/route_crossover.py (README, "Sampler
+# routing").
+_FGN_DRAW_OPS = 3.9e5
+
+# Most bytes the arrays of one route may hold at once.  A request over it is
+# refused before anything is allocated, so it ends in a diagnostic and not in
+# an out-of-memory kill.  It is a constant, not a probe of the machine, so
+# routing stays a pure function of its inputs.
+_MEMORY_BUDGET = 2 * 2 ** 30
 
 # Row height of the blocks in which dense Gram matrices are evaluated: small
 # enough that a block's temporaries stay in cache, tall enough that the
@@ -318,10 +325,10 @@ def _fgn_draw(sqrt_eig: np.ndarray, seed: int) -> np.ndarray:
     z = np.empty(size, dtype=complex)
     z[0] = sqrt_eig[0] * v[0]
     z[half] = sqrt_eig[half] * v[1]
-    ks = np.arange(1, half)
-    zk = (sqrt_eig[ks] / math.sqrt(2.0)) * (v[2 * ks] + 1j * v[2 * ks + 1])
-    z[ks] = zk
-    z[size - ks] = np.conj(zk)
+    # z_k = sqrt_eig[k] / sqrt(2) * (v[2k] + i v[2k+1]) for 0 < k < half,
+    # mirrored as conj(z_k) at size - k so the transform is real.
+    np.multiply(v[2:].view(np.complex128), sqrt_eig[1:half] / math.sqrt(2.0), out=z[1:half])
+    np.conjugate(z[half - 1:0:-1], out=z[half + 1:])
     return (np.fft.fft(z) / math.sqrt(size)).real[: size // 2]
 
 
@@ -342,12 +349,64 @@ def _fbm_fgn_path(
     return _finish_path(grid, body)
 
 
-def _resolve_fbm_method(grid: TimeGrid, method: str) -> str:
-    if method == "auto":
-        return "fgn" if grid.is_uniform() and grid.n_points - 1 >= FGN_CUTOFF else "dense"
-    if method not in ("dense", "fgn"):
-        raise ValueError(f"unknown fbm construction method {method!r}")
-    return method
+def _route_ops(route: str, spec: ProcessSpec, m: int, n_reps: int) -> float:
+    """Estimated operations to draw ``n_reps`` replicas on ``m`` grid steps."""
+    k = len(spec.active_set)
+    if route == "fgn":
+        size = 4 * m  # circulant length: increments over [-T, T], embedded twice
+        return n_reps * k * (_FGN_DRAW_OPS + 5.0 * size * math.log2(size))
+    # Dense routes: a Cholesky per Gram plus a matvec per replica and factor.
+    if route == "exact":
+        return m ** 3 / 3.0 + 2.0 * n_reps * m * m
+    n = 2 * m  # "fbm": one Gram per component on the symmetric grid
+    return len(spec.hurst) * n ** 3 / 3.0 + 2.0 * n_reps * k * n * n
+
+
+def _route_bytes(route: str, spec: ProcessSpec, m: int, n_reps: int) -> int:
+    """Estimated peak bytes of the route's arrays, the ensemble's values included.
+
+    Dense routes hold their Grams or factors plus three more n x n matrices
+    while factoring: the new factor and either the jitter path's ``g + eps*I``
+    and ``np.eye`` or LAPACK's working copy.  The circulant route holds one
+    spectrum per component and one draw's normals and three complex buffers
+    (assembly, FFT, scaled FFT).  Replica threads each hold a draw's buffers;
+    they are not counted, so a refusal never depends on MSFBM_THREADS.
+    """
+    if route == "exact":
+        held = 4 * m * m
+    elif route == "fbm":
+        held = (len(spec.hurst) + 3) * (2 * m) ** 2
+    else:
+        held = (len(spec.hurst) + 7) * 4 * m
+    return 8 * (held + n_reps * (m + 1))
+
+
+def _route(
+    spec: ProcessSpec, grid: TimeGrid, n_reps: int, sampler: str, dense: str = "exact"
+) -> str:
+    """The route ("exact", "fbm" or "fgn") that draws ``n_reps`` replicas.
+
+    "auto" takes circulant embedding ("fgn") on uniform grids of at least
+    FGN_CUTOFF steps whose estimated cost is below that of the dense route
+    ``dense``, and ``dense`` otherwise; any other sampler names its route.
+    Raises ValueError, before anything is allocated, when the route's arrays
+    would exceed the memory budget.
+    """
+    m = grid.n_points - 1
+    if sampler == "auto":
+        cheaper = (m >= FGN_CUTOFF and grid.is_uniform()
+                   and _route_ops("fgn", spec, m, n_reps) < _route_ops(dense, spec, m, n_reps))
+        sampler = "fgn" if cheaper else dense
+    if sampler not in ("exact", "fbm", "fgn"):
+        raise ValueError(f"unknown sampler {sampler!r}")
+    need = _route_bytes(sampler, spec, m, n_reps)
+    if need > _MEMORY_BUDGET:
+        raise ValueError(
+            f"the {sampler} route for {n_reps} replica(s) on {grid.n_points} points needs an "
+            f"estimated {need / 2 ** 30:.3g} GiB, over the {_MEMORY_BUDGET / 2 ** 30:.3g} GiB "
+            f"memory budget"
+        )
+    return sampler
 
 
 def sample_via_fbm(
@@ -357,10 +416,13 @@ def sample_via_fbm(
 
     Distributionally identical to ``sample_exact`` but built from a
     different construction (and a different use of the seed stream), so
-    paths differ realization by realization.
+    paths differ realization by realization.  ``method`` is "dense" (the
+    symmetric Gram), "fgn" (circulant embedding, uniform grids only) or
+    "auto", which routes as ``sample_ensemble`` does between the two.
     """
-    method = _resolve_fbm_method(grid, method)
-    if method == "dense":
+    if method not in ("auto", "dense", "fgn"):
+        raise ValueError(f"unknown fbm construction method {method!r}")
+    if _route(spec, grid, 1, "fbm" if method == "dense" else method, dense="fbm") == "fbm":
         factors = _symmetric_fbm_factors(spec, grid)
         return _fbm_dense_path(spec, grid, factors, seed)
     spectra = _fgn_spectra(spec, grid)
@@ -386,15 +448,21 @@ def sample_ensemble(
 ) -> Ensemble:
     """Generate ``n_reps`` independent replicas with derived per-replica seeds.
 
-    ``sampler`` is one of "exact", "fbm", "fgn" or "auto"; "auto" picks the
-    dense Gram route up to DENSE_LIMIT points and circulant embedding
-    beyond.  The result is a pure function of (spec, grid, n_reps,
-    master_seed, sampler) regardless of ``n_threads``.
+    ``sampler`` is "exact" (factored process Gram), "fbm" (folded fBms from
+    symmetric Grams), "fgn" (folded fBms from circulant embedding, uniform
+    grids only) or "auto".  "auto" takes "fgn" on uniform grids of at least
+    FGN_CUTOFF steps when its estimated operation count,
+    R*K*(F0 + 5*N*log2(N)) for R replicas, K active components and circulant
+    length N = 4*(n_points - 1), is below the exact route's
+    n^3/3 + 2*R*n^2, and "exact" otherwise; both routes are distribution-exact.
+    Every route is checked against a fixed memory budget first: a request
+    over it raises ValueError before anything is allocated.  The result is a
+    pure function of (spec, grid, n_reps, master_seed, sampler) regardless of
+    ``n_threads``; ``Ensemble.sampler`` records the route taken.
     """
     if n_reps < 1:
         raise ValueError("n_reps must be >= 1")
-    if sampler == "auto":
-        sampler = "exact" if grid.n_points <= DENSE_LIMIT else "fgn"
+    sampler = _route(spec, grid, n_reps, sampler)
     seeds = replica_seeds(master_seed, n_reps)
     jitter = 0.0
     if sampler == "exact":
@@ -405,11 +473,9 @@ def sample_ensemble(
         factors = _symmetric_fbm_factors(spec, grid)
         jitter = max(f.jitter for f in factors)
         make = lambda s: _fbm_dense_path(spec, grid, factors, s)
-    elif sampler == "fgn":
+    else:
         spectra = _fgn_spectra(spec, grid)
         make = lambda s: _fbm_fgn_path(spec, grid, spectra, s)
-    else:
-        raise ValueError(f"unknown sampler {sampler!r}")
     paths = _replica_runner(make, seeds, n_threads)
     return Ensemble(
         spec=spec,

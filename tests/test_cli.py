@@ -8,7 +8,9 @@ from importlib import resources
 import jsonschema
 
 import msfbm
-from msfbm import cli
+from msfbm import cli, sampler
+
+from conftest import package_env
 
 
 def run_cli(*args, env=None):
@@ -107,6 +109,25 @@ class TestSimulate:
                        "--grid-points", "4", "--reps", "1", "--seed", "0"])
         assert rc == cli.EXIT_NUMERICAL
 
+    def test_over_budget_routes_exit_2_before_allocating(self, monkeypatch, capsys):
+        def fail(*args, **kwargs):
+            raise AssertionError("a refused route allocated its arrays")
+        monkeypatch.setattr(sampler, "gram_matrix", fail)
+        monkeypatch.setattr(sampler, "_fgn_spectra", fail)
+        for route, size in (("exact", ["--grid-points", "40000"]),
+                            ("fgn", ["--grid-points", "65537", "--reps", "10000"])):
+            rc = cli.main(["simulate", "--hurst", "0.5", "--sampler", route, *size])
+            err = capsys.readouterr().err
+            assert rc == cli.EXIT_VALIDATION
+            assert f"the {route} route" in err and "GiB memory budget" in err
+
+    def test_unwritable_out_path_exits_2(self, tmp_path):
+        out = tmp_path / "nodir" / "x.csv"
+        cp = run_cli("simulate", "--hurst", "0.5", "--out", str(out))
+        assert cp.returncode == 2
+        assert str(out) in cp.stderr
+        assert "Traceback" not in cp.stderr
+
 
 class TestVerify:
     def test_kernels_suite_passes(self):
@@ -131,6 +152,14 @@ class TestVerify:
         assert slope["target"] == -1.5
         assert abs(slope["measured"] - (-1.5)) <= 0.1
         assert cp.returncode == 0
+
+    def test_srd_suite_leaves_numpy_ma_unloaded(self, tmp_path):
+        code = ("import sys; from msfbm import cli; "
+                f"rc = cli.main(['verify', '--suite', 'srd', '--out', {str(tmp_path / 'v.json')!r}]); "
+                "sys.exit(rc or 'numpy.ma' in sys.modules)")
+        cp = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env=package_env())
+        assert cp.returncode == 0, cp.stderr or "numpy.ma loaded by the srd suite"
 
     def test_unknown_suite_rejected(self):
         cp = run_cli("verify", "--suite", "bogus")
@@ -250,6 +279,13 @@ class TestConfigFile:
         cp = run_cli("simulate", "--hurst", "0.5", "--config", str(config), "--format", "json")
         assert cp.returncode == 0, cp.stderr
         assert json.loads(cp.stdout)["grid"]["times"] == [0.0, 0.25, 1.0]
+
+    def test_missing_config_file_exits_2(self, tmp_path):
+        config = tmp_path / "missing.json"
+        cp = run_cli("simulate", "--hurst", "0.5", "--config", str(config))
+        assert cp.returncode == 2
+        assert str(config) in cp.stderr
+        assert "Traceback" not in cp.stderr
 
     def test_missing_spec_is_validation_error(self):
         cp = run_cli("cov", "--points", "1,2")

@@ -1,19 +1,22 @@
-"""Grid/path types, Gram factorization, and the two exact samplers."""
+"""Grid/path types, Gram factorization, the two exact samplers and the router."""
+
+import math
 
 import numpy as np
 import pytest
 
 import msfbm
-from msfbm import ProcessSpec, SamplePath, TimeGrid
+from msfbm import ProcessSpec, SamplePath, TimeGrid, sampler
 from msfbm.kernels import _p2h_array
 from msfbm.sampler import (
     _GRAM_ROWS,
     FGN_CUTOFF,
     _fgn_draw,
     _fgn_spectra,
+    _route,
     _symmetric_fbm_grams,
 )
-from msfbm.seeds import derive_seed, replica_seeds, splitmix64
+from msfbm.seeds import derive_seed, normal_stream, replica_seeds, splitmix64
 
 from conftest import rand_spec
 
@@ -231,6 +234,21 @@ class TestSampleExact:
         assert abs(est - target) <= 4 * se
 
 
+def _reference_fgn_draw(sqrt_eig, seed):
+    """Index-array Hermitian assembly: the formula ``_fgn_draw`` must match bit for bit."""
+    size = sqrt_eig.size
+    half = size // 2
+    v = normal_stream(seed, size)
+    z = np.empty(size, dtype=complex)
+    z[0] = sqrt_eig[0] * v[0]
+    z[half] = sqrt_eig[half] * v[1]
+    ks = np.arange(1, half)
+    zk = (sqrt_eig[ks] / math.sqrt(2.0)) * (v[2 * ks] + 1j * v[2 * ks + 1])
+    z[ks] = zk
+    z[size - ks] = np.conj(zk)
+    return (np.fft.fft(z) / math.sqrt(size)).real[: size // 2]
+
+
 class TestSampleViaFbm:
     def test_degenerate_grid_law(self):
         spec = ProcessSpec([1.0, 0.5], [0.3, 0.8])
@@ -288,6 +306,16 @@ class TestSampleViaFbm:
                 want = gamma[abs(a - b)]
                 assert abs(emp[a, b] - want) <= 5 * np.sqrt(2.0 / 40_000)
 
+    @pytest.mark.parametrize("n_points", (5, 257, 2049, 2 ** 16 + 1))
+    def test_fgn_draw_bit_equal_to_reference(self, n_points):
+        grid = TimeGrid.uniform(n_points, 1.0)
+        spectra = _fgn_spectra(ProcessSpec([1.0, 1.0, 1.0], [0.2, 0.5, 0.9]), grid)
+        for sqrt_eig in spectra:
+            for k in range(3):
+                got = _fgn_draw(sqrt_eig, derive_seed(7, k))
+                want = _reference_fgn_draw(sqrt_eig, derive_seed(7, k))
+                assert got.tobytes() == want.tobytes()
+
     def test_auto_cutoff_routing(self):
         spec = ProcessSpec([1.0], [0.5])
         small = TimeGrid.uniform(FGN_CUTOFF // 2, 1.0)
@@ -336,3 +364,42 @@ class TestSampleEnsemble:
             ProcessSpec([1.0], [0.8]), TimeGrid.uniform(6, 1.0), 50, 9, sampler="fbm"
         )
         assert all(p.values[0] == 0.0 for p in ens.paths)
+
+
+def _fail_if_called(*args, **kwargs):
+    raise AssertionError("a refused route allocated its arrays")
+
+
+class TestRoute:
+    SPEC = ProcessSpec([1.0, 1.0], [0.4, 0.8])
+
+    def test_auto_takes_circulant_where_cheaper(self):
+        grid = TimeGrid.uniform(2049, 1.0)
+        assert _route(self.SPEC, grid, 64, "auto") == "fgn"
+        auto = msfbm.sample_ensemble(self.SPEC, grid, 64, 3)
+        fgn = msfbm.sample_ensemble(self.SPEC, grid, 64, 3, sampler="fgn")
+        assert auto.sampler == "fgn"
+        assert np.array_equal(auto.values_matrix(), fgn.values_matrix())
+
+    def test_non_uniform_grid_stays_exact(self):
+        grid = TimeGrid(np.linspace(0.0, 1.0, 2049) ** 1.5)
+        assert _route(self.SPEC, grid, 64, "auto") == "exact"
+
+    def test_many_replicas_on_short_grid_stay_exact(self):
+        # The exact route measured about five times faster here (README, "Sampler routing").
+        assert _route(self.SPEC, TimeGrid.uniform(257, 1.0), 3000, "auto") == "exact"
+
+    def test_explicit_sampler_is_kept(self):
+        grid = TimeGrid.uniform(2049, 1.0)
+        for name in ("exact", "fbm", "fgn"):
+            assert _route(self.SPEC, grid, 1, name) == name
+        with pytest.raises(ValueError, match="unknown sampler"):
+            _route(self.SPEC, grid, 1, "dense")
+
+    def test_fbm_route_over_budget_is_refused_before_allocating(self, monkeypatch):
+        monkeypatch.setattr(sampler, "_symmetric_fbm_grams", _fail_if_called)
+        grid = TimeGrid.uniform(20_000, 1.0)
+        with pytest.raises(ValueError, match="the fbm route .* memory budget"):
+            msfbm.sample_ensemble(self.SPEC, grid, 1, 0, sampler="fbm")
+        with pytest.raises(ValueError, match="the fbm route .* memory budget"):
+            msfbm.sample_via_fbm(self.SPEC, grid, 0, method="dense")
