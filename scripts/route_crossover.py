@@ -79,7 +79,6 @@ def main() -> int:
     for n_points in (int(v) for v in args.points.split(",")):
         grid = TimeGrid.uniform(n_points, 1.0)
         m = n_points - 1
-        size = 4 * m
         for reps in (int(v) for v in args.reps.split(",")):
             for k, spec in SPECS.items():
                 exact = _best_cpu_s(spec, grid, reps, "exact", args.repeat)
@@ -90,8 +89,8 @@ def main() -> int:
                       f"| {pick} | {'slower' if slower else ''} |", flush=True)
                 if m >= FGN_CUTOFF and max(exact, fgn) <= NEAR * min(exact, fgn):
                     dense_ops = _route_ops("exact", spec, m, reps)
-                    fits.append(dense_ops * fgn / exact / (reps * k)
-                                - 5.0 * size * math.log2(size))
+                    transform_ops = _route_ops("fgn", spec, m, 1) / k - _FGN_DRAW_OPS
+                    fits.append(dense_ops * fgn / exact / (reps * k) - transform_ops)
     if fits:
         print(f"# fitted F0 (median over {len(fits)} rows with at least {FGN_CUTOFF} steps "
               f"and times within {NEAR:g}x): {statistics.median(fits):.3g}")

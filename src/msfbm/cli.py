@@ -9,10 +9,11 @@ affecting any output byte.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -47,15 +48,23 @@ def _json_text(obj: dict) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _emit(text: str, out: Optional[str]) -> None:
+def _emit(text: Union[str, Iterable[str]], out: Optional[str]) -> None:
+    """Write ``text``, or its chunks in turn, to the file ``out`` or to stdout."""
+    chunks = [text] if isinstance(text, str) else text
     if out:
         try:
             with open(out, "w") as fh:
-                fh.write(text)
+                fh.writelines(chunks)
         except OSError as exc:
             raise ValueError(f"cannot write output file {out!r}: {exc.strerror}") from exc
     else:
-        sys.stdout.write(text)
+        try:
+            sys.stdout.writelines(chunks)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # The reader stopped early (``| head``): drop the rest quietly, and point
+            # stdout at /dev/null so the interpreter's final flush cannot fail again.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _floats(text) -> list[float]:
@@ -65,6 +74,17 @@ def _floats(text) -> list[float]:
         return [float(tok) for tok in str(text).split(",") if tok != ""]
     except ValueError as exc:
         raise ValueError(f"could not parse float list {text!r}") from exc
+
+
+def _check_config_value(key: str, value, action: argparse.Action) -> None:
+    """Hold a config value to its flag's ``choices`` and integer ``type``."""
+    if action.choices is not None and value not in action.choices:
+        raise ValueError(
+            f"config key {key!r} must be one of {', '.join(map(repr, action.choices))}, "
+            f"got {value!r}"
+        )
+    if action.type is int and (isinstance(value, bool) or not isinstance(value, int)):
+        raise ValueError(f"config key {key!r} must be an integer, got {value!r}")
 
 
 class _Config:
@@ -83,14 +103,16 @@ class _Config:
                 ) from exc
             if not isinstance(self.file, dict):
                 raise ValueError("config file must hold one JSON object")
-            # Every option of the subcommand is a Namespace attribute.
-            known = set(vars(args)) - {"command", "func", "config"}
+            options = {a.dest: a for a in args.options}
+            known = set(options) - {"help", "config"}
             unknown = sorted(set(self.file) - known)
             if unknown:
                 raise ValueError(
                     f"unknown config key(s) {', '.join(map(repr, unknown))} for "
                     f"{args.command}; known keys: {', '.join(sorted(known))}"
                 )
+            for key, value in self.file.items():
+                _check_config_value(key, value, options[key])
 
     def get(self, name: str, default=None, cast=None):
         value = getattr(self.args, name, None)
@@ -195,10 +217,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             "paths": [list(p.values) for p in ens.paths],
         }), out)
     else:
+        # One chunk per replica, so the text of the whole ensemble is never held.
         times = [repr(t) for t in grid.times.tolist()]
-        rows = [f"{r},{t},{v!r}" for r, path in enumerate(ens.paths)
-                for t, v in zip(times, path.values.tolist())]
-        _emit(_csv(rows, ["replica", "t", "value"], meta), out)
+        rows = ("\n".join([f"{r},{t},{v!r}" for t, v in zip(times, path.values.tolist())]) + "\n"
+                for r, path in enumerate(ens.paths))
+        _emit(itertools.chain([_csv([], ["replica", "t", "value"], meta)], rows), out)
     return EXIT_OK
 
 
@@ -380,6 +403,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("csv", "json"))
     p.set_defaults(func=_cmd_srd)
 
+    # Each subcommand's options, against which --config keys and values are checked.
+    for p in sub.choices.values():
+        p.set_defaults(options=tuple(p._actions))
     return parser
 
 

@@ -10,6 +10,9 @@ Two independent constructions with identical finite-dimensional laws:
   weighted components.  On uniform grids the per-component fBm may be
   drawn through circulant embedding of its increment process
   (Davies-Harte), which is still exact and scales to 2^16-point paths.
+  The embedding's circulant row is real and symmetric, so only its N/2 + 1
+  distinct eigenvalues are kept, and each draw is one real inverse FFT of
+  a half-length complex normal vector.
 
 All paths are pure functions of (spec, grid, seed): replicas can be
 generated concurrently in any order without changing a single bit.
@@ -54,7 +57,7 @@ FGN_CUTOFF = 2 ** 8
 # Hermitian assembly, fold and path bookkeeping) in the operation units of the
 # routing estimates, measured by scripts/route_crossover.py (README, "Sampler
 # routing").
-_FGN_DRAW_OPS = 3.9e5
+_FGN_DRAW_OPS = 4.1e5
 
 # Most bytes the arrays of one route may hold at once.  A request over it is
 # refused before anything is allocated, so it ends in a diagnostic and not in
@@ -289,25 +292,31 @@ def _fbm_dense_path(
     return _finish_path(grid, body)
 
 
+def _fgn_autocov(length: int, step: float, two_h: float) -> np.ndarray:
+    """fGn autocovariance at lags 0..length for grid step ``step``.
+
+    One table of |k|^(2H) for k = 0..length+1, shifted, gives the powers of
+    lag + 1, lag and |lag - 1|.
+    """
+    p = _p2h_array(np.arange(length + 2.0), two_h)
+    return 0.5 * _p2h_array(np.full(1, step), two_h)[0] * (
+        p[1:] - 2.0 * p[:-1] + np.concatenate([p[1:2], p[:-2]])
+    )
+
+
 def _fgn_spectra(spec: ProcessSpec, grid: TimeGrid) -> list[np.ndarray]:
-    """Circulant-embedding eigenvalue square roots for each component's
-    increment process over the symmetric uniform grid."""
+    """Square roots of the N/2 + 1 distinct circulant-embedding eigenvalues
+    of each component's increment process over the symmetric uniform grid."""
     if not grid.is_uniform():
         raise ValueError("circulant embedding requires a uniform grid")
     m = grid.n_points - 1
     step = grid.horizon / m
     length = 2 * m  # increments covering [-T, T]
-    lags = np.arange(length + 1, dtype=float)
     spectra = []
     for h in spec.hurst:
-        two_h = 2.0 * h
-        gamma = 0.5 * _p2h_array(np.full(1, step), two_h)[0] * (
-            _p2h_array(lags + 1.0, two_h)
-            - 2.0 * _p2h_array(lags, two_h)
-            + _p2h_array(np.abs(lags - 1.0), two_h)
-        )
+        gamma = _fgn_autocov(length, step, 2.0 * h)
         row = np.concatenate([gamma, gamma[-2:0:-1]])
-        eig = np.fft.fft(row).real
+        eig = np.fft.rfft(row).real
         floor = -1e-8 * float(eig.max())
         if eig.min() < floor:
             raise FactorizationFailure(
@@ -318,18 +327,19 @@ def _fgn_spectra(spec: ProcessSpec, grid: TimeGrid) -> list[np.ndarray]:
 
 
 def _fgn_draw(sqrt_eig: np.ndarray, seed: int) -> np.ndarray:
-    """One exact fGn vector of length len(sqrt_eig)//2 from the embedding."""
-    size = sqrt_eig.size
-    half = size // 2
+    """One exact fGn vector of length N/2 from a half spectrum of N/2 + 1 values."""
+    half = sqrt_eig.size - 1
+    size = 2 * half
     v = normal_stream(seed, size)
-    z = np.empty(size, dtype=complex)
+    z = np.empty(half + 1, dtype=complex)
     z[0] = sqrt_eig[0] * v[0]
     z[half] = sqrt_eig[half] * v[1]
-    # z_k = sqrt_eig[k] / sqrt(2) * (v[2k] + i v[2k+1]) for 0 < k < half,
-    # mirrored as conj(z_k) at size - k so the transform is real.
+    # z_k = sqrt_eig[k] / sqrt(2) * (v[2k] + i v[2k+1]) for 0 < k < half.  The
+    # real inverse transform of conj(z) is the forward transform of z's
+    # Hermitian extension, so the draw is the one a full complex FFT gives.
     np.multiply(v[2:].view(np.complex128), sqrt_eig[1:half] / math.sqrt(2.0), out=z[1:half])
-    np.conjugate(z[half - 1:0:-1], out=z[half + 1:])
-    return (np.fft.fft(z) / math.sqrt(size)).real[: size // 2]
+    np.conjugate(z[1:half], out=z[1:half])
+    return np.fft.irfft(z, n=size, norm="ortho")[:half]
 
 
 def _fbm_fgn_path(
@@ -354,7 +364,8 @@ def _route_ops(route: str, spec: ProcessSpec, m: int, n_reps: int) -> float:
     k = len(spec.active_set)
     if route == "fgn":
         size = 4 * m  # circulant length: increments over [-T, T], embedded twice
-        return n_reps * k * (_FGN_DRAW_OPS + 5.0 * size * math.log2(size))
+        # One real inverse FFT of length N, about half a complex one's 5 N log2 N.
+        return n_reps * k * (_FGN_DRAW_OPS + 2.5 * size * math.log2(size))
     # Dense routes: a Cholesky per Gram plus a matvec per replica and factor.
     if route == "exact":
         return m ** 3 / 3.0 + 2.0 * n_reps * m * m
@@ -367,17 +378,20 @@ def _route_bytes(route: str, spec: ProcessSpec, m: int, n_reps: int) -> int:
 
     Dense routes hold their Grams or factors plus three more n x n matrices
     while factoring: the new factor and either the jitter path's ``g + eps*I``
-    and ``np.eye`` or LAPACK's working copy.  The circulant route holds one
-    spectrum per component and one draw's normals and three complex buffers
-    (assembly, FFT, scaled FFT).  Replica threads each hold a draw's buffers;
-    they are not counted, so a refusal never depends on MSFBM_THREADS.
+    and ``np.eye`` or LAPACK's working copy.  The circulant route of length
+    N = 4m holds one half spectrum of N/2 + 1 values per component, and one
+    draw holds N normals, a complex vector of N/2 + 1 values, the real
+    inverse transform and its working copy, and the fold's cumulative sums
+    and temporaries: six vectors of N + 1 doubles bound them all.  Replica
+    threads each hold a draw's buffers; they are not counted, so a refusal
+    never depends on MSFBM_THREADS.
     """
     if route == "exact":
         held = 4 * m * m
     elif route == "fbm":
         held = (len(spec.hurst) + 3) * (2 * m) ** 2
     else:
-        held = (len(spec.hurst) + 7) * 4 * m
+        held = len(spec.hurst) * (2 * m + 1) + 6 * (4 * m + 1)
     return 8 * (held + n_reps * (m + 1))
 
 
@@ -452,7 +466,7 @@ def sample_ensemble(
     symmetric Grams), "fgn" (folded fBms from circulant embedding, uniform
     grids only) or "auto".  "auto" takes "fgn" on uniform grids of at least
     FGN_CUTOFF steps when its estimated operation count,
-    R*K*(F0 + 5*N*log2(N)) for R replicas, K active components and circulant
+    R*K*(F0 + 2.5*N*log2(N)) for R replicas, K active components and circulant
     length N = 4*(n_points - 1), is below the exact route's
     n^3/3 + 2*R*n^2, and "exact" otherwise; both routes are distribution-exact.
     Every route is checked against a fixed memory budget first: a request

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import tracemalloc
 from importlib import resources
 
 import jsonschema
@@ -120,6 +121,33 @@ class TestSimulate:
             err = capsys.readouterr().err
             assert rc == cli.EXIT_VALIDATION
             assert f"the {route} route" in err and "GiB memory budget" in err
+
+    def test_csv_streams_per_replica(self, tmp_path):
+        # The whole ensemble's CSV text is about 16 MiB; one replica's is 1/64 of it.
+        out = tmp_path / "paths.csv"
+        tracemalloc.start()
+        try:
+            rc = cli.main(["simulate", "--coeffs", "1,1", "--hurst", "0.4,0.8",
+                           "--grid-points", "2049", "--reps", "64", "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == cli.EXIT_OK
+        assert peak < 8 * 2 ** 20
+        assert len(out.read_text().splitlines()) == 8 + 1 + 64 * 2049
+
+    def test_reader_closing_stdout_early_is_not_an_error(self):
+        # About 4 MiB of CSV against a 64 KiB pipe: the writer is still streaming
+        # replicas when the reader goes away.
+        cmd = [sys.executable, "-m", "msfbm", "simulate", "--hurst", "0.5",
+               "--grid-points", "2049", "--reps", "64"]
+        proc = subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                env=package_env())
+        assert proc.stdout.readline().startswith(b"# coeffs")
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait() == cli.EXIT_OK, err
+        assert "Traceback" not in err and "BrokenPipe" not in err
 
     def test_unwritable_out_path_exits_2(self, tmp_path):
         out = tmp_path / "nodir" / "x.csv"
@@ -279,6 +307,23 @@ class TestConfigFile:
         cp = run_cli("simulate", "--hurst", "0.5", "--config", str(config), "--format", "json")
         assert cp.returncode == 0, cp.stderr
         assert json.loads(cp.stdout)["grid"]["times"] == [0.0, 0.25, 1.0]
+
+    def test_config_value_outside_choices_is_refused(self, tmp_path):
+        config = tmp_path / "fmt.json"
+        config.write_text(json.dumps({"format": "xml"}))
+        cp = run_cli("simulate", "--hurst", "0.5", "--config", str(config))
+        assert cp.returncode == 2
+        assert "'format'" in cp.stderr and "'csv', 'json'" in cp.stderr
+        assert "Traceback" not in cp.stderr
+
+    def test_non_integer_config_value_is_refused(self, tmp_path):
+        config = tmp_path / "seed.json"
+        for value in (1.5, True):
+            config.write_text(json.dumps({"seed": value}))
+            cp = run_cli("simulate", "--hurst", "0.5", "--config", str(config))
+            assert cp.returncode == 2
+            assert "'seed'" in cp.stderr and "integer" in cp.stderr
+            assert "Traceback" not in cp.stderr
 
     def test_missing_config_file_exits_2(self, tmp_path):
         config = tmp_path / "missing.json"

@@ -11,6 +11,8 @@ from msfbm.kernels import _p2h_array
 from msfbm.sampler import (
     _GRAM_ROWS,
     FGN_CUTOFF,
+    FactorizationFailure,
+    _fgn_autocov,
     _fgn_draw,
     _fgn_spectra,
     _route,
@@ -235,7 +237,7 @@ class TestSampleExact:
 
 
 def _reference_fgn_draw(sqrt_eig, seed):
-    """Index-array Hermitian assembly: the formula ``_fgn_draw`` must match bit for bit."""
+    """Full complex FFT of the index-array Hermitian assembly over a full spectrum."""
     size = sqrt_eig.size
     half = size // 2
     v = normal_stream(seed, size)
@@ -247,6 +249,19 @@ def _reference_fgn_draw(sqrt_eig, seed):
     z[ks] = zk
     z[size - ks] = np.conj(zk)
     return (np.fft.fft(z) / math.sqrt(size)).real[: size // 2]
+
+
+def _reference_half_spectrum_draw(sqrt_eig, seed):
+    """Index-array assembly of the half-spectrum draw: ``_fgn_draw`` must match bit for bit."""
+    half = sqrt_eig.size - 1
+    size = 2 * half
+    v = normal_stream(seed, size)
+    z = np.empty(half + 1, dtype=complex)
+    z[0] = sqrt_eig[0] * v[0]
+    z[half] = sqrt_eig[half] * v[1]
+    ks = np.arange(1, half)
+    z[ks] = np.conj((sqrt_eig[ks] / math.sqrt(2.0)) * (v[2 * ks] + 1j * v[2 * ks + 1]))
+    return np.fft.irfft(z, n=size, norm="ortho")[:half]
 
 
 class TestSampleViaFbm:
@@ -311,10 +326,33 @@ class TestSampleViaFbm:
         grid = TimeGrid.uniform(n_points, 1.0)
         spectra = _fgn_spectra(ProcessSpec([1.0, 1.0, 1.0], [0.2, 0.5, 0.9]), grid)
         for sqrt_eig in spectra:
+            full = np.concatenate([sqrt_eig, sqrt_eig[-2:0:-1]])
             for k in range(3):
                 got = _fgn_draw(sqrt_eig, derive_seed(7, k))
-                want = _reference_fgn_draw(sqrt_eig, derive_seed(7, k))
+                want = _reference_half_spectrum_draw(sqrt_eig, derive_seed(7, k))
                 assert got.tobytes() == want.tobytes()
+                # The same realization as the full complex FFT, up to rounding.
+                want = _reference_fgn_draw(full, derive_seed(7, k))
+                assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("length", (4, 512, 4096, 2 ** 17))
+    @pytest.mark.parametrize("h", (0.2, 0.5, 0.9))
+    def test_fgn_autocov_bit_equal_to_three_power_formula(self, length, h):
+        two_h, step = 2.0 * h, 1.0 / length
+        lags = np.arange(length + 1, dtype=float)
+        want = 0.5 * _p2h_array(np.full(1, step), two_h)[0] * (
+            _p2h_array(lags + 1.0, two_h)
+            - 2.0 * _p2h_array(lags, two_h)
+            + _p2h_array(np.abs(lags - 1.0), two_h)
+        )
+        assert _fgn_autocov(length, step, two_h).tobytes() == want.tobytes()
+
+    def test_indefinite_embedding_is_refused(self, monkeypatch):
+        # Row (1, 1, 0, ..., 0, 1) has eigenvalues 1 + 2 cos(2 pi k / N), -1 at k = N/2.
+        monkeypatch.setattr(sampler, "_fgn_autocov",
+                            lambda length, step, two_h: np.r_[1.0, 1.0, np.zeros(length - 1)])
+        with pytest.raises(FactorizationFailure, match="indefinite"):
+            _fgn_spectra(ProcessSpec([1.0], [0.5]), TimeGrid.uniform(9, 1.0))
 
     def test_auto_cutoff_routing(self):
         spec = ProcessSpec([1.0], [0.5])
