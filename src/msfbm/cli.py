@@ -13,7 +13,7 @@ import itertools
 import json
 import os
 import sys
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -27,6 +27,8 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
+
+_MAX_THREADS = 64  # replica threads each hold draw buffers the memory budget does not count
 
 
 def _fmt(value: float) -> str:
@@ -46,6 +48,17 @@ def _csv(rows: list[str], header: list[str], meta: Optional[dict] = None) -> str
 
 def _json_text(obj: dict) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def _json_chunks(obj: dict, key: str, rows: Iterable[list]) -> Iterator[str]:
+    """``_json_text`` of ``obj`` with ``obj[key]`` the list of float lists ``rows``,
+    yielded one row at a time so that the whole text is never held."""
+    head, tail = _json_text({**obj, key: None}).split(f'"{key}": null')
+    yield f'{head}"{key}": ['
+    for i, row in enumerate(rows):
+        items = json.dumps(row)[1:-1].replace(", ", ",\n      ")
+        yield f"{',' if i else ''}\n    [\n      {items}\n    ]"
+    yield "\n  ]" + tail
 
 
 def _emit(text: Union[str, Iterable[str]], out: Optional[str]) -> None:
@@ -77,7 +90,7 @@ def _floats(text) -> list[float]:
 
 
 def _check_config_value(key: str, value, action: argparse.Action) -> None:
-    """Hold a config value to its flag's ``choices`` and integer ``type``."""
+    """Hold a config value to its flag's ``choices`` and integer or float ``type``."""
     if action.choices is not None and value not in action.choices:
         raise ValueError(
             f"config key {key!r} must be one of {', '.join(map(repr, action.choices))}, "
@@ -85,6 +98,8 @@ def _check_config_value(key: str, value, action: argparse.Action) -> None:
         )
     if action.type is int and (isinstance(value, bool) or not isinstance(value, int)):
         raise ValueError(f"config key {key!r} must be an integer, got {value!r}")
+    if action.type is float and (isinstance(value, bool) or not isinstance(value, (int, float))):
+        raise ValueError(f"config key {key!r} must be a number, got {value!r}")
 
 
 class _Config:
@@ -139,9 +154,12 @@ def _spec_dict(spec: ProcessSpec) -> dict:
 def _n_threads() -> int:
     raw = os.environ.get("MSFBM_THREADS", "1")
     try:
-        return max(1, int(raw))
+        n = int(raw)
     except ValueError:
-        raise ValueError(f"MSFBM_THREADS must be an integer, got {raw!r}")
+        raise ValueError(f"MSFBM_THREADS must be an integer, got {raw!r}") from None
+    if not 1 <= n <= _MAX_THREADS:
+        raise ValueError(f"MSFBM_THREADS must lie in [1, {_MAX_THREADS}], got {raw!r}")
+    return n
 
 
 def _cmd_cov(args: argparse.Namespace) -> int:
@@ -204,8 +222,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         "sampler": ens.sampler,
         "jitter": _fmt(ens.jitter),
     }
+    # One chunk per replica, so the text of the whole ensemble is never held.
     if cfg.get("format", "csv") == "json":
-        _emit(_json_text({
+        _emit(_json_chunks({
             "format": "msfbm.ensemble",
             "schema_version": 1,
             "spec": _spec_dict(spec),
@@ -214,10 +233,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             "n_reps": ens.n_reps,
             "sampler": ens.sampler,
             "jitter": ens.jitter,
-            "paths": [list(p.values) for p in ens.paths],
-        }), out)
+        }, "paths", (p.values.tolist() for p in ens.paths)), out)
     else:
-        # One chunk per replica, so the text of the whole ensemble is never held.
         times = [repr(t) for t in grid.times.tolist()]
         rows = ("\n".join([f"{r},{t},{v!r}" for t, v in zip(times, path.values.tolist())]) + "\n"
                 for r, path in enumerate(ens.paths))
@@ -345,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
             "Mixed sub-fractional Brownian motion: exact covariance kernels, exact "
             "path samplers, path-property estimators and a rule-based classifier. "
             "Configuration precedence is flags > config file (--config) > built-in "
-            "defaults; the MSFBM_THREADS environment variable caps replica "
+            "defaults; the MSFBM_THREADS environment variable (1 to 64) caps replica "
             "parallelism without changing any output byte."
         ),
     )
@@ -414,7 +431,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FactorizationFailure as exc:
+    except (FactorizationFailure, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (ValueError, TypeError) as exc:

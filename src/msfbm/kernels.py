@@ -10,6 +10,12 @@ Powers x^(2H) are evaluated as exp(2H*log(x)) with an explicit x = 0
 branch.  Differences of nearly equal large powers are grouped pairwise
 before summation; at large times the pairing, not the raw eight-term sum,
 is what keeps the increment covariances meaningful.
+
+Each per-component closed form is written once, as a private ``_*_term``
+helper generic in its power function: the scalar API passes ``_p2h``
+(libm), and the verify suites pass ``_p2h_array`` to evaluate the same
+formula over (draws x components) arrays, where numpy's exp and log move
+results at ulp level.
 """
 
 from __future__ import annotations
@@ -19,12 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .process import (
-    HURST_RANGE_MSG,
-    IncrementWindow,
-    ProcessSpec,
-    bound_constants,
-)
+from .process import HURST_RANGE_MSG, IncrementWindow, ProcessSpec
 
 __all__ = [
     "fbm_cov",
@@ -59,13 +60,59 @@ def _p2h(x: float, two_h: float) -> float:
     """x^(2h) for x >= 0, with 0^(2h) = 0."""
     if x == 0.0:
         return 0.0
-    return math.exp(two_h * math.log(x))
+    try:
+        return math.exp(two_h * math.log(x))
+    except OverflowError:
+        raise OverflowError(f"x^(2H) overflows a double at x = {x!r}, 2H = {two_h!r}") from None
 
 
-def _p2h_array(x: np.ndarray, two_h: float) -> np.ndarray:
+def _p2h_array(x, two_h) -> np.ndarray:
+    """Elementwise x^(2h) for x >= 0, with 0^(2h) = 0; x broadcasts against two_h."""
     x = np.asarray(x, dtype=float)
     safe = np.where(x == 0.0, 1.0, x)
     return np.where(x == 0.0, 0.0, np.exp(two_h * np.log(safe)))
+
+
+# Per-component closed forms, generic in the power function p; a2 is the weight a*a.
+def _sfbm_term(p, two_h, s, t):
+    return p(s, two_h) + p(t, two_h) - 0.5 * (p(s + t, two_h) + p(abs(t - s), two_h))
+
+
+def _var_term(p, a2, two_h, t):
+    return a2 * (2.0 - p(2.0, two_h - 1.0)) * p(t, two_h)
+
+
+def _moment_term(p, a2, two_h, s, t):
+    return a2 * (p(t + s, two_h) + p(t - s, two_h)
+                 - p(2.0, two_h - 1.0) * (p(t, two_h) + p(s, two_h)))
+
+
+def _pair_term(p, two_h, tu, tv, tmu, tmv, sv, su, smv, smu):
+    """The eight power terms grouped pairwise, then halved."""
+    d1 = p(tu, two_h) - p(tv, two_h)
+    d2 = p(tmu, two_h) - p(tmv, two_h)
+    d3 = p(sv, two_h) - p(su, two_h)
+    d4 = p(smv, two_h) - p(smu, two_h)
+    return 0.5 * ((d1 + d2) + (d3 + d4))
+
+
+def _window_term(p, two_h, u, v, s, t):
+    return _pair_term(p, two_h, t + u, t + v, t - u, t - v, s + v, s + u, s - v, s - u)
+
+
+def _scale_term(p, a2, two_h, tmax, top=max):
+    return a2 * top(1.0, p(2.0 * tmax, two_h))
+
+
+def _envelope_terms(p, a2, two_h, dt, low=min, top=max):
+    """(gamma, nu) * a2 * dt^(2H), with {gamma, nu} = {2 - 2^(2H-1), 1} ordered."""
+    c = 2.0 - p(2.0, two_h - 1.0)
+    base = a2 * p(dt, two_h)
+    return low(c, 1.0) * base, top(c, 1.0) * base
+
+
+def _rescale_term(p, a, hurst, factor):
+    return a * p(factor, hurst)
 
 
 def fbm_cov(h: float, s: float, t: float) -> float:
@@ -77,14 +124,6 @@ def fbm_cov(h: float, s: float, t: float) -> float:
     return 0.5 * (_p2h(abs(t), two_h) + _p2h(abs(s), two_h) - _p2h(abs(t - s), two_h))
 
 
-def _sfbm_cov_unchecked(two_h: float, s: float, t: float) -> float:
-    return (
-        _p2h(s, two_h)
-        + _p2h(t, two_h)
-        - 0.5 * (_p2h(s + t, two_h) + _p2h(abs(t - s), two_h))
-    )
-
-
 def sfbm_cov(h: float, s: float, t: float) -> float:
     """Sub-fractional covariance s^2h + t^2h - ((s+t)^2h + |t-s|^2h)/2, s,t >= 0."""
     h = _check_hurst(h)
@@ -92,7 +131,7 @@ def sfbm_cov(h: float, s: float, t: float) -> float:
     t = float(t)
     if s < 0.0 or t < 0.0:
         raise ValueError("times must be nonnegative")
-    return _sfbm_cov_unchecked(2.0 * h, s, t)
+    return _sfbm_term(_p2h, 2.0 * h, s, t)
 
 
 def msfbm_cov(spec: ProcessSpec, s: float, t: float) -> float:
@@ -101,10 +140,7 @@ def msfbm_cov(spec: ProcessSpec, s: float, t: float) -> float:
     t = float(t)
     if s < 0.0 or t < 0.0:
         raise ValueError("times must be nonnegative")
-    return sum(
-        a * a * _sfbm_cov_unchecked(2.0 * h, s, t)
-        for a, h in zip(spec.coeffs, spec.hurst)
-    )
+    return sum(a * a * _sfbm_term(_p2h, 2.0 * h, s, t) for a, h in zip(spec.coeffs, spec.hurst))
 
 
 def msfbm_var(spec: ProcessSpec, t: float) -> float:
@@ -112,11 +148,7 @@ def msfbm_var(spec: ProcessSpec, t: float) -> float:
     t = float(t)
     if t < 0.0:
         raise ValueError("times must be nonnegative")
-    out = 0.0
-    for a, h in zip(spec.coeffs, spec.hurst):
-        two_h = 2.0 * h
-        out += a * a * (2.0 - math.exp((two_h - 1.0) * math.log(2.0))) * _p2h(t, two_h)
-    return out
+    return sum(_var_term(_p2h, a * a, 2.0 * h, t) for a, h in zip(spec.coeffs, spec.hurst))
 
 
 def mfbm_cov(spec: ProcessSpec, s: float, t: float) -> float:
@@ -145,30 +177,15 @@ def increment_second_moment(spec: ProcessSpec, s: float, t: float) -> float:
     surface as a negative variance.
     """
     s, t = _check_increment_times(s, t)
-    out = 0.0
-    for a, h in zip(spec.coeffs, spec.hurst):
-        two_h = 2.0 * h
-        c = math.exp((two_h - 1.0) * math.log(2.0))
-        out += a * a * (
-            _p2h(t + s, two_h)
-            + _p2h(t - s, two_h)
-            - c * (_p2h(t, two_h) + _p2h(s, two_h))
-        )
-    return max(out, 0.0)
+    return max(sum(_moment_term(_p2h, a * a, 2.0 * h, s, t)
+                   for a, h in zip(spec.coeffs, spec.hurst)), 0.0)
 
 
 def increment_bounds(spec: ProcessSpec, s: float, t: float) -> tuple[float, float]:
     """Two-sided envelope (lower, upper) for the increment second moment."""
     s, t = _check_increment_times(s, t)
-    consts = bound_constants(spec)
-    dt = t - s
-    lower = 0.0
-    upper = 0.0
-    for a, h, g, v in zip(spec.coeffs, spec.hurst, consts.gamma, consts.nu):
-        base = a * a * _p2h(dt, 2.0 * h)
-        lower += g * base
-        upper += v * base
-    return lower, upper
+    terms = [_envelope_terms(_p2h, a * a, 2.0 * h, t - s) for a, h in zip(spec.coeffs, spec.hurst)]
+    return sum(lo for lo, _ in terms), sum(hi for _, hi in terms)
 
 
 def increment_cov_component(h: float, w: IncrementWindow) -> float:
@@ -178,22 +195,12 @@ def increment_cov_component(h: float, w: IncrementWindow) -> float:
     by the integer-lag closed form so the two stay consistent at full
     precision.
     """
-    h = _check_hurst(h)
-    two_h = 2.0 * h
-    u, v, s, t = w.u, w.v, w.s, w.t
-    d1 = _p2h(t + u, two_h) - _p2h(t + v, two_h)
-    d2 = _p2h(t - u, two_h) - _p2h(t - v, two_h)
-    d3 = _p2h(s + v, two_h) - _p2h(s + u, two_h)
-    d4 = _p2h(s - v, two_h) - _p2h(s - u, two_h)
-    return 0.5 * ((d1 + d2) + (d3 + d4))
+    return _window_term(_p2h, 2.0 * _check_hurst(h), w.u, w.v, w.s, w.t)
 
 
 def increment_cov(spec: ProcessSpec, w: IncrementWindow) -> float:
     """Covariance of increments over the non-overlapping window (u,v) x (s,t)."""
-    return sum(
-        a * a * increment_cov_component(h, w)
-        for a, h in zip(spec.coeffs, spec.hurst)
-    )
+    return sum(a * a * increment_cov_component(h, w) for a, h in zip(spec.coeffs, spec.hurst))
 
 
 def kernel_scale(spec: ProcessSpec, tmax: float) -> float:
@@ -203,10 +210,7 @@ def kernel_scale(spec: ProcessSpec, tmax: float) -> float:
     this scale, not to the (possibly vanishing) result.
     """
     tmax = abs(float(tmax))
-    out = 0.0
-    for a, h in zip(spec.coeffs, spec.hurst):
-        out += a * a * max(1.0, _p2h(2.0 * tmax, 2.0 * h))
-    return out
+    return sum(_scale_term(_p2h, a * a, 2.0 * h, tmax) for a, h in zip(spec.coeffs, spec.hurst))
 
 
 def _lag_window(x: float, n: int) -> IncrementWindow:
@@ -232,18 +236,18 @@ def lag_cov_c(spec: ProcessSpec, x: float, n: int) -> float:
         raise ValueError("times must be nonnegative")
     value = increment_cov(spec, _lag_window(x, n))
     if x.is_integer():
-        closed = 0.0
-        big = 2.0 * x + n
-        for a, h in zip(spec.coeffs, spec.hurst):
-            two_h = 2.0 * h
-            d1 = _p2h(big + 1.0, two_h) - _p2h(big + 2.0, two_h)
-            d2 = _p2h(n + 1.0, two_h) - _p2h(float(n), two_h)
-            d3 = _p2h(big + 1.0, two_h) - _p2h(big, two_h)
-            d4 = _p2h(n - 1.0, two_h) - _p2h(float(n), two_h)
-            closed += a * a * (0.5 * ((d1 + d2) + (d3 + d4)))
+        # The window's eight terms at u = x, v = x+1, s = x+n, t = x+n+1, summed exactly.
+        big, m = 2.0 * x + n, float(n)
+        closed = sum(
+            a * a * _pair_term(_p2h, 2.0 * h, big + 1.0, big + 2.0, m + 1.0, m,
+                               big + 1.0, big, m - 1.0, m)
+            for a, h in zip(spec.coeffs, spec.hurst)
+        )
         scale = kernel_scale(spec, x + n + 1.0)
         if not math.isclose(closed, value, rel_tol=1e-12, abs_tol=1e-12 * scale):
-            raise ArithmeticError(f"closed form {closed!r} deviates from window form {value!r}")
+            raise ArithmeticError(
+                f"lag_cov_c({x!r}, {n}): closed form {closed!r} deviates from window form {value!r}"
+            )
     return value
 
 
@@ -336,7 +340,5 @@ def rescale_coeffs(spec: ProcessSpec, h: float) -> ProcessSpec:
     h = float(h)
     if h <= 0.0:
         raise ValueError("scale factor h must be positive")
-    coeffs = tuple(
-        a * math.exp(hu * math.log(h)) for a, hu in zip(spec.coeffs, spec.hurst)
-    )
-    return ProcessSpec(coeffs, spec.hurst)
+    return ProcessSpec([_rescale_term(_p2h, a, hu, h) for a, hu in zip(spec.coeffs, spec.hurst)],
+                       spec.hurst)

@@ -24,116 +24,131 @@ from .seeds import derive_seed
 SUITE_NAMES = ("kernels", "sampler", "srd", "markov", "selfsim")
 
 _IDENTITY_TOL = 1e-12
+_PAD = 4  # components per padded spec row: random specs have 1 to 4
 
 
 def _check(name: str, measured: float, tolerance: float, target, passed: bool) -> dict:
-    return {
-        "name": name,
-        "measured": measured,
-        "tolerance": tolerance,
-        "target": target,
-        "passed": bool(passed),
-    }
+    return {"name": name, "measured": measured, "tolerance": tolerance, "target": target,
+            "passed": bool(passed)}
 
 
-def _rand_spec(rng: np.random.Generator, h_lo: float = 0.05, h_hi: float = 0.95,
-               a_max: float = 10.0) -> ProcessSpec:
-    n = int(rng.integers(1, 5))
+def _draw_spec(rng: np.random.Generator, h_lo: float = 0.05, h_hi: float = 0.95,
+               a_max: float = 10.0) -> tuple[np.ndarray, np.ndarray]:
+    """Raw (coeffs, hurst) of a random spec with 1 to _PAD components."""
+    n = int(rng.integers(1, _PAD + 1))
     coeffs = rng.uniform(-a_max, a_max, n)
-    if np.all(coeffs == 0.0):
+    if not coeffs.any():
         coeffs[0] = 1.0
-    return ProcessSpec(coeffs, rng.uniform(h_lo, h_hi, n))
+    return coeffs, rng.uniform(h_lo, h_hi, n)
 
 
-def _rand_window(rng: np.random.Generator, tmax: float = 10.0) -> IncrementWindow:
+def _draw_window(rng: np.random.Generator, tmax: float = 10.0) -> np.ndarray:
+    """Raw sorted (u, v, s, t) of a random window; s = v with probability 0.2."""
     while True:
         pts = np.sort(rng.uniform(0.0, tmax, 4))
         if pts[0] < pts[1] and pts[2] < pts[3] and pts[1] <= pts[2]:
             if rng.random() < 0.2:
                 pts[2] = pts[1]
-            return IncrementWindow(*pts)
+            return pts
 
 
-def _scaled_dev(lhs: float, rhs: float, scale: float) -> float:
-    return abs(lhs - rhs) / max(abs(lhs), abs(rhs), scale)
+def _scaled_dev(lhs, rhs, scale) -> float:
+    """Largest |lhs - rhs| / max(|lhs|, |rhs|, scale) over scalars or arrays."""
+    return float(np.max(np.abs(lhs - rhs) / np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)),
+                                                        scale)))
+
+
+class _Mixtures:
+    """Random specs as (n_draws, _PAD) arrays padded with weight 0 and H = 1/2."""
+
+    p = staticmethod(kernels._p2h_array)
+
+    def __init__(self, specs: list):
+        self.coeffs = np.zeros((len(specs), _PAD))
+        self.hurst = np.full((len(specs), _PAD), 0.5)
+        for i, (a, h) in enumerate(specs):
+            self.coeffs[i, :len(a)], self.hurst[i, :len(h)] = a, h
+        self.a2, self.two_h = self.coeffs * self.coeffs, 2.0 * self.hurst
+
+    def cov(self, s, t, a2=None):
+        a2 = self.a2 if a2 is None else a2
+        return np.sum(a2 * kernels._sfbm_term(self.p, self.two_h, s, t), axis=1)
+
+    def var(self, t):
+        return np.sum(kernels._var_term(self.p, self.a2, self.two_h, t), axis=1)
+
+    def scale(self, tmax):
+        return np.sum(kernels._scale_term(self.p, self.a2, self.two_h, tmax, np.maximum), axis=1)
+
+    def rescaling_dev(self, factor, s, t) -> float:
+        """Scaled deviation of Cov(f s, f t) from the f-rescaled spec's Cov(s, t)."""
+        a = kernels._rescale_term(self.p, self.coeffs, self.hurst, factor)
+        return _scaled_dev(self.cov(factor * s, factor * t), self.cov(s, t, a * a),
+                           self.scale(factor * t))
+
+
+def _kernel_row(rng: np.random.Generator) -> tuple:
+    """Window (u, v, s, t), sorted (s, t) and rescaling factor of one kernels-suite draw."""
+    return (*_draw_window(rng), *sorted(rng.uniform(0.0, 10.0, 2)), rng.uniform(0.1, 4.0))
+
+
+def _selfsim_row(rng: np.random.Generator) -> tuple:
+    return (rng.uniform(0.05, 8.0), *np.sort(rng.uniform(0.0, 10.0, 2)))
+
+
+def _draws(rng: np.random.Generator, n_draws: int, row: Callable) -> tuple:
+    """n_draws random specs, each followed by ``row(rng)``, in report order.  The rows
+    come back as (n_draws, 1) columns that broadcast against the specs' arrays."""
+    specs, rows = [], []
+    for _ in range(n_draws):
+        specs.append(_draw_spec(rng))
+        rows.append(row(rng))
+    return _Mixtures(specs), list(np.array(rows, dtype=float).T[..., None])
 
 
 def run_kernels_suite(seed: int = 0, n_draws: int = 2000) -> dict:
     """Randomized closed-form identity checks (all gates at 1e-12 scaled)."""
     rng = np.random.default_rng(derive_seed(seed, 101))
-    dev_bilinear = dev_moment = dev_diag = dev_rescale = 0.0
-    bounds_violations = 0
-    for _ in range(n_draws):
-        spec = _rand_spec(rng)
-        w = _rand_window(rng)
-        scale = kernels.kernel_scale(spec, w.t)
+    mix, (u, v, ws, wt, s, t, factor) = _draws(rng, n_draws, _kernel_row)
+    p, a2, two_h = mix.p, mix.a2, mix.two_h
+    scale = mix.scale(wt)
+    incr = np.sum(a2 * kernels._window_term(p, two_h, u, v, ws, wt), axis=1)
+    expanded = mix.cov(v, wt) - mix.cov(v, ws) - mix.cov(u, wt) + mix.cov(u, ws)
+    mom = np.maximum(np.sum(kernels._moment_term(p, a2, two_h, s, t), axis=1), 0.0)
+    lo, hi = (np.sum(x, axis=1) for x in
+              kernels._envelope_terms(p, a2, two_h, t - s, np.minimum, np.maximum))
+    bounds_violations = int(np.count_nonzero(~((lo <= mom) & (mom <= hi))))
+    identities = [
+        ("bilinear_expansion_identity", _scaled_dev(incr, expanded, scale)),
+        ("increment_moment_identity",
+         _scaled_dev(mom, mix.var(t) + mix.var(s) - 2.0 * mix.cov(s, t), scale)),
+        ("diagonal_consistency", _scaled_dev(mix.cov(t, t), mix.var(t), scale)),
+        ("rescaling_identity", mix.rescaling_dev(factor, s, t)),
+    ]
 
-        lhs = kernels.increment_cov(spec, w)
-        rhs = (
-            kernels.msfbm_cov(spec, w.v, w.t)
-            - kernels.msfbm_cov(spec, w.v, w.s)
-            - kernels.msfbm_cov(spec, w.u, w.t)
-            + kernels.msfbm_cov(spec, w.u, w.s)
-        )
-        dev_bilinear = max(dev_bilinear, _scaled_dev(lhs, rhs, scale))
-
-        s, t = sorted(rng.uniform(0.0, 10.0, 2))
-        mom = kernels.increment_second_moment(spec, s, t)
-        expanded = (
-            kernels.msfbm_var(spec, t)
-            + kernels.msfbm_var(spec, s)
-            - 2.0 * kernels.msfbm_cov(spec, s, t)
-        )
-        dev_moment = max(dev_moment, _scaled_dev(mom, expanded, scale))
-
-        lo, hi = kernels.increment_bounds(spec, s, t)
-        if not (lo <= mom <= hi):
-            bounds_violations += 1
-
-        dev_diag = max(
-            dev_diag,
-            _scaled_dev(kernels.msfbm_cov(spec, t, t), kernels.msfbm_var(spec, t), scale),
-        )
-
-        factor = rng.uniform(0.1, 4.0)
-        rescaled = kernels.rescale_coeffs(spec, factor)
-        dev_rescale = max(
-            dev_rescale,
-            _scaled_dev(
-                kernels.msfbm_cov(spec, factor * s, factor * t),
-                kernels.msfbm_cov(rescaled, s, t),
-                kernels.kernel_scale(spec, factor * t),
-            ),
-        )
-
+    # Scalar on purpose: these exercise the public entry points one call at a time.
     dev_lag = 0.0
     for _ in range(200):
-        spec = _rand_spec(rng)
-        p = int(rng.integers(0, 6))
+        spec = ProcessSpec(*_draw_spec(rng))
+        x = int(rng.integers(0, 6))
         n = int(rng.integers(1, 101))
-        win = kernels.lag_cov_c(spec, float(p), n)
-        series = float(kernels.lag_cov_series(spec, p, [n])[0])
-        dev_lag = max(
-            dev_lag, _scaled_dev(win, series, kernels.kernel_scale(spec, p + n + 1.0))
-        )
+        win = kernels.lag_cov_c(spec, float(x), n)
+        series = float(kernels.lag_cov_series(spec, x, [n])[0])
+        dev_lag = max(dev_lag, _scaled_dev(win, series, kernels.kernel_scale(spec, x + n + 1.0)))
 
-    sign_pos = math.inf
-    sign_neg = -math.inf
-    sign_zero = 0.0
+    sign_pos, sign_neg, sign_zero = math.inf, -math.inf, 0.0
     for _ in range(300):
-        w = _rand_window(rng)
-        sp = _rand_spec(rng, 0.51, 0.95)
-        sign_pos = min(sign_pos, kernels.increment_cov(sp, w))
-        sn = _rand_spec(rng, 0.05, 0.49)
-        sign_neg = max(sign_neg, kernels.increment_cov(sn, w))
+        w = IncrementWindow(*_draw_window(rng))
+        sign_pos = min(sign_pos, kernels.increment_cov(ProcessSpec(*_draw_spec(rng, 0.51)), w))
+        sign_neg = max(sign_neg, kernels.increment_cov(ProcessSpec(*_draw_spec(rng, h_hi=0.49)), w))
         nz = int(rng.integers(1, 4))
         sz = ProcessSpec(rng.uniform(0.1, 3.0, nz), [0.5] * nz)
         sign_zero = max(sign_zero, abs(kernels.increment_cov(sz, w)))
 
     compare_failures = 0
     for _ in range(300):
-        spec = _rand_spec(rng, a_max=3.0)
-        w = _rand_window(rng)
+        spec = ProcessSpec(*_draw_spec(rng, a_max=3.0))
+        w = IncrementWindow(*_draw_window(rng))
         slot = int(rng.integers(0, spec.n))
         b, c = sorted(rng.uniform(0.0, 3.0, 2))
         try:
@@ -141,15 +156,9 @@ def run_kernels_suite(seed: int = 0, n_draws: int = 2000) -> dict:
         except PredictionContradicted:
             compare_failures += 1
 
-    checks = [
-        _check("bilinear_expansion_identity", dev_bilinear, _IDENTITY_TOL, 0.0,
-               dev_bilinear <= _IDENTITY_TOL),
-        _check("increment_moment_identity", dev_moment, _IDENTITY_TOL, 0.0,
-               dev_moment <= _IDENTITY_TOL),
-        _check("diagonal_consistency", dev_diag, _IDENTITY_TOL, 0.0,
-               dev_diag <= _IDENTITY_TOL),
-        _check("rescaling_identity", dev_rescale, _IDENTITY_TOL, 0.0,
-               dev_rescale <= _IDENTITY_TOL),
+    checks = [_check(name, dev, _IDENTITY_TOL, 0.0, dev <= _IDENTITY_TOL)
+              for name, dev in identities]
+    checks += [
         _check("increment_bounds_hold", float(bounds_violations), 0.0, 0.0,
                bounds_violations == 0),
         _check("lag_closed_vs_window", dev_lag, 1e-9, 0.0, dev_lag <= 1e-9),
@@ -298,22 +307,10 @@ def run_markov_suite(spec: Optional[ProcessSpec] = None, seed: int = 0) -> dict:
 def run_selfsim_suite(seed: int = 0, n_draws: int = 2000) -> dict:
     """Mixed self-similarity kernel identity over randomized draws."""
     rng = np.random.default_rng(derive_seed(seed, 401))
-    worst = 0.0
-    for _ in range(n_draws):
-        spec = _rand_spec(rng)
-        factor = rng.uniform(0.05, 8.0)
-        s, t = np.sort(rng.uniform(0.0, 10.0, 2))
-        worst = max(
-            worst,
-            _scaled_dev(
-                kernels.msfbm_cov(spec, factor * s, factor * t),
-                kernels.msfbm_cov(kernels.rescale_coeffs(spec, factor), s, t),
-                kernels.kernel_scale(spec, factor * t),
-            ),
-        )
-    checks = [_check("rescaling_identity", worst, _IDENTITY_TOL, 0.0,
-                     worst <= _IDENTITY_TOL)]
-    return _suite_report("selfsim", checks)
+    mix, (factor, s, t) = _draws(rng, n_draws, _selfsim_row)
+    worst = mix.rescaling_dev(factor, s, t)
+    return _suite_report("selfsim", [_check("rescaling_identity", worst, _IDENTITY_TOL, 0.0,
+                                            worst <= _IDENTITY_TOL)])
 
 
 def _suite_report(name: str, checks: list[dict]) -> dict:

@@ -7,6 +7,7 @@ import tracemalloc
 from importlib import resources
 
 import jsonschema
+import pytest
 
 import msfbm
 from msfbm import cli, sampler
@@ -56,6 +57,13 @@ class TestCov:
                      "--points", "0.5,1", "--format", "json")
         assert cp.returncode == 0
         validate(json.loads(cp.stdout), "cov.v1.json")
+
+    def test_overflow_is_a_numerical_failure(self):
+        cp = run_cli("cov", "--hurst", "0.9", "--points", "1,1e300")
+        assert cp.returncode == cli.EXIT_NUMERICAL
+        assert "Traceback" not in cp.stderr
+        assert cp.stderr.startswith("numerical failure: ") and "overflows" in cp.stderr
+        assert len(cp.stderr.splitlines()) == 1
 
 
 class TestSimulate:
@@ -144,6 +152,59 @@ class TestSimulate:
         proc = subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
                                 env=package_env())
         assert proc.stdout.readline().startswith(b"# coeffs")
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait() == cli.EXIT_OK, err
+        assert "Traceback" not in err and "BrokenPipe" not in err
+
+    @pytest.mark.parametrize("route,flags,grid", [
+        ("exact", ["--times", "0,0.25,0.5,2"], sampler.TimeGrid([0.0, 0.25, 0.5, 2.0])),
+        ("fbm", ["--grid-points", "9", "--horizon", "3"], sampler.TimeGrid.uniform(9, 3.0)),
+        ("fgn", ["--grid-points", "17"], sampler.TimeGrid.uniform(17, 1.0)),
+    ])
+    def test_json_stream_equals_whole_text(self, route, flags, grid, tmp_path):
+        out = tmp_path / "paths.json"
+        rc = cli.main(["simulate", "--coeffs", "1,-0.5", "--hurst", "0.3,0.8", "--reps", "3",
+                       "--seed", "11", *flags, "--sampler", route, "--format", "json",
+                       "--out", str(out)])
+        assert rc == cli.EXIT_OK
+        spec = msfbm.ProcessSpec([1.0, -0.5], [0.3, 0.8])
+        ens = sampler.sample_ensemble(spec, grid, 3, 11, sampler=route)
+        whole = {
+            "format": "msfbm.ensemble",
+            "schema_version": 1,
+            "spec": {"coeffs": list(spec.coeffs), "hurst": list(spec.hurst)},
+            "grid": {"times": list(grid.times)},
+            "master_seed": ens.master_seed,
+            "n_reps": ens.n_reps,
+            "sampler": ens.sampler,
+            "jitter": ens.jitter,
+            "paths": [list(p.values) for p in ens.paths],
+        }
+        assert out.read_text() == json.dumps(whole, indent=2, sort_keys=True) + "\n"
+
+    def test_json_streams_per_replica(self, tmp_path):
+        # The whole ensemble's JSON text is about 3.4 MiB and took a 19.5 MiB peak to build.
+        out = tmp_path / "paths.json"
+        tracemalloc.start()
+        try:
+            rc = cli.main(["simulate", "--coeffs", "1,1", "--hurst", "0.4,0.8",
+                           "--grid-points", "2049", "--reps", "64", "--format", "json",
+                           "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == cli.EXIT_OK
+        assert peak < 8 * 2 ** 20
+        payload = json.loads(out.read_text())
+        assert len(payload["paths"]) == 64 and {len(p) for p in payload["paths"]} == {2049}
+
+    def test_reader_closing_json_stdout_early_is_not_an_error(self):
+        cmd = [sys.executable, "-m", "msfbm", "simulate", "--hurst", "0.5",
+               "--grid-points", "2049", "--reps", "64", "--format", "json"]
+        proc = subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                env=package_env())
+        assert proc.stdout.readline() == b"{\n"
         proc.stdout.close()
         err = proc.stderr.read().decode()
         assert proc.wait() == cli.EXIT_OK, err
@@ -325,6 +386,28 @@ class TestConfigFile:
             assert "'seed'" in cp.stderr and "integer" in cp.stderr
             assert "Traceback" not in cp.stderr
 
+    @pytest.mark.parametrize("command,key", [
+        (["simulate", "--hurst", "0.5", "--grid-points", "3"], "horizon"),
+        (["dims", "--hurst", "0.5", "--grid-points", "1025"], "eps"),
+    ])
+    def test_boolean_float_config_value_is_refused(self, command, key, tmp_path):
+        config = tmp_path / "float.json"
+        for value in (True, False, "0.5", [0.5]):
+            config.write_text(json.dumps({key: value}))
+            cp = run_cli(*command, "--config", str(config))
+            assert cp.returncode == 2, (value, cp.stderr)
+            assert f"'{key}'" in cp.stderr and "number" in cp.stderr
+            assert "Traceback" not in cp.stderr
+
+    def test_numeric_float_config_values_are_accepted(self, tmp_path):
+        config = tmp_path / "horizon.json"
+        for value, shown in ((2, "2.0"), (0.5, "0.5")):
+            config.write_text(json.dumps({"horizon": value}))
+            cp = run_cli("simulate", "--hurst", "0.5", "--grid-points", "3",
+                         "--config", str(config))
+            assert cp.returncode == 0, cp.stderr
+            assert f"# horizon: {shown}" in cp.stdout
+
     def test_missing_config_file_exits_2(self, tmp_path):
         config = tmp_path / "missing.json"
         cp = run_cli("simulate", "--hurst", "0.5", "--config", str(config))
@@ -341,3 +424,29 @@ class TestConfigFile:
         cp = run_cli("cov", "--hurst", "0.5", "--points", "1,2")
         assert cp.returncode == 0
         assert "1.0,2.0,1.0" in cp.stdout
+
+
+class TestThreads:
+    @pytest.mark.parametrize("raw,parsed", [(None, 1), ("1", 1), ("4", 4), ("64", 64)])
+    def test_accepted_values(self, raw, parsed, monkeypatch):
+        if raw is None:
+            monkeypatch.delenv("MSFBM_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("MSFBM_THREADS", raw)
+        assert cli._n_threads() == parsed
+
+    @pytest.mark.parametrize("raw", ["0", "-3", "65", "100000"])
+    def test_out_of_range_is_refused(self, raw, monkeypatch):
+        monkeypatch.setenv("MSFBM_THREADS", raw)
+        with pytest.raises(ValueError, match=r"MSFBM_THREADS must lie in \[1, 64\]"):
+            cli._n_threads()
+
+    def test_out_of_range_exits_2_before_sampling(self, monkeypatch, capsys):
+        def fail(*args, **kwargs):
+            raise AssertionError("sampled with a refused thread count")
+        monkeypatch.setattr(cli, "sample_ensemble", fail)
+        monkeypatch.setenv("MSFBM_THREADS", "65")
+        rc = cli.main(["simulate", "--hurst", "0.5", "--reps", "100"])
+        err = capsys.readouterr().err
+        assert rc == cli.EXIT_VALIDATION
+        assert "MSFBM_THREADS" in err and "[1, 64]" in err

@@ -16,7 +16,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import msfbm
-from msfbm import IncrementWindow, ProcessSpec, bound_constants, kernel_scale
+from msfbm import IncrementWindow, ProcessSpec, bound_constants, kernel_scale, kernels
 
 from conftest import package_env, rand_spec, rand_window, scaled_close
 
@@ -469,3 +469,67 @@ def test_lag_cov_asymptotic_agreement_with_offset():
         for n in (10 ** 3, 10 ** 4):
             ratio = msfbm.lag_cov_c(spec, float(p), n) / msfbm.lag_cov_c_asymptotic(spec, p, n)
             assert abs(ratio - 1.0) <= 10.0 / math.sqrt(n), (p, n, ratio)
+
+
+class TestSharedClosedForms:
+    """Each closed form is one helper, fed ``_p2h`` on scalars or ``_p2h_array`` on arrays."""
+
+    @staticmethod
+    def mixture_terms(p, low, top, a, h, u, v, s, t, f, x, m):
+        a2, two_h, big = a * a, 2.0 * h, 2.0 * x + m
+        r = kernels._rescale_term(p, a, h, f)
+        return [
+            a2 * kernels._sfbm_term(p, two_h, s, t),
+            kernels._var_term(p, a2, two_h, t),
+            kernels._moment_term(p, a2, two_h, s, t),
+            a2 * kernels._window_term(p, two_h, u, v, s, t),
+            a2 * kernels._pair_term(p, two_h, big + 1.0, big + 2.0, m + 1.0, m,
+                                    big + 1.0, big, m - 1.0, m),
+            kernels._scale_term(p, a2, two_h, t, top),
+            *kernels._envelope_terms(p, a2, two_h, t - s, low, top),
+            r * r * kernels._sfbm_term(p, two_h, s, t),
+        ]
+
+    def draws(self, rng, n_draws=400):
+        specs, rows = [], []
+        for _ in range(n_draws):
+            specs.append(rand_spec(rng))
+            w = rand_window(rng)
+            rows.append((w.u, w.v, w.s, w.t, rng.uniform(0.05, 8.0),
+                         float(rng.integers(0, 6)), float(rng.integers(1, 101))))
+        return specs, rows
+
+    def test_array_form_matches_scalar_form(self, rng):
+        specs, rows = self.draws(rng)
+        a = np.zeros((len(specs), 4))
+        h = np.full((len(specs), 4), 0.5)
+        for i, spec in enumerate(specs):
+            a[i, :spec.n], h[i, :spec.n] = spec.coeffs, spec.hurst
+        cols = np.array(rows).T[..., None]
+        arrays = self.mixture_terms(kernels._p2h_array, np.minimum, np.maximum, a, h, *cols)
+        for i, (spec, (u, v, s, t, f, x, m)) in enumerate(zip(specs, rows)):
+            per_component = [self.mixture_terms(kernels._p2h, min, max, ai, hi, u, v, s, t, f, x, m)
+                             for ai, hi in zip(spec.coeffs, spec.hurst)]
+            scalar = [sum(col) for col in zip(*per_component)]
+            scale = kernel_scale(spec, max(f * t, 2.0 * x + m + 2.0))
+            for k, arr in enumerate(arrays):
+                # the padding adds exact zeros
+                assert np.all(arr[i, spec.n:] == 0.0), k
+                assert abs(arr[i].sum() - scalar[k]) <= 1e-14 * scale, (k, arr[i].sum(), scalar[k])
+
+    def test_scalar_api_is_the_helper_on_libm(self, rng):
+        specs, rows = self.draws(rng, 200)
+        for spec, (u, v, s, t, f, x, m) in zip(specs, rows):
+            terms = [sum(col) for col in zip(*(
+                self.mixture_terms(kernels._p2h, min, max, a, h, u, v, s, t, f, x, m)
+                for a, h in zip(spec.coeffs, spec.hurst)))]
+            w = IncrementWindow(u, v, s, t)
+            assert terms[0] == msfbm.msfbm_cov(spec, s, t)
+            assert terms[1] == msfbm.msfbm_var(spec, t)
+            assert max(terms[2], 0.0) == msfbm.increment_second_moment(spec, s, t)
+            assert terms[3] == msfbm.increment_cov(spec, w)
+            assert terms[5] == kernel_scale(spec, t)
+            assert (terms[6], terms[7]) == msfbm.increment_bounds(spec, s, t)
+            assert terms[8] == msfbm.msfbm_cov(msfbm.rescale_coeffs(spec, f), s, t)
+            lag = msfbm.lag_cov_c(spec, x, int(m))
+            assert abs(terms[4] - lag) <= 1e-12 * kernel_scale(spec, x + m + 1.0)
