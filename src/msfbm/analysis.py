@@ -165,7 +165,7 @@ def empirical_cov(ens: Ensemble, j: int, k: int) -> tuple[float, float, float]:
     times = ens.grid.times
     if not (0 <= j < times.size and 0 <= k < times.size):
         raise ValueError("grid index out of range")
-    v = ens.values_matrix()
+    v = ens.values
     x = v[:, j]
     y = v[:, k]
     xc = x - x.mean()
@@ -263,7 +263,7 @@ def holder_exponent_estimate(ens: Ensemble, n_lags: int = 10) -> tuple[float, fl
     if len(lags) < 4:
         raise InsufficientResolution("fewer than 4 lag scales available")
     step = ens.grid.horizon / (n_points - 1)
-    v = ens.values_matrix()
+    v = ens.values
     xs = []
     ys = []
     for k in lags:
@@ -425,7 +425,7 @@ def nondiff_probe(ens: Ensemble, t0: float) -> list[tuple[float, float]]:
     n_windows = int(math.floor(math.log2(reach))) + 1 if reach >= 1 else 0
     if n_windows < 4:
         raise InsufficientResolution("fewer than 4 nested windows available around t0")
-    v = ens.values_matrix()
+    v = ens.values
     center = v[:, i0]
     rows = []
     for j in range(n_windows):

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import os
 import sys
 from typing import Iterable, Iterator, Optional, Sequence, Union
@@ -29,6 +30,10 @@ EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 
 _MAX_THREADS = 64  # replica threads each hold draw buffers the memory budget does not count
+
+# Options that take comma-separated floats; a config file may also give them as
+# a JSON list of numbers.
+_FLOAT_LIST_KEYS = frozenset({"coeffs", "hurst", "times", "points", "window"})
 
 
 def _fmt(value: float) -> str:
@@ -80,17 +85,27 @@ def _emit(text: Union[str, Iterable[str]], out: Optional[str]) -> None:
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
-def _floats(text) -> list[float]:
-    if isinstance(text, (list, tuple)):
-        return [float(v) for v in text]
+def _floats(text, key: str) -> list[float]:
+    """The finite floats of option ``key``: a comma-separated string or a list."""
     try:
-        return [float(tok) for tok in str(text).split(",") if tok != ""]
-    except ValueError as exc:
+        if isinstance(text, (list, tuple)):
+            values = [float(v) for v in text]
+        else:
+            values = [float(tok) for tok in str(text).split(",") if tok != ""]
+    except (TypeError, ValueError) as exc:
         raise ValueError(f"could not parse float list {text!r}") from exc
+    for v in values:
+        if not math.isfinite(v):
+            raise ValueError(f"--{key} values must be finite, got {v!r}")
+    return values
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _check_config_value(key: str, value, action: argparse.Action) -> None:
-    """Hold a config value to its flag's ``choices`` and integer or float ``type``."""
+    """Hold a config value to its flag's ``choices`` and integer, float or string type."""
     if action.choices is not None and value not in action.choices:
         raise ValueError(
             f"config key {key!r} must be one of {', '.join(map(repr, action.choices))}, "
@@ -98,8 +113,17 @@ def _check_config_value(key: str, value, action: argparse.Action) -> None:
         )
     if action.type is int and (isinstance(value, bool) or not isinstance(value, int)):
         raise ValueError(f"config key {key!r} must be an integer, got {value!r}")
-    if action.type is float and (isinstance(value, bool) or not isinstance(value, (int, float))):
+    if action.type is float and not _is_number(value):
         raise ValueError(f"config key {key!r} must be a number, got {value!r}")
+    if action.type is None and action.choices is None:
+        if key in _FLOAT_LIST_KEYS:
+            if not (isinstance(value, str)
+                    or isinstance(value, list) and all(map(_is_number, value))):
+                raise ValueError(
+                    f"config key {key!r} must be a string or a list of numbers, got {value!r}"
+                )
+        elif not isinstance(value, str):
+            raise ValueError(f"config key {key!r} must be a string, got {value!r}")
 
 
 class _Config:
@@ -142,8 +166,8 @@ class _Config:
         hurst = self.get("hurst")
         if hurst is None:
             raise ValueError("a process needs --hurst (and optionally --coeffs; flags or config file)")
-        hs = _floats(hurst)
-        weights = [1.0] * len(hs) if coeffs is None else _floats(coeffs)
+        hs = _floats(hurst, "hurst")
+        weights = [1.0] * len(hs) if coeffs is None else _floats(coeffs, "coeffs")
         return ProcessSpec(weights, hs)
 
 
@@ -169,7 +193,10 @@ def _cmd_cov(args: argparse.Namespace) -> int:
     points = cfg.get("points")
     out = cfg.get("out")
     if window:
-        w = IncrementWindow(*_floats(window))
+        bounds = _floats(window, "window")
+        if len(bounds) != 4:
+            raise ValueError(f"--window needs four values u,v,s,t, got {len(bounds)}")
+        w = IncrementWindow(*bounds)
         value = kernels.increment_cov(spec, w)
         rows = [",".join(map(_fmt, (w.u, w.v, w.s, w.t, value)))]
         header = ["u", "v", "s", "t", "cov"]
@@ -177,7 +204,7 @@ def _cmd_cov(args: argparse.Namespace) -> int:
     else:
         if not points:
             raise ValueError("cov needs --points or --window")
-        pts = _floats(points)
+        pts = _floats(points, "points")
         rows = []
         payload = []
         for i, s in enumerate(pts):
@@ -203,7 +230,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     spec = cfg.spec()
     times = cfg.get("times")
     if times:
-        grid = TimeGrid(_floats(times))
+        grid = TimeGrid(_floats(times, "times"))
     else:
         grid = TimeGrid.uniform(cfg.get("grid_points", 17, int),
                                 cfg.get("horizon", 1.0, float))
@@ -233,11 +260,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             "n_reps": ens.n_reps,
             "sampler": ens.sampler,
             "jitter": ens.jitter,
-        }, "paths", (p.values.tolist() for p in ens.paths)), out)
+        }, "paths", (row.tolist() for row in ens.values)), out)
     else:
         times = [repr(t) for t in grid.times.tolist()]
-        rows = ("\n".join([f"{r},{t},{v!r}" for t, v in zip(times, path.values.tolist())]) + "\n"
-                for r, path in enumerate(ens.paths))
+        rows = ("\n".join([f"{r},{t},{v!r}" for t, v in zip(times, row.tolist())]) + "\n"
+                for r, row in enumerate(ens.values))
         _emit(itertools.chain([_csv([], ["replica", "t", "value"], meta)], rows), out)
     return EXIT_OK
 
@@ -434,7 +461,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (FactorizationFailure, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (ValueError, TypeError) as exc:
+    except ValueError as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -66,6 +66,15 @@ def _p2h(x: float, two_h: float) -> float:
         raise OverflowError(f"x^(2H) overflows a double at x = {x!r}, 2H = {two_h!r}") from None
 
 
+def _finite(value: float, name: str, *args: float) -> float:
+    """``value`` of ``name(*args)``; ArithmeticError when it is not a finite double."""
+    if not math.isfinite(value):
+        raise ArithmeticError(
+            f"{name}({', '.join(map(repr, args))}) = {value!r} is not a finite double"
+        )
+    return value
+
+
 def _p2h_array(x, two_h) -> np.ndarray:
     """Elementwise x^(2h) for x >= 0, with 0^(2h) = 0; x broadcasts against two_h."""
     x = np.asarray(x, dtype=float)
@@ -140,7 +149,8 @@ def msfbm_cov(spec: ProcessSpec, s: float, t: float) -> float:
     t = float(t)
     if s < 0.0 or t < 0.0:
         raise ValueError("times must be nonnegative")
-    return sum(a * a * _sfbm_term(_p2h, 2.0 * h, s, t) for a, h in zip(spec.coeffs, spec.hurst))
+    value = sum(a * a * _sfbm_term(_p2h, 2.0 * h, s, t) for a, h in zip(spec.coeffs, spec.hurst))
+    return _finite(value, "msfbm_cov", s, t)
 
 
 def msfbm_var(spec: ProcessSpec, t: float) -> float:
@@ -200,7 +210,8 @@ def increment_cov_component(h: float, w: IncrementWindow) -> float:
 
 def increment_cov(spec: ProcessSpec, w: IncrementWindow) -> float:
     """Covariance of increments over the non-overlapping window (u,v) x (s,t)."""
-    return sum(a * a * increment_cov_component(h, w) for a, h in zip(spec.coeffs, spec.hurst))
+    value = sum(a * a * increment_cov_component(h, w) for a, h in zip(spec.coeffs, spec.hurst))
+    return _finite(value, "increment_cov", w.u, w.v, w.s, w.t)
 
 
 def kernel_scale(spec: ProcessSpec, tmax: float) -> float:

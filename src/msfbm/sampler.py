@@ -15,7 +15,10 @@ Two independent constructions with identical finite-dimensional laws:
   a half-length complex normal vector.
 
 All paths are pure functions of (spec, grid, seed): replicas can be
-generated concurrently in any order without changing a single bit.
+generated concurrently in any order without changing a single bit.  An
+ensemble is one read-only (n_reps, n_points) array.  The seeding of all its
+normal streams is computed at once before any draw, and each replica writes
+its path straight into its own row.
 """
 
 from __future__ import annotations
@@ -23,13 +26,14 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .kernels import _p2h_array
 from .process import ProcessSpec
-from .seeds import derive_seed, normal_stream, replica_seeds
+from .seeds import derive_seed, normal_stream, replica_seeds, stream_keys
 
 __all__ = [
     "TimeGrid",
@@ -137,23 +141,40 @@ class SamplePath:
 
 @dataclass(frozen=True)
 class Ensemble:
-    """Independent replicas sharing a grid, with reproducible per-replica seeds."""
+    """Independent replicas sharing a grid, with reproducible per-replica seeds.
+
+    ``values`` is one read-only (n_reps, n_points) array whose row k is the
+    path of replica k; every row starts at 0 and all values are finite, which
+    is checked once on the whole array.
+    """
 
     spec: ProcessSpec
     grid: TimeGrid
-    paths: tuple[SamplePath, ...]
+    values: np.ndarray
     master_seed: int
     replica_seeds: tuple[int, ...]
     sampler: str = "exact"
     jitter: float = 0.0
 
+    def __post_init__(self):
+        arr = np.asarray(self.values, dtype=float)
+        if arr.ndim != 2 or arr.shape[1] != self.grid.n_points:
+            raise ValueError("values and grid lengths differ")
+        if np.any(arr[:, 0] != 0.0):
+            raise ValueError("path must start at value 0")
+        if not np.all(np.isfinite(arr)):
+            raise ValueError("path values must be finite")
+        arr.setflags(write=False)
+        object.__setattr__(self, "values", arr)
+
     @property
     def n_reps(self) -> int:
-        return len(self.paths)
+        return self.values.shape[0]
 
-    def values_matrix(self) -> np.ndarray:
-        """(n_reps, n_points) matrix of path values."""
-        return np.vstack([p.values for p in self.paths])
+    @property
+    def paths(self) -> tuple[SamplePath, ...]:
+        """Each replica as a ``SamplePath`` view of its row of ``values``."""
+        return tuple(SamplePath(self.grid, row) for row in self.values)
 
 
 @dataclass(frozen=True)
@@ -236,22 +257,14 @@ def psd_factor(g: np.ndarray, jitter_ladder: Sequence[float] = JITTER_LADDER) ->
     )
 
 
-def _finish_path(grid: TimeGrid, body: np.ndarray) -> SamplePath:
-    values = np.empty(grid.n_points)
-    values[0] = 0.0
-    values[1:] = body
-    return SamplePath(grid, values)
-
-
 def sample_exact(spec: ProcessSpec, grid: TimeGrid, seed: int) -> SamplePath:
     """Exact draw through the factored Gram matrix; bit-stable in (spec, grid, seed)."""
-    factor = psd_factor(gram_matrix(spec, grid))
-    return _exact_path(grid, factor.lower, seed)
+    values, _ = _sample(spec, grid, [seed], "exact")
+    return SamplePath(grid, values[0])
 
 
-def _exact_path(grid: TimeGrid, lower: np.ndarray, seed: int) -> SamplePath:
-    z = normal_stream(seed, lower.shape[0])
-    return _finish_path(grid, lower @ z)
+def _exact_row(lower: np.ndarray, keys: np.ndarray, body: np.ndarray) -> None:
+    np.matmul(lower, normal_stream(keys[0], lower.shape[0]), out=body)
 
 
 def _symmetric_fbm_grams(spec: ProcessSpec, grid: TimeGrid) -> list[np.ndarray]:
@@ -276,20 +289,15 @@ def _symmetric_fbm_factors(spec: ProcessSpec, grid: TimeGrid) -> list[FactorResu
     return [psd_factor(grams.pop(0)) for _ in range(len(grams))]
 
 
-def _fbm_dense_path(
-    spec: ProcessSpec, grid: TimeGrid, factors: Sequence[FactorResult], seed: int
-) -> SamplePath:
-    m = grid.n_points - 1
-    body = np.zeros(m)
-    for i, (a, factor) in enumerate(zip(spec.coeffs, factors)):
-        if a == 0.0:
-            continue
-        z = normal_stream(derive_seed(seed, i), 2 * m)
-        b = factor.lower @ z
+def _fbm_dense_row(
+    coeffs: Sequence[float], lowers: Sequence[np.ndarray], keys: np.ndarray, body: np.ndarray
+) -> None:
+    m = body.size
+    for a, lower, key in zip(coeffs, lowers, keys):
+        b = lower @ normal_stream(key, 2 * m)
         neg = b[:m][::-1]
         pos = b[m:]
         body += a * (pos + neg) / math.sqrt(2.0)
-    return _finish_path(grid, body)
 
 
 def _fgn_autocov(length: int, step: float, two_h: float) -> np.ndarray:
@@ -326,8 +334,11 @@ def _fgn_spectra(spec: ProcessSpec, grid: TimeGrid) -> list[np.ndarray]:
     return spectra
 
 
-def _fgn_draw(sqrt_eig: np.ndarray, seed: int) -> np.ndarray:
-    """One exact fGn vector of length N/2 from a half spectrum of N/2 + 1 values."""
+def _fgn_draw(sqrt_eig: np.ndarray, seed) -> np.ndarray:
+    """One exact fGn vector of length N/2 from a half spectrum of N/2 + 1 values.
+
+    ``seed`` is the normal stream's seed or its row of ``stream_keys``.
+    """
     half = sqrt_eig.size - 1
     size = 2 * half
     v = normal_stream(seed, size)
@@ -342,21 +353,16 @@ def _fgn_draw(sqrt_eig: np.ndarray, seed: int) -> np.ndarray:
     return np.fft.irfft(z, n=size, norm="ortho")[:half]
 
 
-def _fbm_fgn_path(
-    spec: ProcessSpec, grid: TimeGrid, spectra: Sequence[np.ndarray], seed: int
-) -> SamplePath:
-    m = grid.n_points - 1
-    body = np.zeros(m)
-    for i, (a, sqrt_eig) in enumerate(zip(spec.coeffs, spectra)):
-        if a == 0.0:
-            continue
-        fgn = _fgn_draw(sqrt_eig, derive_seed(seed, i))
-        cum = np.concatenate([[0.0], np.cumsum(fgn)])
+def _fbm_fgn_row(
+    coeffs: Sequence[float], spectra: Sequence[np.ndarray], keys: np.ndarray, body: np.ndarray
+) -> None:
+    m = body.size
+    for a, sqrt_eig, key in zip(coeffs, spectra, keys):
+        cum = np.concatenate([[0.0], np.cumsum(_fgn_draw(sqrt_eig, key))])
         origin = cum[m]
         pos = cum[m + 1:] - origin
         neg = cum[m - 1::-1] - origin
         body += a * (pos + neg) / math.sqrt(2.0)
-    return _finish_path(grid, body)
 
 
 def _route_ops(route: str, spec: ProcessSpec, m: int, n_reps: int) -> float:
@@ -436,20 +442,53 @@ def sample_via_fbm(
     """
     if method not in ("auto", "dense", "fgn"):
         raise ValueError(f"unknown fbm construction method {method!r}")
-    if _route(spec, grid, 1, "fbm" if method == "dense" else method, dense="fbm") == "fbm":
-        factors = _symmetric_fbm_factors(spec, grid)
-        return _fbm_dense_path(spec, grid, factors, seed)
-    spectra = _fgn_spectra(spec, grid)
-    return _fbm_fgn_path(spec, grid, spectra, seed)
+    route = _route(spec, grid, 1, "fbm" if method == "dense" else method, dense="fbm")
+    values, _ = _sample(spec, grid, [seed], route)
+    return SamplePath(grid, values[0])
 
 
-def _replica_runner(
-    make_path: Callable[[int], SamplePath], seeds: Sequence[int], n_threads: int
-) -> list[SamplePath]:
+def _replica_runner(fill_row: Callable[[int], None], n_reps: int, n_threads: int) -> None:
     if n_threads <= 1:
-        return [make_path(s) for s in seeds]
+        for k in range(n_reps):
+            fill_row(k)
+        return
     with ThreadPoolExecutor(max_workers=n_threads) as pool:
-        return list(pool.map(make_path, seeds))
+        # Reading every result re-raises the first replica's exception.
+        list(pool.map(fill_row, range(n_reps)))
+
+
+def _sample(
+    spec: ProcessSpec, grid: TimeGrid, seeds: Sequence[int], route: str, n_threads: int = 1
+) -> tuple[np.ndarray, float]:
+    """The paths of ``route``, one row per replica seed, and the jitter its factors took.
+
+    The exact route draws one normal stream per replica, from the replica
+    seed; the folded routes draw one per active component i, from
+    ``derive_seed(seed, i)``.  The seeding of all streams is computed at
+    once (``stream_keys``), then each replica writes its path into its own
+    row of a zeroed (len(seeds), n_points) array, the t = 0 column left at 0.
+    """
+    if route == "exact":
+        factor = psd_factor(gram_matrix(spec, grid))
+        streams = list(seeds)
+        fill, jitter = partial(_exact_row, factor.lower), factor.jitter
+    else:
+        active = spec.active_set
+        streams = [derive_seed(s, i) for s in seeds for i in active]
+        coeffs = [spec.coeffs[i] for i in active]
+        if route == "fbm":
+            factors = _symmetric_fbm_factors(spec, grid)
+            lowers = [factors[i].lower for i in active]
+            fill, jitter = partial(_fbm_dense_row, coeffs, lowers), max(f.jitter for f in factors)
+        else:
+            spectra = _fgn_spectra(spec, grid)
+            fill, jitter = partial(_fbm_fgn_row, coeffs, [spectra[i] for i in active]), 0.0
+    per = len(streams) // len(seeds)
+    keys = stream_keys(streams)
+    values = np.zeros((len(seeds), grid.n_points))
+    _replica_runner(lambda k: fill(keys[k * per:(k + 1) * per], values[k, 1:]),
+                    len(seeds), n_threads)
+    return values, jitter
 
 
 def sample_ensemble(
@@ -478,23 +517,11 @@ def sample_ensemble(
         raise ValueError("n_reps must be >= 1")
     sampler = _route(spec, grid, n_reps, sampler)
     seeds = replica_seeds(master_seed, n_reps)
-    jitter = 0.0
-    if sampler == "exact":
-        factor = psd_factor(gram_matrix(spec, grid))
-        jitter = factor.jitter
-        make = lambda s: _exact_path(grid, factor.lower, s)
-    elif sampler == "fbm":
-        factors = _symmetric_fbm_factors(spec, grid)
-        jitter = max(f.jitter for f in factors)
-        make = lambda s: _fbm_dense_path(spec, grid, factors, s)
-    else:
-        spectra = _fgn_spectra(spec, grid)
-        make = lambda s: _fbm_fgn_path(spec, grid, spectra, s)
-    paths = _replica_runner(make, seeds, n_threads)
+    values, jitter = _sample(spec, grid, seeds, sampler, n_threads)
     return Ensemble(
         spec=spec,
         grid=grid,
-        paths=tuple(paths),
+        values=values,
         master_seed=int(master_seed),
         replica_seeds=seeds,
         sampler=sampler,

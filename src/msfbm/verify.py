@@ -172,7 +172,7 @@ def run_kernels_suite(seed: int = 0, n_draws: int = 2000) -> dict:
 
 
 def _gram_zscores(ens: Ensemble, g: np.ndarray) -> float:
-    v = ens.values_matrix()[:, 1:]
+    v = ens.values[:, 1:]
     emp = (v.T @ v) / ens.n_reps
     se = np.sqrt((np.outer(np.diag(g), np.diag(g)) + g * g) / ens.n_reps)
     return float(np.max(np.abs(emp - g) / se))
@@ -203,8 +203,8 @@ def run_sampler_suite(
     z_exact = _gram_zscores(ens_exact, g)
     z_fbm = _gram_zscores(ens_fbm, g)
 
-    ve = ens_exact.values_matrix()[:, 1:]
-    vf = ens_fbm.values_matrix()[:, 1:]
+    ve = ens_exact.values[:, 1:]
+    vf = ens_fbm.values[:, 1:]
     emp_e = (ve.T @ ve) / n_reps
     emp_f = (vf.T @ vf) / n_reps
     pooled = np.sqrt(2.0 * (np.outer(np.diag(g), np.diag(g)) + g * g) / n_reps)
@@ -212,10 +212,9 @@ def run_sampler_suite(
 
     again = sample_ensemble(spec, grid, n_reps, derive_seed(seed, 1),
                             sampler="exact", n_threads=1)
-    deterministic = all(
-        np.array_equal(a.values, b.values) for a, b in zip(ens_exact.paths, again.paths)
-    )
-    starts_at_zero = all(p.values[0] == 0.0 for p in ens_exact.paths + ens_fbm.paths)
+    deterministic = np.array_equal(ens_exact.values, again.values)
+    starts_at_zero = bool(np.all(ens_exact.values[:, 0] == 0.0)
+                          and np.all(ens_fbm.values[:, 0] == 0.0))
 
     checks = [
         _check("gram_psd", eig_min, -1e-10 * max_diag, 0.0, eig_min >= -1e-10 * max_diag),

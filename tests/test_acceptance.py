@@ -224,7 +224,7 @@ def test_criterion_07_sampler_correctness():
         se = np.sqrt((np.outer(np.diag(g), np.diag(g)) + g * g) / n_reps)
 
         ens_e = sample_ensemble(spec, grid, n_reps, derive_seed(SEED, 70 + idx))
-        ve = ens_e.values_matrix()[:, 1:]
+        ve = ens_e.values[:, 1:]
         emp_e = (ve.T @ ve) / n_reps
         z_e = float(np.max(np.abs(emp_e - g) / se))
         assert z_e <= 5.0, (spec, z_e)
@@ -232,7 +232,7 @@ def test_criterion_07_sampler_correctness():
 
         ens_f = sample_ensemble(spec, grid, n_reps, derive_seed(SEED, 80 + idx),
                                 sampler="fbm")
-        vf = ens_f.values_matrix()[:, 1:]
+        vf = ens_f.values[:, 1:]
         emp_f = (vf.T @ vf) / n_reps
         z_f = float(np.max(np.abs(emp_f - g) / se))
         assert z_f <= 5.0, (spec, z_f)

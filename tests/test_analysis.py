@@ -271,7 +271,8 @@ class TestNondiffProbe:
     def test_linear_fixture_constant_quotient(self):
         grid = TimeGrid.uniform(2 ** 8 + 1, 1.0)
         path = SamplePath(grid, 3.0 * grid.times)
-        ens = Ensemble(spec=ProcessSpec([1.0], [0.5]), grid=grid, paths=(path, path),
+        ens = Ensemble(spec=ProcessSpec([1.0], [0.5]), grid=grid,
+                       values=np.vstack([path.values, path.values]),
                        master_seed=0, replica_seeds=(0, 1))
         rows = nondiff_probe(ens, 0.5)
         eps = [r[0] for r in rows]

@@ -65,6 +65,28 @@ class TestCov:
         assert cp.stderr.startswith("numerical failure: ") and "overflows" in cp.stderr
         assert len(cp.stderr.splitlines()) == 1
 
+    @pytest.mark.parametrize("flag,value,shown", [
+        ("--points", "nan,1", "nan"),
+        ("--points", "1,1e999", "inf"),
+        ("--window", "0,1,1,inf", "inf"),
+    ])
+    def test_non_finite_input_exits_2(self, flag, value, shown):
+        cp = run_cli("cov", "--hurst", "0.5", flag, value)
+        assert cp.returncode == cli.EXIT_VALIDATION
+        assert "Traceback" not in cp.stderr and cp.stdout == ""
+        assert cp.stderr == f"invalid input: {flag} values must be finite, got {shown}\n"
+
+    @pytest.mark.parametrize("args", [
+        ("--hurst", "0.1", "--points", "1e308,1.5e308"),  # s + t overflows to inf
+        ("--coeffs", "1e200", "--hurst", "0.7", "--window", "0,1,2,3"),  # a^2 overflows
+    ])
+    def test_non_finite_result_is_a_numerical_failure(self, args):
+        cp = run_cli("cov", *args)
+        assert cp.returncode == cli.EXIT_NUMERICAL
+        assert "Traceback" not in cp.stderr and cp.stdout == ""
+        assert cp.stderr.startswith("numerical failure: ") and "not a finite double" in cp.stderr
+        assert len(cp.stderr.splitlines()) == 1
+
 
 class TestSimulate:
     def test_byte_identical_reruns(self, tmp_path):
@@ -407,6 +429,33 @@ class TestConfigFile:
                          "--config", str(config))
             assert cp.returncode == 0, cp.stderr
             assert f"# horizon: {shown}" in cp.stdout
+
+    @pytest.mark.parametrize("command,key,value,kind", [
+        (["classify", "--hurst", "0.5"], "out", 2, "a string"),
+        (["classify", "--hurst", "0.5"], "out", [1], "a string"),
+        (["simulate", "--hurst", "0.5"], "times", [0, None], "a string or a list of numbers"),
+        (["classify"], "hurst", [[0.5]], "a string or a list of numbers"),
+        (["classify", "--hurst", "0.5"], "coeffs", [1, True], "a string or a list of numbers"),
+        (["cov", "--hurst", "0.5"], "window", {"u": 0}, "a string or a list of numbers"),
+    ])
+    def test_string_option_config_value_is_refused(self, command, key, value, kind, tmp_path):
+        config = tmp_path / "bad.json"
+        config.write_text(json.dumps({key: value}))
+        cp = run_cli(*command, "--config", str(config))
+        assert cp.returncode == 2, cp.stderr
+        assert cp.stdout == "" and len(cp.stderr.splitlines()) == 1
+        assert f"config key '{key}' must be {kind}" in cp.stderr
+
+    def test_float_list_element_type_error_is_invalid_input(self):
+        with pytest.raises(ValueError, match="could not parse float list"):
+            cli._floats([0.0, None], "times")
+
+    def test_programming_error_is_not_reported_as_invalid_input(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise TypeError("unsupported operand type(s)")
+        monkeypatch.setattr(cli, "sample_ensemble", broken)
+        with pytest.raises(TypeError, match="unsupported operand"):
+            cli.main(["simulate", "--hurst", "0.5"])
 
     def test_missing_config_file_exits_2(self, tmp_path):
         config = tmp_path / "missing.json"

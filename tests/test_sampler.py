@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.random import PCG64, Generator
 
 import msfbm
 from msfbm import ProcessSpec, SamplePath, TimeGrid, sampler
@@ -18,7 +19,9 @@ from msfbm.sampler import (
     _route,
     _symmetric_fbm_grams,
 )
-from msfbm.seeds import derive_seed, normal_stream, replica_seeds, splitmix64
+from msfbm.seeds import (
+    _pcg64_state, derive_seed, normal_stream, replica_seeds, splitmix64, stream_keys,
+)
 
 from conftest import rand_spec
 
@@ -214,7 +217,7 @@ class TestSampleExact:
         spec = ProcessSpec([1.0], [0.5])
         grid = TimeGrid.uniform(16, 1.0)
         ens = msfbm.sample_ensemble(spec, grid, 10_000, 7)
-        terminal = ens.values_matrix()[:, -1]
+        terminal = ens.values[:, -1]
         est = float(np.mean(terminal ** 2))
         se = np.sqrt(2.0 / 10_000)  # Var(X^2) = 2 Var^2 for centered Gaussian
         assert abs(est - 1.0) <= 4 * se
@@ -227,7 +230,7 @@ class TestSampleExact:
         k = 16
         assert times[j] == 1.0 and times[k] == 2.0
         ens = msfbm.sample_ensemble(spec, grid, 10_000, 11)
-        v = ens.values_matrix()
+        v = ens.values
         est = float(np.mean(v[:, j] * v[:, k]))
         target = 0.73035091339287416
         var_j = msfbm.msfbm_var(spec, 1.0)
@@ -280,7 +283,7 @@ class TestSampleViaFbm:
         spec = ProcessSpec([1.0], [0.5])
         grid = TimeGrid.uniform(9, 1.0)
         ens = msfbm.sample_ensemble(spec, grid, 10_000, 3, sampler="fbm")
-        v = ens.values_matrix()[:, 1:]
+        v = ens.values[:, 1:]
         g = msfbm.gram_matrix(spec, grid)
         emp = (v.T @ v) / 10_000
         se = np.sqrt((np.outer(np.diag(g), np.diag(g)) + g * g) / 10_000)
@@ -297,7 +300,7 @@ class TestSampleViaFbm:
         spec = ProcessSpec([1.0, 1.0], [0.4, 0.8])
         grid = TimeGrid.uniform(33, 2.0)
         ens = msfbm.sample_ensemble(spec, grid, 8000, 17, sampler="fgn")
-        v = ens.values_matrix()[:, 1:]
+        v = ens.values[:, 1:]
         g = msfbm.gram_matrix(spec, grid)
         emp = (v.T @ v) / 8000
         se = np.sqrt((np.outer(np.diag(g), np.diag(g)) + g * g) / 8000)
@@ -368,6 +371,45 @@ class TestSampleViaFbm:
         )
 
 
+class TestBulkSeeding:
+    """``stream_keys`` and ``_pcg64_state`` against numpy's own seeding, the oracle."""
+
+    @staticmethod
+    def _seeds():
+        rng = np.random.default_rng(20240817)
+        seeds = [int(s) for s in rng.integers(0, 2 ** 64, size=100_000, dtype=np.uint64)]
+        seeds += [0, 1, 2, 2 ** 32 - 1, 2 ** 32, 2 ** 63, 2 ** 64 - 1]
+        # The acceptance tests' master seeds, their replica seeds and component streams.
+        for k in range(200):
+            master = derive_seed(20240817, k)
+            seeds.append(master)
+            for rep in replica_seeds(master, 20):
+                seeds += [rep] + [derive_seed(rep, i) for i in range(3)]
+        return seeds
+
+    def test_states_equal_pcg64_seeding(self):
+        seeds = self._seeds()
+        assert len(seeds) >= 100_000
+        for seed, key in zip(seeds, stream_keys(seeds)):
+            state, inc = _pcg64_state(key)
+            assert PCG64(seed).state["state"] == {"state": state, "inc": inc}, seed
+
+    def test_streams_equal_pcg64_streams(self):
+        seeds = self._seeds()[::400]
+        for seed, key in zip(seeds, stream_keys(seeds)):
+            for size in (1, 7, 257):
+                want = Generator(PCG64(seed)).standard_normal(size)
+                assert np.array_equal(normal_stream(seed, size), want)
+                out = np.empty(size)
+                assert normal_stream(key, size, out=out) is out
+                assert np.array_equal(out, want)
+
+    @pytest.mark.parametrize("seed", (-1, 2 ** 64))
+    def test_seed_outside_64_bits_is_refused(self, seed):
+        with pytest.raises(ValueError, match=r"\[0, 2\^64\)"):
+            stream_keys([seed])
+
+
 class TestSampleEnsemble:
     def test_single_replica_matches_sample_exact(self):
         spec = ProcessSpec([1.0, 1.0], [0.5, 0.75])
@@ -376,19 +418,55 @@ class TestSampleEnsemble:
         direct = msfbm.sample_exact(spec, grid, ens.replica_seeds[0])
         assert np.array_equal(ens.paths[0].values, direct.values)
 
-    def test_reproducible_and_thread_invariant(self):
-        spec = ProcessSpec([1.0], [0.3])
+    @pytest.mark.parametrize("route", ("exact", "fbm", "fgn"))
+    def test_reproducible_and_thread_invariant(self, route):
+        spec = ProcessSpec([1.0, 0.0, 0.5], [0.3, 0.6, 0.8])
         grid = TimeGrid.uniform(12, 1.0)
-        a = msfbm.sample_ensemble(spec, grid, 64, 5, n_threads=1)
-        b = msfbm.sample_ensemble(spec, grid, 64, 5, n_threads=4)
-        for pa, pb in zip(a.paths, b.paths):
-            assert np.array_equal(pa.values, pb.values)
+        a = msfbm.sample_ensemble(spec, grid, 64, 5, sampler=route, n_threads=1)
+        b = msfbm.sample_ensemble(spec, grid, 64, 5, sampler=route, n_threads=4)
+        assert np.array_equal(a.values, b.values)
+
+    def test_values_are_read_only(self):
+        ens = msfbm.sample_ensemble(ProcessSpec([1.0], [0.3]), TimeGrid.uniform(6, 1.0), 4, 1)
+        assert ens.values.shape == (4, 6)
+        with pytest.raises(ValueError, match="read-only"):
+            ens.values[0, 1] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            ens.paths[0].values[1] = 1.0
+
+    def test_non_finite_row_is_refused_once(self, monkeypatch):
+        # One replica's stream is poisoned; the matrix check refuses it, and no
+        # per-replica path is built or validated on the way.
+        real_stream = sampler.normal_stream
+        poison = stream_keys([derive_seed(3, 2)])[0]
+
+        def stream(key, size, out=None):
+            z = real_stream(key, size, out)
+            return np.full(size, np.nan) if np.array_equal(key, poison) else z
+
+        def no_path(*args, **kwargs):
+            raise AssertionError("a per-replica SamplePath was built")
+
+        monkeypatch.setattr(sampler, "normal_stream", stream)
+        monkeypatch.setattr(sampler, "SamplePath", no_path)
+        with pytest.raises(ValueError, match="path values must be finite"):
+            msfbm.sample_ensemble(ProcessSpec([1.0], [0.3]), TimeGrid.uniform(6, 1.0), 5, 3,
+                                  sampler="exact")
+        grid = TimeGrid.uniform(3, 1.0)
+        with pytest.raises(ValueError, match="path values must be finite"):
+            sampler.Ensemble(spec=ProcessSpec([1.0], [0.5]), grid=grid,
+                             values=[[0.0, 1.0, 2.0], [0.0, np.nan, 1.0]],
+                             master_seed=0, replica_seeds=(0, 1))
+        with pytest.raises(ValueError, match="start at value 0"):
+            sampler.Ensemble(spec=ProcessSpec([1.0], [0.5]), grid=grid,
+                             values=[[0.0, 1.0, 2.0], [1.0, 1.0, 1.0]],
+                             master_seed=0, replica_seeds=(0, 1))
 
     def test_centered_mean(self):
         spec = ProcessSpec([1.0], [0.3])
         grid = TimeGrid.uniform(8, 1.0)
         ens = msfbm.sample_ensemble(spec, grid, 10_000, 13)
-        v = ens.values_matrix()
+        v = ens.values
         for idx in range(1, grid.n_points):
             sd = np.sqrt(msfbm.msfbm_var(spec, grid.times[idx]) / 10_000)
             assert abs(float(np.mean(v[:, idx]))) <= 4 * sd
@@ -417,7 +495,7 @@ class TestRoute:
         auto = msfbm.sample_ensemble(self.SPEC, grid, 64, 3)
         fgn = msfbm.sample_ensemble(self.SPEC, grid, 64, 3, sampler="fgn")
         assert auto.sampler == "fgn"
-        assert np.array_equal(auto.values_matrix(), fgn.values_matrix())
+        assert np.array_equal(auto.values, fgn.values)
 
     def test_non_uniform_grid_stays_exact(self):
         grid = TimeGrid(np.linspace(0.0, 1.0, 2049) ** 1.5)
