@@ -35,8 +35,6 @@ from .sampler import (
     gram_matrix,
     psd_factor,
     sample_ensemble,
-    sample_exact,
-    sample_via_fbm,
 )
 from .analysis import (
     DimensionEstimate,

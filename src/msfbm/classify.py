@@ -3,11 +3,13 @@
 All verdicts are functions of the active components only (zero-weight
 components never influence an outcome).  Hurst comparisons against 1/2
 and 3/4 are exact floating-point comparisons by default; ``half_tol``
-widens the H = 1/2 detection band for callers that need it.
+widens the H = 1/2 detection band for callers that need it.  A negative or
+non-finite ``half_tol`` raises ValueError.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
@@ -87,6 +89,12 @@ def _is_half(h: float, half_tol: float) -> bool:
     return h == 0.5 if half_tol == 0.0 else abs(h - 0.5) <= half_tol
 
 
+def _check_half_tol(half_tol: float) -> None:
+    """Refuse a band that would silently detect no H = 1/2 (NaN or negative) or every H."""
+    if not 0.0 <= half_tol < math.inf:
+        raise ValueError(f"half_tol must be a nonnegative finite number, got {half_tol!r}")
+
+
 def semimartingale_classify(
     spec: ProcessSpec, half_tol: float = 0.0
 ) -> SemimartingaleVerdict:
@@ -97,6 +105,7 @@ def semimartingale_classify(
     component with H = 3/4 exactly breaks the property (the intermediate
     band is closed on the right).
     """
+    _check_half_tol(half_tol)
     active = [(i, spec.hurst[i]) for i in spec.active_set]
     if any(h < 0.5 and not _is_half(h, half_tol) for _, h in active):
         return SemimartingaleVerdict(False, None, SemimartingaleReason.LOW_HURST_COMPONENT)
@@ -113,6 +122,7 @@ def semimartingale_classify(
 
 def markov_verdict(spec: ProcessSpec, half_tol: float = 0.0) -> bool:
     """True iff every active component is a plain Brownian one (H = 1/2)."""
+    _check_half_tol(half_tol)
     return all(_is_half(spec.hurst[i], half_tol) for i in spec.active_set)
 
 
@@ -123,6 +133,7 @@ def increment_sign_predict(spec: ProcessSpec, half_tol: float = 0.0) -> SignVerd
     at / above / below 1/2; Indeterminate for mixed configurations, where
     the sign genuinely depends on the window and the weights.
     """
+    _check_half_tol(half_tol)
     hs = [spec.hurst[i] for i in spec.active_set]
     if all(_is_half(h, half_tol) for h in hs):
         return SignVerdict.ZERO
@@ -149,6 +160,7 @@ def dependence_compare(
     |b| = |c|.  The prediction is checked against the kernel decomposition
     before being returned; a disagreement raises PredictionContradicted.
     """
+    _check_half_tol(half_tol)
     b = float(b)
     c = float(c)
     if abs(b) > abs(c):

@@ -1,18 +1,19 @@
 """Exact Gaussian samplers for mixed sub-fractional paths on finite grids.
 
-Two independent constructions with identical finite-dimensional laws:
+``sample_ensemble`` is the only way to draw paths.  Its router takes one of
+three routes, all with the process's finite-dimensional law:
 
-* ``sample_exact`` factorizes the process Gram matrix on the grid and maps
-  an i.i.d. normal vector through the factor.
-* ``sample_via_fbm`` builds each component from a fractional Brownian
-  motion on the symmetric grid {-t_k, ..., t_k}, folds it into a
-  sub-fractional component via (B(t) + B(-t))/sqrt(2), and sums the
-  weighted components.  On uniform grids the per-component fBm may be
-  drawn through circulant embedding of its increment process
-  (Davies-Harte), which is still exact and scales to 2^16-point paths.
-  The embedding's circulant row is real and symmetric, so only its N/2 + 1
-  distinct eigenvalues are kept, and each draw is one real inverse FFT of
-  a half-length complex normal vector.
+* "exact" factorizes the process Gram matrix on the grid and maps an
+  i.i.d. normal vector through the factor.
+* "fbm" builds each component from a fractional Brownian motion on the
+  symmetric grid {-t_k, ..., t_k}, drawn through the factor of its dense
+  Gram, folds it into a sub-fractional component via (B(t) + B(-t))/sqrt(2),
+  and sums the weighted components.
+* "fgn" folds the same fBms, drawn on uniform grids through circulant
+  embedding of their increment process (Davies-Harte), which is still exact
+  and scales to 2^16-point paths.  The embedding's circulant row is real and
+  symmetric, so only its N/2 + 1 distinct eigenvalues are kept, and each
+  draw is one real inverse FFT of a half-length complex normal vector.
 
 All paths are pure functions of (spec, grid, seed): replicas can be
 generated concurrently in any order without changing a single bit.  An
@@ -43,8 +44,6 @@ __all__ = [
     "FactorizationFailure",
     "gram_matrix",
     "psd_factor",
-    "sample_exact",
-    "sample_via_fbm",
     "sample_ensemble",
     "JITTER_LADDER",
     "FGN_CUTOFF",
@@ -102,8 +101,8 @@ class TimeGrid:
     def uniform(cls, n_points: int, horizon: float) -> "TimeGrid":
         if n_points < 2:
             raise ValueError("grid needs at least two time points")
-        if horizon <= 0.0:
-            raise ValueError("horizon must be positive")
+        if not 0.0 < horizon < math.inf:
+            raise ValueError(f"horizon must be a positive finite number, got {horizon!r}")
         return cls(np.linspace(0.0, float(horizon), int(n_points)))
 
     @property
@@ -114,9 +113,10 @@ class TimeGrid:
     def horizon(self) -> float:
         return float(self.times[-1])
 
-    def is_uniform(self, rtol: float = 1e-9) -> bool:
+    def is_uniform(self) -> bool:
+        """True when every step is within a relative 1e-9 of the first."""
         steps = np.diff(self.times)
-        return bool(np.all(np.abs(steps - steps[0]) <= rtol * steps[0]))
+        return bool(np.all(np.abs(steps - steps[0]) <= 1e-9 * steps[0]))
 
 
 @dataclass(frozen=True)
@@ -236,7 +236,7 @@ def gram_matrix(spec: ProcessSpec, grid: TimeGrid) -> np.ndarray:
     return _symmetric_gram(t.size, 1, fill_block)[0]
 
 
-def psd_factor(g: np.ndarray, jitter_ladder: Sequence[float] = JITTER_LADDER) -> FactorResult:
+def psd_factor(g: np.ndarray) -> FactorResult:
     """Cholesky factor of g + eps*I, escalating eps until factorization succeeds."""
     g = np.asarray(g, dtype=float)
     if g.ndim != 2 or g.shape[0] != g.shape[1]:
@@ -244,7 +244,7 @@ def psd_factor(g: np.ndarray, jitter_ladder: Sequence[float] = JITTER_LADDER) ->
     if not np.array_equal(g, g.T):
         raise ValueError("gram matrix must be symmetric")
     max_diag = float(np.max(np.diag(g))) if g.size else 0.0
-    for level in jitter_ladder:
+    for level in JITTER_LADDER:
         eps = level * max_diag
         target = g + eps * np.eye(g.shape[0]) if eps else g
         try:
@@ -253,14 +253,8 @@ def psd_factor(g: np.ndarray, jitter_ladder: Sequence[float] = JITTER_LADDER) ->
             continue
         return FactorResult(lower=lower, jitter=eps)
     raise FactorizationFailure(
-        f"cholesky failed at all jitter levels {tuple(jitter_ladder)}"
+        f"cholesky failed at all jitter levels {JITTER_LADDER}"
     )
-
-
-def sample_exact(spec: ProcessSpec, grid: TimeGrid, seed: int) -> SamplePath:
-    """Exact draw through the factored Gram matrix; bit-stable in (spec, grid, seed)."""
-    values, _ = _sample(spec, grid, [seed], "exact")
-    return SamplePath(grid, values[0])
 
 
 def _exact_row(lower: np.ndarray, keys: np.ndarray, body: np.ndarray) -> None:
@@ -334,14 +328,14 @@ def _fgn_spectra(spec: ProcessSpec, grid: TimeGrid) -> list[np.ndarray]:
     return spectra
 
 
-def _fgn_draw(sqrt_eig: np.ndarray, seed) -> np.ndarray:
+def _fgn_draw(sqrt_eig: np.ndarray, key: np.ndarray) -> np.ndarray:
     """One exact fGn vector of length N/2 from a half spectrum of N/2 + 1 values.
 
-    ``seed`` is the normal stream's seed or its row of ``stream_keys``.
+    ``key`` is the normal stream's row of ``stream_keys``.
     """
     half = sqrt_eig.size - 1
     size = 2 * half
-    v = normal_stream(seed, size)
+    v = normal_stream(key, size)
     z = np.empty(half + 1, dtype=complex)
     z[0] = sqrt_eig[0] * v[0]
     z[half] = sqrt_eig[half] * v[1]
@@ -401,22 +395,20 @@ def _route_bytes(route: str, spec: ProcessSpec, m: int, n_reps: int) -> int:
     return 8 * (held + n_reps * (m + 1))
 
 
-def _route(
-    spec: ProcessSpec, grid: TimeGrid, n_reps: int, sampler: str, dense: str = "exact"
-) -> str:
+def _route(spec: ProcessSpec, grid: TimeGrid, n_reps: int, sampler: str) -> str:
     """The route ("exact", "fbm" or "fgn") that draws ``n_reps`` replicas.
 
     "auto" takes circulant embedding ("fgn") on uniform grids of at least
-    FGN_CUTOFF steps whose estimated cost is below that of the dense route
-    ``dense``, and ``dense`` otherwise; any other sampler names its route.
+    FGN_CUTOFF steps whose estimated cost is below that of the exact route,
+    and "exact" otherwise; any other sampler names its route.
     Raises ValueError, before anything is allocated, when the route's arrays
     would exceed the memory budget.
     """
     m = grid.n_points - 1
     if sampler == "auto":
         cheaper = (m >= FGN_CUTOFF and grid.is_uniform()
-                   and _route_ops("fgn", spec, m, n_reps) < _route_ops(dense, spec, m, n_reps))
-        sampler = "fgn" if cheaper else dense
+                   and _route_ops("fgn", spec, m, n_reps) < _route_ops("exact", spec, m, n_reps))
+        sampler = "fgn" if cheaper else "exact"
     if sampler not in ("exact", "fbm", "fgn"):
         raise ValueError(f"unknown sampler {sampler!r}")
     need = _route_bytes(sampler, spec, m, n_reps)
@@ -429,24 +421,6 @@ def _route(
     return sampler
 
 
-def sample_via_fbm(
-    spec: ProcessSpec, grid: TimeGrid, seed: int, method: str = "auto"
-) -> SamplePath:
-    """Draw a path by folding per-component fBms on the symmetric grid.
-
-    Distributionally identical to ``sample_exact`` but built from a
-    different construction (and a different use of the seed stream), so
-    paths differ realization by realization.  ``method`` is "dense" (the
-    symmetric Gram), "fgn" (circulant embedding, uniform grids only) or
-    "auto", which routes as ``sample_ensemble`` does between the two.
-    """
-    if method not in ("auto", "dense", "fgn"):
-        raise ValueError(f"unknown fbm construction method {method!r}")
-    route = _route(spec, grid, 1, "fbm" if method == "dense" else method, dense="fbm")
-    values, _ = _sample(spec, grid, [seed], route)
-    return SamplePath(grid, values[0])
-
-
 def _replica_runner(fill_row: Callable[[int], None], n_reps: int, n_threads: int) -> None:
     if n_threads <= 1:
         for k in range(n_reps):
@@ -455,40 +429,6 @@ def _replica_runner(fill_row: Callable[[int], None], n_reps: int, n_threads: int
     with ThreadPoolExecutor(max_workers=n_threads) as pool:
         # Reading every result re-raises the first replica's exception.
         list(pool.map(fill_row, range(n_reps)))
-
-
-def _sample(
-    spec: ProcessSpec, grid: TimeGrid, seeds: Sequence[int], route: str, n_threads: int = 1
-) -> tuple[np.ndarray, float]:
-    """The paths of ``route``, one row per replica seed, and the jitter its factors took.
-
-    The exact route draws one normal stream per replica, from the replica
-    seed; the folded routes draw one per active component i, from
-    ``derive_seed(seed, i)``.  The seeding of all streams is computed at
-    once (``stream_keys``), then each replica writes its path into its own
-    row of a zeroed (len(seeds), n_points) array, the t = 0 column left at 0.
-    """
-    if route == "exact":
-        factor = psd_factor(gram_matrix(spec, grid))
-        streams = list(seeds)
-        fill, jitter = partial(_exact_row, factor.lower), factor.jitter
-    else:
-        active = spec.active_set
-        streams = [derive_seed(s, i) for s in seeds for i in active]
-        coeffs = [spec.coeffs[i] for i in active]
-        if route == "fbm":
-            factors = _symmetric_fbm_factors(spec, grid)
-            lowers = [factors[i].lower for i in active]
-            fill, jitter = partial(_fbm_dense_row, coeffs, lowers), max(f.jitter for f in factors)
-        else:
-            spectra = _fgn_spectra(spec, grid)
-            fill, jitter = partial(_fbm_fgn_row, coeffs, [spectra[i] for i in active]), 0.0
-    per = len(streams) // len(seeds)
-    keys = stream_keys(streams)
-    values = np.zeros((len(seeds), grid.n_points))
-    _replica_runner(lambda k: fill(keys[k * per:(k + 1) * per], values[k, 1:]),
-                    len(seeds), n_threads)
-    return values, jitter
 
 
 def sample_ensemble(
@@ -512,18 +452,43 @@ def sample_ensemble(
     over it raises ValueError before anything is allocated.  The result is a
     pure function of (spec, grid, n_reps, master_seed, sampler) regardless of
     ``n_threads``; ``Ensemble.sampler`` records the route taken.
+
+    The exact route draws one normal stream per replica, from the replica
+    seed; the folded routes draw one per active component i, from
+    ``derive_seed(seed, i)``.  The seeding of all streams is computed at
+    once (``stream_keys``), then each replica writes its path into its own
+    row of a zeroed (n_reps, n_points) array, the t = 0 column left at 0.
     """
     if n_reps < 1:
         raise ValueError("n_reps must be >= 1")
-    sampler = _route(spec, grid, n_reps, sampler)
+    route = _route(spec, grid, n_reps, sampler)
     seeds = replica_seeds(master_seed, n_reps)
-    values, jitter = _sample(spec, grid, seeds, sampler, n_threads)
+    if route == "exact":
+        factor = psd_factor(gram_matrix(spec, grid))
+        streams = seeds
+        fill, jitter = partial(_exact_row, factor.lower), factor.jitter
+    else:
+        active = spec.active_set
+        streams = [derive_seed(s, i) for s in seeds for i in active]
+        coeffs = [spec.coeffs[i] for i in active]
+        if route == "fbm":
+            factors = _symmetric_fbm_factors(spec, grid)
+            lowers = [factors[i].lower for i in active]
+            fill, jitter = partial(_fbm_dense_row, coeffs, lowers), max(f.jitter for f in factors)
+        else:
+            spectra = _fgn_spectra(spec, grid)
+            fill, jitter = partial(_fbm_fgn_row, coeffs, [spectra[i] for i in active]), 0.0
+    per = len(streams) // n_reps
+    keys = stream_keys(streams)
+    values = np.zeros((n_reps, grid.n_points))
+    _replica_runner(lambda k: fill(keys[k * per:(k + 1) * per], values[k, 1:]),
+                    n_reps, n_threads)
     return Ensemble(
         spec=spec,
         grid=grid,
         values=values,
         master_seed=int(master_seed),
         replica_seeds=seeds,
-        sampler=sampler,
+        sampler=route,
         jitter=jitter,
     )

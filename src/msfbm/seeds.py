@@ -7,17 +7,19 @@ to distinct seeds.
 
 Normal variates are those of ``Generator(PCG64(seed)).standard_normal``
 (ziggurat); golden outputs are tied to the numpy version recorded in the
-lock/install metadata.  No stream builds its own ``PCG64(seed)``:
-``stream_keys`` runs numpy's ``SeedSequence`` hash over a whole array of
-seeds at once in vectorized uint32 arithmetic, 32 bytes per seed, and each
-draw turns its key into PCG64's state with the two seeding LCG steps
-(``_pcg64_state``) and sets it on the one generator its thread owns.
+lock/install metadata.  No stream builds its own ``PCG64(seed)``, and no
+stream is seeded one at a time: ``stream_keys`` runs numpy's
+``SeedSequence`` hash over a whole array of seeds at once in vectorized
+uint32 arithmetic, 32 bytes per seed, and ``normal_stream`` takes only a
+row of its result.  Each draw turns its key into PCG64's state with the two
+seeding LCG steps (``_pcg64_state``) and sets it on the one generator its
+thread owns.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Optional, Sequence, Union
+from typing import Sequence
 
 import numpy as np
 from numpy.random import PCG64, Generator
@@ -159,17 +161,14 @@ def replica_seeds(master_seed: int, n_reps: int) -> tuple[int, ...]:
     return tuple(derive_seed(master_seed, k) for k in range(n_reps))
 
 
-def normal_stream(
-    seed: Union[int, np.ndarray], size: int, out: Optional[np.ndarray] = None
-) -> np.ndarray:
-    """``size`` i.i.d. standard normals, a pure function of ``seed``.
+def normal_stream(key: np.ndarray, size: int) -> np.ndarray:
+    """``size`` i.i.d. standard normals, a pure function of ``key``.
 
-    ``seed`` is an integer in [0, 2^64) or its row of ``stream_keys``; the
-    normals are those of ``Generator(PCG64(seed)).standard_normal(size)``.
-    They are written to ``out`` when it is given.
+    ``key`` is a seed's row of ``stream_keys``; the normals are those of
+    ``Generator(PCG64(seed)).standard_normal(size)``.
     """
-    state, inc = _pcg64_state(seed if isinstance(seed, np.ndarray) else stream_keys([seed])[0])
+    state, inc = _pcg64_state(key)
     gen = _generator()
     gen.bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
                                "has_uint32": 0, "uinteger": 0}
-    return gen.standard_normal(size, out=out)
+    return gen.standard_normal(size)

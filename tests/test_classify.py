@@ -100,6 +100,17 @@ class TestSemimartingaleClassify:
         assert not semimartingale_classify(spec).is_semimartingale
         assert semimartingale_classify(spec, half_tol=1e-6).is_semimartingale
 
+    @pytest.mark.parametrize("half_tol", (float("nan"), -1.0, -1e-300, float("inf")))
+    def test_bad_half_tol_is_refused(self, half_tol):
+        spec = ProcessSpec((1.0,), (0.5,))
+        w = IncrementWindow(0.0, 1.0, 2.0, 3.0)
+        for call in (lambda: semimartingale_classify(spec, half_tol=half_tol),
+                     lambda: markov_verdict(spec, half_tol=half_tol),
+                     lambda: increment_sign_predict(spec, half_tol=half_tol),
+                     lambda: dependence_compare(spec, 0, 1.0, 2.0, w, half_tol=half_tol)):
+            with pytest.raises(ValueError, match="half_tol"):
+                call()
+
     def test_serialization_reason_names(self):
         verdict = semimartingale_classify(ProcessSpec((1.0,), (0.5,)))
         payload = json.dumps(verdict.to_dict())

@@ -10,7 +10,7 @@ import jsonschema
 import pytest
 
 import msfbm
-from msfbm import cli, sampler
+from msfbm import analysis, cli, kernels, sampler
 
 from conftest import package_env
 
@@ -151,6 +151,14 @@ class TestSimulate:
             err = capsys.readouterr().err
             assert rc == cli.EXIT_VALIDATION
             assert f"the {route} route" in err and "GiB memory budget" in err
+
+    @pytest.mark.parametrize("value", ("nan", "inf"))
+    def test_non_finite_horizon_exits_2(self, value):
+        cp = run_cli("simulate", "--hurst", "0.5", "--horizon", value)
+        assert cp.returncode == cli.EXIT_VALIDATION and cp.stdout == ""
+        assert cp.stderr.splitlines() == [
+            f"invalid input: horizon must be a positive finite number, got {float(value)!r}"
+        ]
 
     def test_csv_streams_per_replica(self, tmp_path):
         # The whole ensemble's CSV text is about 16 MiB; one replica's is 1/64 of it.
@@ -321,6 +329,25 @@ class TestClassify:
             assert payload["semimartingale"]["is_semimartingale"] is expected, (coeffs, hurst)
             assert payload["semimartingale"]["reason"] == reason
 
+    @pytest.mark.parametrize("value", ("nan", "-1"))
+    def test_bad_half_tol_exits_2(self, value, tmp_path):
+        config = tmp_path / "c.json"
+        config.write_text(f'{{"half_tol": {"NaN" if value == "nan" else value}}}')
+        for source in (["--half-tol", value], ["--config", str(config)]):
+            cp = run_cli("classify", "--hurst", "0.5", *source)
+            assert cp.returncode == cli.EXIT_VALIDATION, source
+            assert cp.stdout == ""
+            assert cp.stderr.splitlines() == [
+                f"invalid input: half_tol must be a nonnegative finite number, "
+                f"got {float(value)!r}"
+            ]
+
+    def test_zero_half_tol_is_exact_detection(self):
+        cp = run_cli("classify", "--hurst", "0.5", "--half-tol", "0")
+        payload = json.loads(cp.stdout)
+        assert payload["markov"] is True
+        assert payload["semimartingale"]["reason"] == "HalfWitnessAndRest"
+
 
 class TestSrd:
     def test_csv_columns_and_values(self):
@@ -335,6 +362,19 @@ class TestSrd:
         cp = run_cli("srd", "--coeffs", "1", "--hurst", "0.6", "--n-max", "12",
                      "--format", "json")
         validate(json.loads(cp.stdout), "srd.v1.json")
+
+    def test_n_max_over_budget_exits_2_before_allocating(self, monkeypatch, capsys):
+        def fail(*args, **kwargs):
+            raise AssertionError("a refused n_max allocated its arrays")
+        monkeypatch.setattr(analysis, "lag_cov_series", fail)
+        monkeypatch.setattr(kernels, "lag_cov_series", fail)
+        rc = cli.main(["srd", "--hurst", "0.7", "--n-max", "1000000000000000"])
+        out, err = capsys.readouterr()
+        assert rc == cli.EXIT_VALIDATION and out == ""
+        assert err.splitlines() == [
+            "invalid input: n_max = 1000000000000000 needs an estimated 2.98e+08 GiB, "
+            "over the 2 GiB memory budget"
+        ]
 
 
 class TestHelp:

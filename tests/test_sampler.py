@@ -1,4 +1,4 @@
-"""Grid/path types, Gram factorization, the two exact samplers and the router."""
+"""Grid/path types, Gram factorization, the three sampler routes and the router."""
 
 import math
 
@@ -44,6 +44,11 @@ class TestTimeGrid:
     def test_minimum_length(self):
         with pytest.raises(ValueError):
             TimeGrid([0.0])
+
+    @pytest.mark.parametrize("horizon", (0.0, -1.0, math.nan, math.inf))
+    def test_uniform_horizon_must_be_positive_and_finite(self, horizon):
+        with pytest.raises(ValueError, match="horizon must be a positive finite number"):
+            TimeGrid.uniform(5, horizon)
 
     def test_non_uniform_detected(self):
         assert not TimeGrid([0.0, 0.1, 1.0]).is_uniform()
@@ -207,10 +212,10 @@ class TestSampleExact:
     def test_determinism(self):
         spec = ProcessSpec([1.0], [0.6])
         grid = TimeGrid.uniform(16, 1.0)
-        a = msfbm.sample_exact(spec, grid, 42)
-        b = msfbm.sample_exact(spec, grid, 42)
+        a = msfbm.sample_ensemble(spec, grid, 1, 42, sampler="exact")
+        b = msfbm.sample_ensemble(spec, grid, 1, 42, sampler="exact")
         assert np.array_equal(a.values, b.values)
-        c = msfbm.sample_exact(spec, grid, 43)
+        c = msfbm.sample_ensemble(spec, grid, 1, 43, sampler="exact")
         assert not np.array_equal(a.values, c.values)
 
     def test_brownian_terminal_variance(self):
@@ -239,11 +244,15 @@ class TestSampleExact:
         assert abs(est - target) <= 4 * se
 
 
+def _key(seed):
+    return stream_keys([seed])[0]
+
+
 def _reference_fgn_draw(sqrt_eig, seed):
     """Full complex FFT of the index-array Hermitian assembly over a full spectrum."""
     size = sqrt_eig.size
     half = size // 2
-    v = normal_stream(seed, size)
+    v = normal_stream(_key(seed), size)
     z = np.empty(size, dtype=complex)
     z[0] = sqrt_eig[0] * v[0]
     z[half] = sqrt_eig[half] * v[1]
@@ -258,7 +267,7 @@ def _reference_half_spectrum_draw(sqrt_eig, seed):
     """Index-array assembly of the half-spectrum draw: ``_fgn_draw`` must match bit for bit."""
     half = sqrt_eig.size - 1
     size = 2 * half
-    v = normal_stream(seed, size)
+    v = normal_stream(_key(seed), size)
     z = np.empty(half + 1, dtype=complex)
     z[0] = sqrt_eig[0] * v[0]
     z[half] = sqrt_eig[half] * v[1]
@@ -271,9 +280,7 @@ class TestSampleViaFbm:
     def test_degenerate_grid_law(self):
         spec = ProcessSpec([1.0, 0.5], [0.3, 0.8])
         grid = TimeGrid([0.0, 0.7])
-        vals = np.array(
-            [msfbm.sample_via_fbm(spec, grid, derive_seed(5, k)).values[1] for k in range(10_000)]
-        )
+        vals = msfbm.sample_ensemble(spec, grid, 10_000, 5, sampler="fbm").values[:, 1]
         var = msfbm.msfbm_var(spec, 0.7)
         est = float(np.mean(vals ** 2))
         se = var * np.sqrt(2.0 / 10_000)
@@ -292,8 +299,8 @@ class TestSampleViaFbm:
     def test_differs_from_exact_pathwise(self):
         spec = ProcessSpec([1.0], [0.75])
         grid = TimeGrid.uniform(8, 1.0)
-        a = msfbm.sample_exact(spec, grid, 99)
-        b = msfbm.sample_via_fbm(spec, grid, 99)
+        a = msfbm.sample_ensemble(spec, grid, 1, 99, sampler="exact")
+        b = msfbm.sample_ensemble(spec, grid, 1, 99, sampler="fbm")
         assert not np.allclose(a.values, b.values)
 
     def test_fgn_route_matches_gram(self):
@@ -312,7 +319,8 @@ class TestSampleViaFbm:
         spec = ProcessSpec([1.0], [0.3])
         grid = TimeGrid.uniform(5, 1.0)
         spectra = _fgn_spectra(spec, grid)
-        draws = np.array([_fgn_draw(spectra[0], derive_seed(2, k)) for k in range(40_000)])
+        keys = stream_keys([derive_seed(2, k) for k in range(40_000)])
+        draws = np.array([_fgn_draw(spectra[0], key) for key in keys])
         emp = draws.T @ draws / draws.shape[0]
         step = 0.25
         lags = np.arange(8, dtype=float)
@@ -331,7 +339,7 @@ class TestSampleViaFbm:
         for sqrt_eig in spectra:
             full = np.concatenate([sqrt_eig, sqrt_eig[-2:0:-1]])
             for k in range(3):
-                got = _fgn_draw(sqrt_eig, derive_seed(7, k))
+                got = _fgn_draw(sqrt_eig, _key(derive_seed(7, k)))
                 want = _reference_half_spectrum_draw(sqrt_eig, derive_seed(7, k))
                 assert got.tobytes() == want.tobytes()
                 # The same realization as the full complex FFT, up to rounding.
@@ -361,14 +369,8 @@ class TestSampleViaFbm:
         spec = ProcessSpec([1.0], [0.5])
         small = TimeGrid.uniform(FGN_CUTOFF // 2, 1.0)
         big = TimeGrid.uniform(FGN_CUTOFF + 2, 1.0)
-        assert np.array_equal(
-            msfbm.sample_via_fbm(spec, small, 1).values,
-            msfbm.sample_via_fbm(spec, small, 1, method="dense").values,
-        )
-        assert np.array_equal(
-            msfbm.sample_via_fbm(spec, big, 1).values,
-            msfbm.sample_via_fbm(spec, big, 1, method="fgn").values,
-        )
+        assert _route(spec, small, 1, "auto") == "exact"
+        assert _route(spec, big, 1, "auto") == "fgn"
 
 
 class TestBulkSeeding:
@@ -399,10 +401,7 @@ class TestBulkSeeding:
         for seed, key in zip(seeds, stream_keys(seeds)):
             for size in (1, 7, 257):
                 want = Generator(PCG64(seed)).standard_normal(size)
-                assert np.array_equal(normal_stream(seed, size), want)
-                out = np.empty(size)
-                assert normal_stream(key, size, out=out) is out
-                assert np.array_equal(out, want)
+                assert np.array_equal(normal_stream(key, size), want)
 
     @pytest.mark.parametrize("seed", (-1, 2 ** 64))
     def test_seed_outside_64_bits_is_refused(self, seed):
@@ -411,13 +410,6 @@ class TestBulkSeeding:
 
 
 class TestSampleEnsemble:
-    def test_single_replica_matches_sample_exact(self):
-        spec = ProcessSpec([1.0, 1.0], [0.5, 0.75])
-        grid = TimeGrid.uniform(10, 1.0)
-        ens = msfbm.sample_ensemble(spec, grid, 1, 2024)
-        direct = msfbm.sample_exact(spec, grid, ens.replica_seeds[0])
-        assert np.array_equal(ens.paths[0].values, direct.values)
-
     @pytest.mark.parametrize("route", ("exact", "fbm", "fgn"))
     def test_reproducible_and_thread_invariant(self, route):
         spec = ProcessSpec([1.0, 0.0, 0.5], [0.3, 0.6, 0.8])
@@ -440,8 +432,8 @@ class TestSampleEnsemble:
         real_stream = sampler.normal_stream
         poison = stream_keys([derive_seed(3, 2)])[0]
 
-        def stream(key, size, out=None):
-            z = real_stream(key, size, out)
+        def stream(key, size):
+            z = real_stream(key, size)
             return np.full(size, np.nan) if np.array_equal(key, poison) else z
 
         def no_path(*args, **kwargs):
@@ -517,5 +509,3 @@ class TestRoute:
         grid = TimeGrid.uniform(20_000, 1.0)
         with pytest.raises(ValueError, match="the fbm route .* memory budget"):
             msfbm.sample_ensemble(self.SPEC, grid, 1, 0, sampler="fbm")
-        with pytest.raises(ValueError, match="the fbm route .* memory budget"):
-            msfbm.sample_via_fbm(self.SPEC, grid, 0, method="dense")
