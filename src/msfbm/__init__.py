@@ -4,9 +4,9 @@ from .process import (
     IncrementBoundConstants,
     IncrementWindow,
     ProcessSpec,
-    bound_constants,
 )
 from .kernels import (
+    bound_constants,
     conditional_variance,
     fbm_cov,
     increment_bounds,

@@ -23,7 +23,7 @@ import numpy as np
 
 from .kernels import lag_cov_series, msfbm_cov, msfbm_var
 from .process import ProcessSpec
-from .sampler import _MEMORY_BUDGET, Ensemble, SamplePath, TimeGrid, sample_ensemble
+from .sampler import _check_budget, Ensemble, SamplePath, TimeGrid, sample_ensemble
 from .seeds import derive_seed
 
 __all__ = [
@@ -46,9 +46,10 @@ __all__ = [
 ]
 
 
-# Peak bytes per lag of ``msfbm srd``, which holds the lag covariances twice
-# and the text of its output besides the partial sums' float temporaries:
-# measured 299 B per lag for JSON, 226 for CSV and 73 for the sums alone.
+# Peak bytes per lag of ``msfbm srd``: the lag covariances, the text of its
+# output and the partial sums' float temporaries.  Measured 299 B per lag for
+# JSON, 226 for CSV and 73 for the sums alone while the command still held the
+# lag covariances twice, so it is an upper bound.
 _SRD_BYTES_PER_LAG = 320
 
 
@@ -360,7 +361,7 @@ def level_set_box_dimension(
         k_max = int(math.log2(times.size)) - 4
     levels = _box_levels(k_min, k_max)
 
-    inner = (d[:-1] == 0.0) | (d[:-1] * d[1:] < 0.0)
+    inner = (d[:-1] == 0.0) | (np.sign(d[:-1]) * np.sign(d[1:]) < 0.0)
     cross_times = np.where(d[:-1] == 0.0, times[:-1], 0.5 * (times[:-1] + times[1:]))[inner]
     if d[-1] == 0.0:
         cross_times = np.append(cross_times, times[-1])
@@ -444,6 +445,15 @@ def nondiff_probe(ens: Ensemble, t0: float) -> list[tuple[float, float]]:
     return rows
 
 
+def _srd_terms(spec: ProcessSpec, p: int, n_max: int) -> np.ndarray:
+    """Lag covariances C(p, n) for n = 1..n_max, refused over the memory budget."""
+    n_max = int(n_max)
+    if n_max < 10:
+        raise ValueError("n_max must be at least 10")
+    _check_budget(f"n_max = {n_max}", _SRD_BYTES_PER_LAG * n_max)
+    return lag_cov_series(spec, p, np.arange(1, n_max + 1))
+
+
 def srd_partial_sums(spec: ProcessSpec, p: int, n_max: int) -> np.ndarray:
     """Partial sums of the lag covariances C(p, n) for n = 1..n_max.
 
@@ -453,14 +463,4 @@ def srd_partial_sums(spec: ProcessSpec, p: int, n_max: int) -> np.ndarray:
     the output ``msfbm srd`` builds from them, would exceed the memory budget
     raises ValueError before anything is allocated.
     """
-    n_max = int(n_max)
-    if n_max < 10:
-        raise ValueError("n_max must be at least 10")
-    need = _SRD_BYTES_PER_LAG * n_max
-    if need > _MEMORY_BUDGET:
-        raise ValueError(
-            f"n_max = {n_max} needs an estimated {need / 2 ** 30:.3g} GiB, over the "
-            f"{_MEMORY_BUDGET / 2 ** 30:.3g} GiB memory budget"
-        )
-    terms = lag_cov_series(spec, p, np.arange(1, n_max + 1))
-    return np.cumsum(terms)
+    return np.cumsum(_srd_terms(spec, p, n_max))

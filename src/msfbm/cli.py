@@ -126,49 +126,39 @@ def _check_config_value(key: str, value, action: argparse.Action) -> None:
             raise ValueError(f"config key {key!r} must be a string, got {value!r}")
 
 
-class _Config:
-    """Per-field fallback chain: command-line flag, config file, default."""
+def _with_config(parser: argparse.ArgumentParser, argv: Optional[Sequence[str]],
+                 args: argparse.Namespace) -> argparse.Namespace:
+    """``argv`` parsed again with the ``--config`` file's values as the subcommand's
+    defaults: flags take precedence over the file, and the file over built-in defaults."""
+    try:
+        with open(args.config) as fh:
+            values = json.load(fh)
+    except OSError as exc:
+        raise ValueError(f"cannot read config file {args.config!r}: {exc.strerror}") from exc
+    if not isinstance(values, dict):
+        raise ValueError("config file must hold one JSON object")
+    options = {a.dest: a for a in args.subparser._actions}
+    known = set(options) - {"help", "config"}
+    unknown = sorted(set(values) - known)
+    if unknown:
+        raise ValueError(
+            f"unknown config key(s) {', '.join(map(repr, unknown))} for "
+            f"{args.command}; known keys: {', '.join(sorted(known))}"
+        )
+    for key, value in values.items():
+        _check_config_value(key, value, options[key])
+        if options[key].type is float:
+            values[key] = float(value)
+    args.subparser.set_defaults(**values)
+    return parser.parse_args(argv)
 
-    def __init__(self, args: argparse.Namespace):
-        self.args = args
-        self.file = {}
-        if getattr(args, "config", None):
-            try:
-                with open(args.config) as fh:
-                    self.file = json.load(fh)
-            except OSError as exc:
-                raise ValueError(
-                    f"cannot read config file {args.config!r}: {exc.strerror}"
-                ) from exc
-            if not isinstance(self.file, dict):
-                raise ValueError("config file must hold one JSON object")
-            options = {a.dest: a for a in args.options}
-            known = set(options) - {"help", "config"}
-            unknown = sorted(set(self.file) - known)
-            if unknown:
-                raise ValueError(
-                    f"unknown config key(s) {', '.join(map(repr, unknown))} for "
-                    f"{args.command}; known keys: {', '.join(sorted(known))}"
-                )
-            for key, value in self.file.items():
-                _check_config_value(key, value, options[key])
 
-    def get(self, name: str, default=None, cast=None):
-        value = getattr(self.args, name, None)
-        if value is None:
-            value = self.file.get(name, default)
-        if value is not None and cast is not None:
-            value = cast(value)
-        return value
-
-    def spec(self) -> ProcessSpec:
-        coeffs = self.get("coeffs")
-        hurst = self.get("hurst")
-        if hurst is None:
-            raise ValueError("a process needs --hurst (and optionally --coeffs; flags or config file)")
-        hs = _floats(hurst, "hurst")
-        weights = [1.0] * len(hs) if coeffs is None else _floats(coeffs, "coeffs")
-        return ProcessSpec(weights, hs)
+def _spec(args: argparse.Namespace) -> ProcessSpec:
+    if args.hurst is None:
+        raise ValueError("a process needs --hurst (and optionally --coeffs; flags or config file)")
+    hs = _floats(args.hurst, "hurst")
+    weights = [1.0] * len(hs) if args.coeffs is None else _floats(args.coeffs, "coeffs")
+    return ProcessSpec(weights, hs)
 
 
 def _spec_dict(spec: ProcessSpec) -> dict:
@@ -187,13 +177,9 @@ def _n_threads() -> int:
 
 
 def _cmd_cov(args: argparse.Namespace) -> int:
-    cfg = _Config(args)
-    spec = cfg.spec()
-    window = cfg.get("window")
-    points = cfg.get("points")
-    out = cfg.get("out")
-    if window:
-        bounds = _floats(window, "window")
+    spec = _spec(args)
+    if args.window:
+        bounds = _floats(args.window, "window")
         if len(bounds) != 4:
             raise ValueError(f"--window needs four values u,v,s,t, got {len(bounds)}")
         w = IncrementWindow(*bounds)
@@ -202,9 +188,9 @@ def _cmd_cov(args: argparse.Namespace) -> int:
         header = ["u", "v", "s", "t", "cov"]
         payload = [{"u": w.u, "v": w.v, "s": w.s, "t": w.t, "cov": value}]
     else:
-        if not points:
+        if not args.points:
             raise ValueError("cov needs --points or --window")
-        pts = _floats(points, "points")
+        pts = _floats(args.points, "points")
         rows = []
         payload = []
         for i, s in enumerate(pts):
@@ -213,31 +199,25 @@ def _cmd_cov(args: argparse.Namespace) -> int:
                 rows.append(",".join(map(_fmt, (s, t, value))))
                 payload.append({"s": s, "t": t, "cov": value})
         header = ["s", "t", "cov"]
-    if cfg.get("format", "csv") == "json":
+    if args.format == "json":
         _emit(_json_text({
             "format": "msfbm.cov",
             "schema_version": 1,
             "spec": _spec_dict(spec),
             "rows": payload,
-        }), out)
+        }), args.out)
     else:
-        _emit(_csv(rows, header), out)
+        _emit(_csv(rows, header), args.out)
     return EXIT_OK
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    cfg = _Config(args)
-    spec = cfg.spec()
-    times = cfg.get("times")
-    if times:
-        grid = TimeGrid(_floats(times, "times"))
+    spec = _spec(args)
+    if args.times:
+        grid = TimeGrid(_floats(args.times, "times"))
     else:
-        grid = TimeGrid.uniform(cfg.get("grid_points", 17, int),
-                                cfg.get("horizon", 1.0, float))
-    seed = cfg.get("seed", 0, int)
-    reps = cfg.get("reps", 1, int)
-    out = cfg.get("out")
-    ens = sample_ensemble(spec, grid, reps, seed, sampler=cfg.get("sampler", "auto"),
+        grid = TimeGrid.uniform(args.grid_points, args.horizon)
+    ens = sample_ensemble(spec, grid, args.reps, args.seed, sampler=args.sampler,
                           n_threads=_n_threads())
     meta = {
         "coeffs": ",".join(_fmt(a) for a in spec.coeffs),
@@ -250,7 +230,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         "jitter": _fmt(ens.jitter),
     }
     # One chunk per replica, so the text of the whole ensemble is never held.
-    if cfg.get("format", "csv") == "json":
+    if args.format == "json":
         _emit(_json_chunks({
             "format": "msfbm.ensemble",
             "schema_version": 1,
@@ -260,37 +240,29 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             "n_reps": ens.n_reps,
             "sampler": ens.sampler,
             "jitter": ens.jitter,
-        }, "paths", (row.tolist() for row in ens.values)), out)
+        }, "paths", (row.tolist() for row in ens.values)), args.out)
     else:
         times = [repr(t) for t in grid.times.tolist()]
         rows = ("\n".join([f"{r},{t},{v!r}" for t, v in zip(times, row.tolist())]) + "\n"
                 for r, row in enumerate(ens.values))
-        _emit(itertools.chain([_csv([], ["replica", "t", "value"], meta)], rows), out)
+        _emit(itertools.chain([_csv([], ["replica", "t", "value"], meta)], rows), args.out)
     return EXIT_OK
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    cfg = _Config(args)
-    spec = cfg.spec() if cfg.get("hurst") is not None else None
-    suite = cfg.get("suite", "all")
-    names = verify.SUITE_NAMES if suite == "all" else (suite,)
+    spec = _spec(args) if args.hurst is not None else None
+    names = verify.SUITE_NAMES if args.suite == "all" else (args.suite,)
     report = verify.run_suites(
-        names, spec=spec, seed=cfg.get("seed", 0, int),
-        n_reps=cfg.get("reps", 3000, int), n_threads=_n_threads(),
+        names, spec=spec, seed=args.seed, n_reps=args.reps, n_threads=_n_threads(),
     )
-    _emit(_json_text(report), cfg.get("out"))
+    _emit(_json_text(report), args.out)
     return EXIT_OK if report["all_passed"] else EXIT_VERIFY_FAILED
 
 
 def _cmd_dims(args: argparse.Namespace) -> int:
-    cfg = _Config(args)
-    spec = cfg.spec()
-    grid = TimeGrid.uniform(cfg.get("grid_points", 2 ** 16 + 1, int),
-                            cfg.get("horizon", 1.0, float))
-    seed = cfg.get("seed", 0, int)
-    level = cfg.get("level", 0.0, float)
-    eps = cfg.get("eps", 0.01, float)
-    level_reps = cfg.get("level_reps", 20, int)
+    spec = _spec(args)
+    grid = TimeGrid.uniform(args.grid_points, args.horizon)
+    seed, level, eps, level_reps = args.seed, args.level, args.eps, args.level_reps
     h_min = spec.h_min
 
     graph_path = sample_ensemble(spec, grid, 1, derive_seed(seed, 1)).paths[0]
@@ -330,14 +302,13 @@ def _cmd_dims(args: argparse.Namespace) -> int:
             "target": 1.0 - h_min,
         },
     }
-    _emit(_json_text(report), cfg.get("out"))
+    _emit(_json_text(report), args.out)
     return EXIT_OK
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
-    cfg = _Config(args)
-    spec = cfg.spec()
-    half_tol = cfg.get("half_tol", 0.0, float)
+    spec = _spec(args)
+    half_tol = args.half_tol
     verdict = semimartingale_classify(spec, half_tol=half_tol)
     report = {
         "format": "msfbm.classify",
@@ -347,18 +318,16 @@ def _cmd_classify(args: argparse.Namespace) -> int:
         "markov": markov_verdict(spec, half_tol=half_tol),
         "increment_sign": increment_sign_predict(spec, half_tol=half_tol).value,
     }
-    _emit(_json_text(report), cfg.get("out"))
+    _emit(_json_text(report), args.out)
     return EXIT_OK
 
 
 def _cmd_srd(args: argparse.Namespace) -> int:
-    cfg = _Config(args)
-    spec = cfg.spec()
-    p = cfg.get("p", 0, int)
-    n_max = cfg.get("n_max", 10 ** 4, int)
-    sums = analysis.srd_partial_sums(spec, p, n_max)
-    terms = kernels.lag_cov_series(spec, p, np.arange(1, n_max + 1))
-    if cfg.get("format", "csv") == "json":
+    spec = _spec(args)
+    p, n_max = args.p, args.n_max
+    terms = analysis._srd_terms(spec, p, n_max)
+    sums = np.cumsum(terms)
+    if args.format == "json":
         _emit(_json_text({
             "format": "msfbm.srd",
             "schema_version": 1,
@@ -367,11 +336,11 @@ def _cmd_srd(args: argparse.Namespace) -> int:
             "n_max": n_max,
             "lag_cov": list(terms),
             "partial_sums": list(sums),
-        }), cfg.get("out"))
+        }), args.out)
     else:
         rows = [f"{n},{c!r},{total!r}"
                 for n, c, total in zip(range(1, n_max + 1), terms.tolist(), sums.tolist())]
-        _emit(_csv(rows, ["n", "lag_cov", "partial_sum"]), cfg.get("out"))
+        _emit(_csv(rows, ["n", "lag_cov", "partial_sum"]), args.out)
     return EXIT_OK
 
 
@@ -399,57 +368,62 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_flags(p)
     p.add_argument("--points", help="comma-separated times; emits all pairs (s<=t)")
     p.add_argument("--window", help="u,v,s,t increment window for one covariance")
-    p.add_argument("--format", choices=("csv", "json"))
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=_cmd_cov)
 
     p = sub.add_parser("simulate", help="simulate an ensemble of paths")
     _add_common_flags(p)
-    p.add_argument("--grid-points", type=int, help="uniform grid size (default 17)")
-    p.add_argument("--horizon", type=float, help="grid horizon T (default 1.0)")
+    p.add_argument("--grid-points", type=int, default=17, help="uniform grid size (default 17)")
+    p.add_argument("--horizon", type=float, default=1.0, help="grid horizon T (default 1.0)")
     p.add_argument("--times", help="explicit comma-separated grid (starts at 0)")
-    p.add_argument("--reps", type=int, help="replica count (default 1)")
-    p.add_argument("--seed", type=int, help="master seed (default 0)")
-    p.add_argument("--sampler", choices=("auto", "exact", "fbm", "fgn"),
+    p.add_argument("--reps", type=int, default=1, help="replica count (default 1)")
+    p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
+    p.add_argument("--sampler", choices=("auto", "exact", "fbm", "fgn"), default="auto",
                    help="auto (default) takes circulant embedding (fgn) on uniform grids "
                         f"of at least {FGN_CUTOFF} steps where its estimated cost is below "
                         "the exact route's, and exact otherwise; any route whose arrays "
                         "would exceed the memory budget exits 2 before allocating")
-    p.add_argument("--format", choices=("csv", "json"))
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("verify", help="run a verification suite; exit 1 on failure")
     _add_common_flags(p)
-    p.add_argument("--suite", choices=verify.SUITE_NAMES + ("all",),
+    p.add_argument("--suite", choices=verify.SUITE_NAMES + ("all",), default="all",
                    help="suite name (default all)")
-    p.add_argument("--seed", type=int, help="master seed (default 0)")
-    p.add_argument("--reps", type=int, help="Monte Carlo replicas (default 3000)")
+    p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
+    p.add_argument("--reps", type=int, default=3000, help="Monte Carlo replicas (default 3000)")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("dims", help="graph/range/level-set dimension estimates")
     _add_common_flags(p)
-    p.add_argument("--grid-points", type=int, help="default 2^16 + 1")
-    p.add_argument("--horizon", type=float, help="default 1.0")
-    p.add_argument("--seed", type=int, help="default 0")
-    p.add_argument("--level", type=float, help="level-set level x (default 0.0)")
-    p.add_argument("--eps", type=float, help="left end of the probed interval (default 0.01)")
-    p.add_argument("--level-reps", type=int, help="replicas for the level-set median (default 20)")
+    p.add_argument("--grid-points", type=int, default=2 ** 16 + 1, help="default 2^16 + 1")
+    p.add_argument("--horizon", type=float, default=1.0, help="default 1.0")
+    p.add_argument("--seed", type=int, default=0, help="default 0")
+    p.add_argument("--level", type=float, default=0.0, help="level-set level x (default 0.0)")
+    p.add_argument("--eps", type=float, default=0.01,
+                   help="left end of the probed interval (default 0.01)")
+    p.add_argument("--level-reps", type=int, default=20,
+                   help="replicas for the level-set median (default 20)")
     p.set_defaults(func=_cmd_dims)
 
     p = sub.add_parser("classify", help="semimartingale / Markov / sign verdicts")
     _add_common_flags(p)
-    p.add_argument("--half-tol", type=float, help="tolerance band for H = 1/2 detection (default 0)")
+    p.add_argument("--half-tol", type=float, default=0.0,
+                   help="tolerance band for H = 1/2 detection (default 0)")
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("srd", help="lag covariances and their partial sums")
     _add_common_flags(p)
-    p.add_argument("--p", type=int, help="base offset of the first increment (default 0)")
-    p.add_argument("--n-max", type=int, help="largest lag (default 10^4)")
-    p.add_argument("--format", choices=("csv", "json"))
+    p.add_argument("--p", type=int, default=0,
+                   help="base offset of the first increment (default 0)")
+    p.add_argument("--n-max", type=int, default=10 ** 4, help="largest lag (default 10^4)")
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=_cmd_srd)
 
-    # Each subcommand's options, against which --config keys and values are checked.
+    # Each subcommand's parser: --config keys and values are checked against its
+    # options and become its defaults.
     for p in sub.choices.values():
-        p.set_defaults(options=tuple(p._actions))
+        p.set_defaults(subparser=p)
     return parser
 
 
@@ -457,6 +431,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.config:
+            args = _with_config(parser, argv, args)
         return args.func(args)
     except (FactorizationFailure, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

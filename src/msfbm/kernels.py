@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .process import HURST_RANGE_MSG, IncrementWindow, ProcessSpec
+from .process import HURST_RANGE_MSG, IncrementBoundConstants, IncrementWindow, ProcessSpec
 
 __all__ = [
     "fbm_cov",
@@ -35,6 +35,7 @@ __all__ = [
     "mfbm_cov",
     "increment_second_moment",
     "increment_bounds",
+    "bound_constants",
     "increment_cov",
     "increment_cov_component",
     "lag_cov_c",
@@ -198,6 +199,12 @@ def increment_bounds(spec: ProcessSpec, s: float, t: float) -> tuple[float, floa
     return sum(lo for lo, _ in terms), sum(hi for _, hi in terms)
 
 
+def bound_constants(spec: ProcessSpec) -> IncrementBoundConstants:
+    """Envelope constants (gamma_i, nu_i) for every component of ``spec``."""
+    terms = [_envelope_terms(_p2h, 1.0, 2.0 * h, 1.0) for h in spec.hurst]
+    return IncrementBoundConstants(*map(tuple, zip(*terms)))
+
+
 def increment_cov_component(h: float, w: IncrementWindow) -> float:
     """Unit-weight contribution of one Hurst index to the increment covariance.
 
@@ -286,9 +293,12 @@ def lag_cov_series(spec: ProcessSpec, p: int, ns: Sequence[int]) -> np.ndarray:
 
     out = np.zeros_like(ns)
     far = ns + (2 * p + 1)
-    for a, h in zip(spec.coeffs, spec.hurst):
-        two_h = 2.0 * h
-        out += (a * a / 2.0) * (second_diff(ns, two_h) - second_diff(far, two_h))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for a, h in zip(spec.coeffs, spec.hurst):
+            two_h = 2.0 * h
+            out += (a * a / 2.0) * (second_diff(ns, two_h) - second_diff(far, two_h))
+    if not np.all(np.isfinite(out)):
+        raise ArithmeticError(f"lag_cov_series(p = {p}) holds values that are not finite doubles")
     return out
 
 

@@ -114,18 +114,3 @@ class IncrementBoundConstants:
         for g, v in zip(self.gamma, self.nu):
             if not (0.0 < g <= v < 2.0):
                 raise ValueError("bound constants must satisfy 0 < gamma <= nu < 2")
-
-
-def bound_constants(spec: ProcessSpec) -> IncrementBoundConstants:
-    """Envelope constants (gamma_i, nu_i) for every component of ``spec``."""
-    gamma = []
-    nu = []
-    for h in spec.hurst:
-        c = 2.0 - math.exp((2.0 * h - 1.0) * math.log(2.0))
-        if h > 0.5:
-            gamma.append(c)
-            nu.append(1.0)
-        else:
-            gamma.append(1.0)
-            nu.append(c)
-    return IncrementBoundConstants(tuple(gamma), tuple(nu))

@@ -5,15 +5,16 @@ three routes, all with the process's finite-dimensional law:
 
 * "exact" factorizes the process Gram matrix on the grid and maps an
   i.i.d. normal vector through the factor.
-* "fbm" builds each component from a fractional Brownian motion on the
-  symmetric grid {-t_k, ..., t_k}, drawn through the factor of its dense
-  Gram, folds it into a sub-fractional component via (B(t) + B(-t))/sqrt(2),
-  and sums the weighted components.
-* "fgn" folds the same fBms, drawn on uniform grids through circulant
-  embedding of their increment process (Davies-Harte), which is still exact
-  and scales to 2^16-point paths.  The embedding's circulant row is real and
-  symmetric, so only its N/2 + 1 distinct eigenvalues are kept, and each
-  draw is one real inverse FFT of a half-length complex normal vector.
+* "fbm" and "fgn" draw each active component i as a fractional Brownian
+  motion B_i on the symmetric grid {-t_k, ..., t_k}, and one fold adds
+  sum_i a_i (B_i(t) + B_i(-t))/sqrt(2) to the path.  Zero-weight components
+  are inert: they are never evaluated, factored or drawn.
+* "fbm" draws B_i through the factor of its dense Gram.
+* "fgn" draws B_i on uniform grids through circulant embedding of its
+  increment process (Davies-Harte), which is still exact and scales to
+  2^16-point paths.  The embedding's circulant row is real and symmetric, so
+  only its N/2 + 1 distinct eigenvalues are kept, and each draw is one real
+  inverse FFT of a half-length complex normal vector.
 
 All paths are pure functions of (spec, grid, seed): replicas can be
 generated concurrently in any order without changing a single bit.  An
@@ -88,12 +89,12 @@ class TimeGrid:
         arr = np.asarray(times, dtype=float)
         if arr.ndim != 1 or arr.size < 2:
             raise ValueError("grid needs at least two time points")
+        if not np.all(np.isfinite(arr)):
+            raise ValueError("grid times must be finite")
         if arr[0] != 0.0:
             raise ValueError("grid must start at t = 0")
         if not np.all(np.diff(arr) > 0.0):
             raise ValueError("grid times must be strictly increasing")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("grid times must be finite")
         arr.setflags(write=False)
         object.__setattr__(self, "times", arr)
 
@@ -262,10 +263,10 @@ def _exact_row(lower: np.ndarray, keys: np.ndarray, body: np.ndarray) -> None:
 
 
 def _symmetric_fbm_grams(spec: ProcessSpec, grid: TimeGrid) -> list[np.ndarray]:
-    """Per-component fBm Grams on {-t_k ... -t_1, t_1 ... t_k}."""
+    """Per-active-component fBm Grams on {-t_k ... -t_1, t_1 ... t_k}."""
     pos = grid.times[1:]
     sym = np.concatenate([-pos[::-1], pos])
-    two_hs = [2.0 * h for h in spec.hurst]
+    two_hs = [2.0 * h for _, h in spec.active()]
     powers = [_p2h_array(np.abs(sym), two_h) for two_h in two_hs]
 
     def fill_block(lo: int, hi: int) -> list[np.ndarray]:
@@ -276,21 +277,24 @@ def _symmetric_fbm_grams(spec: ProcessSpec, grid: TimeGrid) -> list[np.ndarray]:
     return _symmetric_gram(sym.size, len(two_hs), fill_block)
 
 
-def _symmetric_fbm_factors(spec: ProcessSpec, grid: TimeGrid) -> list[FactorResult]:
-    """Per-component factors of the fBm Gram on {-t_k ... -t_1, t_1 ... t_k}."""
-    grams = _symmetric_fbm_grams(spec, grid)
-    # Pop each Gram as it is factored so it is freed before the next factor.
-    return [psd_factor(grams.pop(0)) for _ in range(len(grams))]
+def _dense_fbm(lower: np.ndarray, key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(B(-t_1) ... B(-t_m), B(t_1) ... B(t_m)) through the symmetric Gram's factor."""
+    m = lower.shape[0] // 2
+    b = lower @ normal_stream(key, 2 * m)
+    return b[:m][::-1], b[m:]
 
 
-def _fbm_dense_row(
-    coeffs: Sequence[float], lowers: Sequence[np.ndarray], keys: np.ndarray, body: np.ndarray
+def _fold(
+    coeffs: Sequence[float], draw: Callable, params: Sequence[np.ndarray], keys: np.ndarray,
+    body: np.ndarray,
 ) -> None:
-    m = body.size
-    for a, lower, key in zip(coeffs, lowers, keys):
-        b = lower @ normal_stream(key, 2 * m)
-        neg = b[:m][::-1]
-        pos = b[m:]
+    """Add sum_i a_i (B_i(t) + B_i(-t)) / sqrt(2) to ``body``, the values at t > 0.
+
+    ``draw(params[i], keys[i])`` returns active component i's fBm as
+    (B(-t), B(t)), t ascending.
+    """
+    for a, param, key in zip(coeffs, params, keys):
+        neg, pos = draw(param, key)
         body += a * (pos + neg) / math.sqrt(2.0)
 
 
@@ -308,14 +312,14 @@ def _fgn_autocov(length: int, step: float, two_h: float) -> np.ndarray:
 
 def _fgn_spectra(spec: ProcessSpec, grid: TimeGrid) -> list[np.ndarray]:
     """Square roots of the N/2 + 1 distinct circulant-embedding eigenvalues
-    of each component's increment process over the symmetric uniform grid."""
+    of each active component's increment process over the symmetric uniform grid."""
     if not grid.is_uniform():
         raise ValueError("circulant embedding requires a uniform grid")
     m = grid.n_points - 1
     step = grid.horizon / m
     length = 2 * m  # increments covering [-T, T]
     spectra = []
-    for h in spec.hurst:
+    for _, h in spec.active():
         gamma = _fgn_autocov(length, step, 2.0 * h)
         row = np.concatenate([gamma, gamma[-2:0:-1]])
         eig = np.fft.rfft(row).real
@@ -347,52 +351,55 @@ def _fgn_draw(sqrt_eig: np.ndarray, key: np.ndarray) -> np.ndarray:
     return np.fft.irfft(z, n=size, norm="ortho")[:half]
 
 
-def _fbm_fgn_row(
-    coeffs: Sequence[float], spectra: Sequence[np.ndarray], keys: np.ndarray, body: np.ndarray
-) -> None:
-    m = body.size
-    for a, sqrt_eig, key in zip(coeffs, spectra, keys):
-        cum = np.concatenate([[0.0], np.cumsum(_fgn_draw(sqrt_eig, key))])
-        origin = cum[m]
-        pos = cum[m + 1:] - origin
-        neg = cum[m - 1::-1] - origin
-        body += a * (pos + neg) / math.sqrt(2.0)
+def _circulant_fbm(sqrt_eig: np.ndarray, key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(B(-t_1) ... B(-t_m), B(t_1) ... B(t_m)): one fGn draw over [-T, T], cumulated
+    and shifted so that B(0) = 0."""
+    m = (sqrt_eig.size - 1) // 2
+    cum = np.concatenate([[0.0], np.cumsum(_fgn_draw(sqrt_eig, key))])
+    origin = cum[m]
+    return cum[m - 1::-1] - origin, cum[m + 1:] - origin
 
 
 def _route_ops(route: str, spec: ProcessSpec, m: int, n_reps: int) -> float:
-    """Estimated operations to draw ``n_reps`` replicas on ``m`` grid steps."""
-    k = len(spec.active_set)
+    """Estimated operations of the "exact" or "fgn" route drawing ``n_reps``
+    replicas on ``m`` grid steps."""
     if route == "fgn":
         size = 4 * m  # circulant length: increments over [-T, T], embedded twice
         # One real inverse FFT of length N, about half a complex one's 5 N log2 N.
-        return n_reps * k * (_FGN_DRAW_OPS + 2.5 * size * math.log2(size))
-    # Dense routes: a Cholesky per Gram plus a matvec per replica and factor.
-    if route == "exact":
-        return m ** 3 / 3.0 + 2.0 * n_reps * m * m
-    n = 2 * m  # "fbm": one Gram per component on the symmetric grid
-    return len(spec.hurst) * n ** 3 / 3.0 + 2.0 * n_reps * k * n * n
+        return n_reps * len(spec.active_set) * (_FGN_DRAW_OPS + 2.5 * size * math.log2(size))
+    # A Cholesky of the Gram plus a matvec per replica.
+    return m ** 3 / 3.0 + 2.0 * n_reps * m * m
 
 
 def _route_bytes(route: str, spec: ProcessSpec, m: int, n_reps: int) -> int:
     """Estimated peak bytes of the route's arrays, the ensemble's values included.
 
-    Dense routes hold their Grams or factors plus three more n x n matrices
-    while factoring: the new factor and either the jitter path's ``g + eps*I``
-    and ``np.eye`` or LAPACK's working copy.  The circulant route of length
-    N = 4m holds one half spectrum of N/2 + 1 values per component, and one
-    draw holds N normals, a complex vector of N/2 + 1 values, the real
-    inverse transform and its working copy, and the fold's cumulative sums
-    and temporaries: six vectors of N + 1 doubles bound them all.  Replica
-    threads each hold a draw's buffers; they are not counted, so a refusal
-    never depends on MSFBM_THREADS.
+    Only active components count.  Dense routes hold their Grams or factors
+    plus three more n x n matrices while factoring: the new factor and either
+    the jitter path's ``g + eps*I`` and ``np.eye`` or LAPACK's working copy.
+    The circulant route of length N = 4m holds one half spectrum of N/2 + 1
+    values per component, and one draw holds N normals, a complex vector of
+    N/2 + 1 values, the real inverse transform and its working copy, and the
+    fold's cumulative sums and temporaries: six vectors of N + 1 doubles bound
+    them all.  Replica threads each hold a draw's buffers; they are not
+    counted, so a refusal never depends on MSFBM_THREADS.
     """
     if route == "exact":
         held = 4 * m * m
     elif route == "fbm":
-        held = (len(spec.hurst) + 3) * (2 * m) ** 2
+        held = (len(spec.active_set) + 3) * (2 * m) ** 2
     else:
-        held = len(spec.hurst) * (2 * m + 1) + 6 * (4 * m + 1)
+        held = len(spec.active_set) * (2 * m + 1) + 6 * (4 * m + 1)
     return 8 * (held + n_reps * (m + 1))
+
+
+def _check_budget(what: str, need: int) -> None:
+    """Raise ValueError naming ``what`` when its ``need`` bytes exceed the memory budget."""
+    if need > _MEMORY_BUDGET:
+        raise ValueError(
+            f"{what} needs an estimated {need / 2 ** 30:.3g} GiB, over the "
+            f"{_MEMORY_BUDGET / 2 ** 30:.3g} GiB memory budget"
+        )
 
 
 def _route(spec: ProcessSpec, grid: TimeGrid, n_reps: int, sampler: str) -> str:
@@ -411,14 +418,25 @@ def _route(spec: ProcessSpec, grid: TimeGrid, n_reps: int, sampler: str) -> str:
         sampler = "fgn" if cheaper else "exact"
     if sampler not in ("exact", "fbm", "fgn"):
         raise ValueError(f"unknown sampler {sampler!r}")
-    need = _route_bytes(sampler, spec, m, n_reps)
-    if need > _MEMORY_BUDGET:
-        raise ValueError(
-            f"the {sampler} route for {n_reps} replica(s) on {grid.n_points} points needs an "
-            f"estimated {need / 2 ** 30:.3g} GiB, over the {_MEMORY_BUDGET / 2 ** 30:.3g} GiB "
-            f"memory budget"
-        )
+    _check_budget(f"the {sampler} route for {n_reps} replica(s) on {grid.n_points} points",
+                  _route_bytes(sampler, spec, m, n_reps))
     return sampler
+
+
+def _row_filler(route: str, spec: ProcessSpec, grid: TimeGrid) -> tuple[Callable, float]:
+    """The route's ``fill(keys, body)`` for one replica, and the jitter its factors took."""
+    if route == "exact":
+        factor = psd_factor(gram_matrix(spec, grid))
+        return partial(_exact_row, factor.lower), factor.jitter
+    if route == "fgn":
+        draw, params, jitter = _circulant_fbm, _fgn_spectra(spec, grid), 0.0
+    else:
+        grams = _symmetric_fbm_grams(spec, grid)
+        # Pop each Gram as it is factored so it is freed before the next factor.
+        factors = [psd_factor(grams.pop(0)) for _ in range(len(grams))]
+        draw, params = _dense_fbm, [f.lower for f in factors]
+        jitter = max(f.jitter for f in factors)
+    return partial(_fold, [a for a, _ in spec.active()], draw, params), jitter
 
 
 def _replica_runner(fill_row: Callable[[int], None], n_reps: int, n_threads: int) -> None:
@@ -449,7 +467,8 @@ def sample_ensemble(
     length N = 4*(n_points - 1), is below the exact route's
     n^3/3 + 2*R*n^2, and "exact" otherwise; both routes are distribution-exact.
     Every route is checked against a fixed memory budget first: a request
-    over it raises ValueError before anything is allocated.  The result is a
+    over it raises ValueError before anything is allocated, and covariances
+    that overflow a double raise ArithmeticError.  The result is a
     pure function of (spec, grid, n_reps, master_seed, sampler) regardless of
     ``n_threads``; ``Ensemble.sampler`` records the route taken.
 
@@ -462,22 +481,16 @@ def sample_ensemble(
     if n_reps < 1:
         raise ValueError("n_reps must be >= 1")
     route = _route(spec, grid, n_reps, sampler)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            fill, jitter = _row_filler(route, spec, grid)
+    except FloatingPointError as exc:
+        raise ArithmeticError(
+            f"the {route} route's covariances on [0, {grid.horizon!r}] overflow a double ({exc})"
+        ) from None
     seeds = replica_seeds(master_seed, n_reps)
-    if route == "exact":
-        factor = psd_factor(gram_matrix(spec, grid))
-        streams = seeds
-        fill, jitter = partial(_exact_row, factor.lower), factor.jitter
-    else:
-        active = spec.active_set
-        streams = [derive_seed(s, i) for s in seeds for i in active]
-        coeffs = [spec.coeffs[i] for i in active]
-        if route == "fbm":
-            factors = _symmetric_fbm_factors(spec, grid)
-            lowers = [factors[i].lower for i in active]
-            fill, jitter = partial(_fbm_dense_row, coeffs, lowers), max(f.jitter for f in factors)
-        else:
-            spectra = _fgn_spectra(spec, grid)
-            fill, jitter = partial(_fbm_fgn_row, coeffs, [spectra[i] for i in active]), 0.0
+    active = spec.active_set
+    streams = seeds if route == "exact" else [derive_seed(s, i) for s in seeds for i in active]
     per = len(streams) // n_reps
     keys = stream_keys(streams)
     values = np.zeros((n_reps, grid.n_points))

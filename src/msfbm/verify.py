@@ -249,6 +249,9 @@ def run_srd_suite(spec: Optional[ProcessSpec] = None, seed: int = 0) -> dict:
             for a, h in spec.active()
             if h == h_star
         )
+        if not np.all(terms):
+            raise ArithmeticError("the lag covariances underflow to 0, so their tail slope "
+                                  "cannot be fitted")
         slope, _ = _loglog_fit(ns, np.abs(terms))
         target = 2.0 * h_star - 3.0
         checks.append(

@@ -9,6 +9,7 @@ import math
 import subprocess
 import sys
 import textwrap
+import warnings
 
 import numpy as np
 import pytest
@@ -76,6 +77,14 @@ class TestBoundConstants:
         c = bound_constants(ProcessSpec([1.0], [0.5]))
         assert c.gamma == (1.0,)
         assert c.nu == (1.0,)
+
+    def test_bit_equal_to_closed_form(self):
+        hs = np.concatenate([np.linspace(0.001, 0.999, 999), [0.5, 0.5 - 1e-16, 0.5 + 1e-16]])
+        got = bound_constants(ProcessSpec(np.ones(hs.size), hs))
+        for h, gamma, nu in zip(hs, got.gamma, got.nu):
+            c = 2.0 - math.exp((2.0 * h - 1.0) * math.log(2.0))
+            want = (c, 1.0) if h > 0.5 else (1.0, c)
+            assert (gamma, nu) == want
 
     @given(st.floats(min_value=0.01, max_value=0.99))
     def test_gamma_le_nu_in_unit_band(self, h):
@@ -354,6 +363,14 @@ class TestLagCovSeries:
             for n, sv in zip(ns, series):
                 wv = msfbm.lag_cov_c(spec, float(p), n)
                 assert scaled_close(sv, wv, scale, rtol=1e-9)
+
+    def test_overflowing_weight_is_an_arithmetic_error(self):
+        # a^2 overflows to inf, and inf * 0 from the Brownian component is NaN.
+        spec = ProcessSpec([-1e300, -1e300], [0.4, 0.5])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ArithmeticError, match="not finite doubles"):
+                msfbm.lag_cov_series(spec, 0, np.arange(1, 11))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Grid/path types, Gram factorization, the three sampler routes and the router."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from msfbm.sampler import (
     _fgn_draw,
     _fgn_spectra,
     _route,
+    _route_bytes,
     _symmetric_fbm_grams,
 )
 from msfbm.seeds import (
@@ -44,6 +46,11 @@ class TestTimeGrid:
     def test_minimum_length(self):
         with pytest.raises(ValueError):
             TimeGrid([0.0])
+
+    @pytest.mark.parametrize("times", ([0.0, math.nan], [0.0, 1.0, math.nan], [0.0, math.inf]))
+    def test_non_finite_times_are_named(self, times):
+        with pytest.raises(ValueError, match="grid times must be finite"):
+            TimeGrid(times)
 
     @pytest.mark.parametrize("horizon", (0.0, -1.0, math.nan, math.inf))
     def test_uniform_horizon_must_be_positive_and_finite(self, horizon):
@@ -509,3 +516,48 @@ class TestRoute:
         grid = TimeGrid.uniform(20_000, 1.0)
         with pytest.raises(ValueError, match="the fbm route .* memory budget"):
             msfbm.sample_ensemble(self.SPEC, grid, 1, 0, sampler="fbm")
+
+
+class TestInertComponents:
+    """Zero-weight components are never evaluated, factored, budgeted or drawn."""
+
+    LIVE = ProcessSpec([1.0], [0.5])
+    PADDED = ProcessSpec([1.0, 0.0], [0.5, 0.99])
+
+    @pytest.mark.parametrize("route,builder", [("fbm", "_symmetric_fbm_grams"),
+                                               ("fgn", "_fgn_spectra")])
+    def test_padded_spec_draws_the_live_spec(self, monkeypatch, route, builder):
+        grid = TimeGrid.uniform(65, 1.0)
+        live = msfbm.sample_ensemble(self.LIVE, grid, 5, 11, sampler=route)
+        built = []
+        original = getattr(sampler, builder)
+
+        def counted(spec, grid):
+            out = original(spec, grid)
+            built.append(len(out))
+            return out
+
+        monkeypatch.setattr(sampler, builder, counted)
+        padded = msfbm.sample_ensemble(self.PADDED, grid, 5, 11, sampler=route)
+        assert built == [1]
+        assert padded.values.tobytes() == live.values.tobytes()
+        assert padded.jitter == live.jitter
+        assert _route_bytes(route, self.PADDED, 64, 5) == _route_bytes(route, self.LIVE, 64, 5)
+
+    def test_builders_skip_zero_weights(self):
+        grid = TimeGrid.uniform(9, 1.0)
+        spec = ProcessSpec([0.0, 2.0, 0.0], [0.3, 0.7, 0.9])
+        live = ProcessSpec([2.0], [0.7])
+        for build in (_symmetric_fbm_grams, _fgn_spectra):
+            got, want = build(spec, grid), build(live, grid)
+            assert len(got) == 1 and got[0].tobytes() == want[0].tobytes()
+
+
+class TestOverflow:
+    @pytest.mark.parametrize("route", ("exact", "fbm", "fgn"))
+    def test_overflowing_covariance_is_an_arithmetic_error(self, route):
+        grid = TimeGrid.uniform(5, 1e300)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ArithmeticError, match=f"the {route} route's .* overflow"):
+                msfbm.sample_ensemble(ProcessSpec([1.0], [0.9]), grid, 1, 0, sampler=route)

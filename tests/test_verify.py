@@ -144,3 +144,9 @@ def test_lag_closed_form_disagreement_exits_3():
     assert cp.stderr.startswith("numerical failure: lag_cov_c(")
     assert len(cp.stderr.splitlines()) == 1
     assert cp.stdout == ""
+
+
+def test_underflowing_lag_covariances_are_a_numerical_failure():
+    # a^2 = 1.25e-606 underflows, so every lag covariance is 0 and has no log.
+    with pytest.raises(ArithmeticError, match="underflow"):
+        verify.run_srd_suite(ProcessSpec([1.1182970176725395e-303], [0.25]))
