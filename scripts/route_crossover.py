@@ -7,14 +7,14 @@ time of ``sample_ensemble`` with sampler "exact" and with sampler "fgn",
 and the route that "auto" picks.  A row is marked "slower" when the
 picked route measured slower than the other one.
 
-It then fits the per-draw constant F0 of the routing estimate (the
-``_FGN_DRAW_OPS`` constant in ``msfbm.sampler``).  On each row where "auto"
-may take the circulant route and the slower route took at most NEAR times
-as long as the faster one, it solves for the F0 at which the ratio of the
-two estimates equals the ratio of the measured times, and prints the
-median.  Rows farther apart fix no crossover: any F0 in a wide range
-routes them right.  Numpy and BLAS run single-threaded, so CPU time is run
-time.
+It then fits the per-component constant F0 of the routing estimate
+R*(K*F0 + 2.5*N*log2(N)) (the ``_FGN_DRAW_OPS`` constant in
+``msfbm.sampler``).  On each row where "auto" may take the circulant route
+and the slower route took at most NEAR times as long as the faster one, it
+solves for the F0 at which the ratio of the two estimates equals the ratio
+of the measured times, and prints the median.  Rows farther apart fix no
+crossover: any F0 in a wide range routes them right.  Numpy and BLAS run
+single-threaded, so CPU time is run time.
 
 Usage: python3 scripts/route_crossover.py [--repeat 3] [--points 129,257]
 Takes about ten minutes at the default sizes and 3 repeats.
@@ -88,9 +88,11 @@ def main() -> int:
                 print(f"| {n_points} | {reps} | {k} | {exact * 1e3:.1f} | {fgn * 1e3:.1f} "
                       f"| {pick} | {'slower' if slower else ''} |", flush=True)
                 if m >= FGN_CUTOFF and max(exact, fgn) <= NEAR * min(exact, fgn):
+                    # fgn estimate / dense estimate = fgn / exact, solved for F0 in
+                    # reps * (k * F0 + transform_ops) = dense_ops * fgn / exact.
                     dense_ops = _route_ops("exact", spec, m, reps)
-                    transform_ops = _route_ops("fgn", spec, m, 1) / k - _FGN_DRAW_OPS
-                    fits.append(dense_ops * fgn / exact / (reps * k) - transform_ops)
+                    transform_ops = _route_ops("fgn", spec, m, 1) - k * _FGN_DRAW_OPS
+                    fits.append((dense_ops * fgn / exact / reps - transform_ops) / k)
     if fits:
         print(f"# fitted F0 (median over {len(fits)} rows with at least {FGN_CUTOFF} steps "
               f"and times within {NEAR:g}x): {statistics.median(fits):.3g}")

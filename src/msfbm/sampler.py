@@ -5,22 +5,26 @@ three routes, all with the process's finite-dimensional law:
 
 * "exact" factorizes the process Gram matrix on the grid and maps an
   i.i.d. normal vector through the factor.
-* "fbm" and "fgn" draw each active component i as a fractional Brownian
-  motion B_i on the symmetric grid {-t_k, ..., t_k}, and one fold adds
-  sum_i a_i (B_i(t) + B_i(-t))/sqrt(2) to the path.  Zero-weight components
-  are inert: they are never evaluated, factored or drawn.
-* "fbm" draws B_i through the factor of its dense Gram.
-* "fgn" draws B_i on uniform grids through circulant embedding of its
-  increment process (Davies-Harte), which is still exact and scales to
-  2^16-point paths.  The embedding's circulant row is real and symmetric, so
-  only its N/2 + 1 distinct eigenvalues are kept, and each draw is one real
-  inverse FFT of a half-length complex normal vector.
+* "fbm" and "fgn" draw W = sum_i a_i B_i over the active components, each
+  B_i a fractional Brownian motion on the symmetric grid {-t_k, ..., t_k}
+  from its own normal stream, and one fold writes (W(t) + W(-t))/sqrt(2)
+  into the path.  Zero-weight components are inert: they are never
+  evaluated, factored or drawn.
+* "fbm" forms W as sum_i a_i L_i z_i through the factors L_i of the dense
+  Grams.
+* "fgn" draws W's increments on uniform grids through circulant embedding
+  (Davies-Harte), which is still exact and scales to 2^16-point paths.  The
+  embedding's circulant row is real and symmetric, so only its N/2 + 1
+  distinct eigenvalues are kept.  Every step from normals to path is
+  linear, so each replica sums the components' weighted half-length complex
+  spectra and runs one real inverse FFT, not one per component.
 
 All paths are pure functions of (spec, grid, seed): replicas can be
 generated concurrently in any order without changing a single bit.  An
 ensemble is one read-only (n_reps, n_points) array.  The seeding of all its
 normal streams is computed at once before any draw, and each replica writes
-its path straight into its own row.
+its path straight into its own row.  Each replica worker takes a contiguous
+block of rows and allocates its draw buffers once, for that block only.
 """
 
 from __future__ import annotations
@@ -57,11 +61,12 @@ JITTER_LADDER = (0.0, 1e-14, 1e-12, 1e-10)
 # embedding.
 FGN_CUTOFF = 2 ** 8
 
-# Fixed cost of one circulant component draw (seeding its normal stream,
-# Hermitian assembly, fold and path bookkeeping) in the operation units of the
-# routing estimates, measured by scripts/route_crossover.py (README, "Sampler
-# routing").
-_FGN_DRAW_OPS = 4.1e5
+# Fixed cost of one component's share of a circulant replica draw (seeding and
+# drawing its normal stream, weighting and summing its spectrum, and the
+# replica's cumulative sum and fold spread over its components) in the
+# operation units of the routing estimates, measured by
+# scripts/route_crossover.py (README, "Sampler routing").
+_FGN_DRAW_OPS = 3.5e5
 
 # Most bytes the arrays of one route may hold at once.  A request over it is
 # refused before anything is allocated, so it ends in a diagnostic and not in
@@ -222,16 +227,18 @@ def gram_matrix(spec: ProcessSpec, grid: TimeGrid) -> np.ndarray:
     t = grid.times[1:]
     two_hs = [2.0 * h for h in spec.hurst]
     powers = [_p2h_array(t, two_h) for two_h in two_hs]
+    # Squared in numpy, so that an overflowing a^2 sets its floating-point flag.
+    weights = np.square(np.asarray(spec.coeffs, dtype=float))
 
     def fill_block(lo: int, hi: int) -> list[np.ndarray]:
         rows, cols = t[lo:hi, None], t[None, lo:]
         log_sum = np.log(rows + cols)
         log_diff, zero = _log_abs(rows - cols)
         g = np.zeros(log_sum.shape)
-        for a, two_h, pt in zip(spec.coeffs, two_hs, powers):
-            g += (a * a) * (pt[lo:hi, None] + pt[None, lo:]
-                            - 0.5 * (np.exp(two_h * log_sum)
-                                     + _pow_from_log(log_diff, zero, two_h)))
+        for w, two_h, pt in zip(weights, two_hs, powers):
+            g += w * (pt[lo:hi, None] + pt[None, lo:]
+                      - 0.5 * (np.exp(two_h * log_sum)
+                               + _pow_from_log(log_diff, zero, two_h)))
         return [g]
 
     return _symmetric_gram(t.size, 1, fill_block)[0]
@@ -277,25 +284,37 @@ def _symmetric_fbm_grams(spec: ProcessSpec, grid: TimeGrid) -> list[np.ndarray]:
     return _symmetric_gram(sym.size, len(two_hs), fill_block)
 
 
-def _dense_fbm(lower: np.ndarray, key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(B(-t_1) ... B(-t_m), B(t_1) ... B(t_m)) through the symmetric Gram's factor."""
-    m = lower.shape[0] // 2
-    b = lower @ normal_stream(key, 2 * m)
-    return b[:m][::-1], b[m:]
+def _dense_fbm(coeffs: Sequence[float], factors: Sequence[np.ndarray]) -> Callable:
+    """A drawer of W = sum_i a_i L_i z_i through the symmetric Grams' factors.
 
-
-def _fold(
-    coeffs: Sequence[float], draw: Callable, params: Sequence[np.ndarray], keys: np.ndarray,
-    body: np.ndarray,
-) -> None:
-    """Add sum_i a_i (B_i(t) + B_i(-t)) / sqrt(2) to ``body``, the values at t > 0.
-
-    ``draw(params[i], keys[i])`` returns active component i's fBm as
-    (B(-t), B(t)), t ascending.
+    It owns its buffers, and ``draw(keys)`` returns (W(-t_1) ... W(-t_m),
+    W(t_1) ... W(t_m)) as views of them, valid until the next draw; z_i is
+    the normal stream of ``keys[i]``.
     """
-    for a, param, key in zip(coeffs, params, keys):
-        neg, pos = draw(param, key)
-        body += a * (pos + neg) / math.sqrt(2.0)
+    size = factors[0].shape[0]
+    m = size // 2
+    normals, part, w = np.empty(size), np.empty(size), np.empty(size)
+
+    def draw(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        w.fill(0.0)
+        for a, lower, key in zip(coeffs, factors, keys):
+            np.matmul(lower, normal_stream(key, size, out=normals), out=part)
+            np.multiply(part, a, out=part)
+            np.add(w, part, out=w)
+        return w[:m][::-1], w[m:]
+
+    return draw
+
+
+def _fold(draw: Callable, keys: np.ndarray, body: np.ndarray) -> None:
+    """Write (W(t) + W(-t)) / sqrt(2) into ``body``, the values at t > 0.
+
+    ``draw(keys)`` returns W = sum_i a_i B_i over the active components as
+    (W(-t), W(t)), t ascending.
+    """
+    neg, pos = draw(keys)
+    np.add(pos, neg, out=body)
+    body /= math.sqrt(2.0)
 
 
 def _fgn_autocov(length: int, step: float, two_h: float) -> np.ndarray:
@@ -332,32 +351,65 @@ def _fgn_spectra(spec: ProcessSpec, grid: TimeGrid) -> list[np.ndarray]:
     return spectra
 
 
-def _fgn_draw(sqrt_eig: np.ndarray, key: np.ndarray) -> np.ndarray:
-    """One exact fGn vector of length N/2 from a half spectrum of N/2 + 1 values.
+def _weighted_spectra(spec: ProcessSpec, grid: TimeGrid) -> list[np.ndarray]:
+    """``_fgn_spectra`` scaled in place by each component's weight a_i, and
+    the interior bins 0 < k < N/2 also by 1/sqrt(2): the factor each bin's
+    normals take in ``_fgn_draw``."""
+    spectra = _fgn_spectra(spec, grid)
+    for (a, _), sqrt_eig in zip(spec.active(), spectra):
+        sqrt_eig *= a
+        sqrt_eig[1:-1] /= math.sqrt(2.0)
+    return spectra
 
-    ``key`` is the normal stream's row of ``stream_keys``.
+
+def _fgn_draw(
+    spectra: Sequence[np.ndarray], keys: np.ndarray, z: np.ndarray, normals: np.ndarray
+) -> np.ndarray:
+    """One exact fGn vector of length N/2, sum_i a_i times component i's draw.
+
+    ``spectra`` are ``_weighted_spectra``'s half spectra of N/2 + 1 values
+    and ``keys[i]`` is component i's row of ``stream_keys``.  ``z`` (N/2 + 1
+    complex values) and ``normals`` (N + 2 doubles) are the caller's buffers
+    and are overwritten.  The transform is linear, so the components'
+    weighted spectra are summed in ``z`` and transformed once.
     """
-    half = sqrt_eig.size - 1
+    half = z.size - 1
     size = 2 * half
-    v = normal_stream(key, size)
-    z = np.empty(half + 1, dtype=complex)
-    z[0] = sqrt_eig[0] * v[0]
-    z[half] = sqrt_eig[half] * v[1]
-    # z_k = sqrt_eig[k] / sqrt(2) * (v[2k] + i v[2k+1]) for 0 < k < half.  The
-    # real inverse transform of conj(z) is the forward transform of z's
+    for i, (sqrt_eig, key) in enumerate(zip(spectra, keys)):
+        # The first component is drawn straight into z; the others are added to it.
+        v = normals if i else z.view(np.float64)
+        normal_stream(key, size, out=v[:size])
+        # Bin k, 0 < k < N/2, takes normals 2k and 2k+1 as (re, im); bins 0
+        # and N/2 take normals 0 and 1 as real values.
+        v[size], v[1], v[size + 1] = v[1], 0.0, 0.0
+        bins = v.view(np.complex128)
+        bins *= sqrt_eig
+        if i:
+            z += bins
+    # The real inverse transform of conj(z) is the forward transform of z's
     # Hermitian extension, so the draw is the one a full complex FFT gives.
-    np.multiply(v[2:].view(np.complex128), sqrt_eig[1:half] / math.sqrt(2.0), out=z[1:half])
-    np.conjugate(z[1:half], out=z[1:half])
+    np.conjugate(z, out=z)
     return np.fft.irfft(z, n=size, norm="ortho")[:half]
 
 
-def _circulant_fbm(sqrt_eig: np.ndarray, key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(B(-t_1) ... B(-t_m), B(t_1) ... B(t_m)): one fGn draw over [-T, T], cumulated
-    and shifted so that B(0) = 0."""
-    m = (sqrt_eig.size - 1) // 2
-    cum = np.concatenate([[0.0], np.cumsum(_fgn_draw(sqrt_eig, key))])
-    origin = cum[m]
-    return cum[m - 1::-1] - origin, cum[m + 1:] - origin
+def _circulant_fbm(spectra: Sequence[np.ndarray]) -> Callable:
+    """A drawer of W = sum_i a_i B_i from one fGn draw over [-T, T] (``_fgn_draw``).
+
+    It owns its buffers, and ``draw(keys)`` returns (W(-t_1) ... W(-t_m),
+    W(t_1) ... W(t_m)) as views of them, valid until the next draw: the
+    cumulated draw shifted so that W(0) = 0.
+    """
+    half = spectra[0].size - 1
+    m = half // 2
+    z, normals, cum = np.empty(half + 1, dtype=complex), np.empty(2 * half + 2), np.empty(half + 1)
+
+    def draw(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        cum[0] = 0.0
+        np.cumsum(_fgn_draw(spectra, keys, z, normals), out=cum[1:])
+        np.subtract(cum, cum[m], out=cum)
+        return cum[m - 1::-1], cum[m + 1:]
+
+    return draw
 
 
 def _route_ops(route: str, spec: ProcessSpec, m: int, n_reps: int) -> float:
@@ -365,8 +417,9 @@ def _route_ops(route: str, spec: ProcessSpec, m: int, n_reps: int) -> float:
     replicas on ``m`` grid steps."""
     if route == "fgn":
         size = 4 * m  # circulant length: increments over [-T, T], embedded twice
-        # One real inverse FFT of length N, about half a complex one's 5 N log2 N.
-        return n_reps * len(spec.active_set) * (_FGN_DRAW_OPS + 2.5 * size * math.log2(size))
+        # K normal streams and one real inverse FFT of length N per replica,
+        # the FFT about half a complex one's 5 N log2 N.
+        return n_reps * (len(spec.active_set) * _FGN_DRAW_OPS + 2.5 * size * math.log2(size))
     # A Cholesky of the Gram plus a matvec per replica.
     return m ** 3 / 3.0 + 2.0 * n_reps * m * m
 
@@ -377,11 +430,12 @@ def _route_bytes(route: str, spec: ProcessSpec, m: int, n_reps: int) -> int:
     Only active components count.  Dense routes hold their Grams or factors
     plus three more n x n matrices while factoring: the new factor and either
     the jitter path's ``g + eps*I`` and ``np.eye`` or LAPACK's working copy.
-    The circulant route of length N = 4m holds one half spectrum of N/2 + 1
-    values per component, and one draw holds N normals, a complex vector of
-    N/2 + 1 values, the real inverse transform and its working copy, and the
-    fold's cumulative sums and temporaries: six vectors of N + 1 doubles bound
-    them all.  Replica threads each hold a draw's buffers; they are not
+    The circulant route of length N = 4m holds one weighted half spectrum of
+    N/2 + 1 values per component, and one replica worker's workspace holds
+    N + 2 normals, the complex spectrum accumulator of N/2 + 1 values, the
+    real inverse transform and its working copy, and the N/2 + 1 cumulative
+    sums the fold reads: six vectors of N + 1 doubles bound them all.  Each
+    further replica thread holds a workspace of its own; those are not
     counted, so a refusal never depends on MSFBM_THREADS.
     """
     if route == "exact":
@@ -424,29 +478,40 @@ def _route(spec: ProcessSpec, grid: TimeGrid, n_reps: int, sampler: str) -> str:
 
 
 def _row_filler(route: str, spec: ProcessSpec, grid: TimeGrid) -> tuple[Callable, float]:
-    """The route's ``fill(keys, body)`` for one replica, and the jitter its factors took."""
+    """The route's workspace maker, and the jitter its factors took.
+
+    ``make()`` allocates one replica worker's buffers and returns
+    ``fill(keys, body)``, which writes one replica's path at t > 0 into
+    ``body`` from the replica's rows of ``stream_keys``.
+    """
     if route == "exact":
         factor = psd_factor(gram_matrix(spec, grid))
-        return partial(_exact_row, factor.lower), factor.jitter
+        fill = partial(_exact_row, factor.lower)
+        return (lambda: fill), factor.jitter
     if route == "fgn":
-        draw, params, jitter = _circulant_fbm, _fgn_spectra(spec, grid), 0.0
+        make_draw, jitter = partial(_circulant_fbm, _weighted_spectra(spec, grid)), 0.0
     else:
         grams = _symmetric_fbm_grams(spec, grid)
         # Pop each Gram as it is factored so it is freed before the next factor.
         factors = [psd_factor(grams.pop(0)) for _ in range(len(grams))]
-        draw, params = _dense_fbm, [f.lower for f in factors]
+        make_draw = partial(_dense_fbm, [a for a, _ in spec.active()], [f.lower for f in factors])
         jitter = max(f.jitter for f in factors)
-    return partial(_fold, [a for a, _ in spec.active()], draw, params), jitter
+    return (lambda: partial(_fold, make_draw())), jitter
 
 
-def _replica_runner(fill_row: Callable[[int], None], n_reps: int, n_threads: int) -> None:
-    if n_threads <= 1:
-        for k in range(n_reps):
-            fill_row(k)
+def _replica_runner(fill_rows: Callable[[int, int], None], n_reps: int, n_threads: int) -> None:
+    """Call ``fill_rows(lo, hi)`` on contiguous blocks that cover range(n_reps),
+    one block per worker thread, and at most one worker per replica."""
+    n_workers = max(1, min(n_threads, n_reps))
+    if n_workers == 1:
+        fill_rows(0, n_reps)
         return
-    with ThreadPoolExecutor(max_workers=n_threads) as pool:
-        # Reading every result re-raises the first replica's exception.
-        list(pool.map(fill_row, range(n_reps)))
+    bounds = [n_reps * w // n_workers for w in range(n_workers + 1)]
+    with ThreadPoolExecutor(max_workers=n_workers) as pool:
+        futures = [pool.submit(fill_rows, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    # Reading every result re-raises the first block's exception.
+    for future in futures:
+        future.result()
 
 
 def sample_ensemble(
@@ -463,7 +528,7 @@ def sample_ensemble(
     symmetric Grams), "fgn" (folded fBms from circulant embedding, uniform
     grids only) or "auto".  "auto" takes "fgn" on uniform grids of at least
     FGN_CUTOFF steps when its estimated operation count,
-    R*K*(F0 + 2.5*N*log2(N)) for R replicas, K active components and circulant
+    R*(K*F0 + 2.5*N*log2(N)) for R replicas, K active components and circulant
     length N = 4*(n_points - 1), is below the exact route's
     n^3/3 + 2*R*n^2, and "exact" otherwise; both routes are distribution-exact.
     Every route is checked against a fixed memory budget first: a request
@@ -477,13 +542,15 @@ def sample_ensemble(
     ``derive_seed(seed, i)``.  The seeding of all streams is computed at
     once (``stream_keys``), then each replica writes its path into its own
     row of a zeroed (n_reps, n_points) array, the t = 0 column left at 0.
+    Each of at most ``n_threads`` workers fills a contiguous block of rows
+    with draw buffers it allocates once and drops when its block is done.
     """
     if n_reps < 1:
         raise ValueError("n_reps must be >= 1")
     route = _route(spec, grid, n_reps, sampler)
     try:
         with np.errstate(over="raise", invalid="raise"):
-            fill, jitter = _row_filler(route, spec, grid)
+            make_fill, jitter = _row_filler(route, spec, grid)
     except FloatingPointError as exc:
         raise ArithmeticError(
             f"the {route} route's covariances on [0, {grid.horizon!r}] overflow a double ({exc})"
@@ -494,8 +561,13 @@ def sample_ensemble(
     per = len(streams) // n_reps
     keys = stream_keys(streams)
     values = np.zeros((n_reps, grid.n_points))
-    _replica_runner(lambda k: fill(keys[k * per:(k + 1) * per], values[k, 1:]),
-                    n_reps, n_threads)
+
+    def fill_rows(lo: int, hi: int) -> None:
+        fill = make_fill()
+        for k in range(lo, hi):
+            fill(keys[k * per:(k + 1) * per], values[k, 1:])
+
+    _replica_runner(fill_rows, n_reps, n_threads)
     return Ensemble(
         spec=spec,
         grid=grid,

@@ -13,7 +13,7 @@ stream is seeded one at a time: ``stream_keys`` runs numpy's
 uint32 arithmetic, 32 bytes per seed, and ``normal_stream`` takes only a
 row of its result.  Each draw turns its key into PCG64's state with the two
 seeding LCG steps (``_pcg64_state``) and sets it on the one generator its
-thread owns.
+thread owns; it can write into a buffer the caller owns.
 """
 
 from __future__ import annotations
@@ -161,14 +161,16 @@ def replica_seeds(master_seed: int, n_reps: int) -> tuple[int, ...]:
     return tuple(derive_seed(master_seed, k) for k in range(n_reps))
 
 
-def normal_stream(key: np.ndarray, size: int) -> np.ndarray:
+def normal_stream(key: np.ndarray, size: int, out: np.ndarray | None = None) -> np.ndarray:
     """``size`` i.i.d. standard normals, a pure function of ``key``.
 
     ``key`` is a seed's row of ``stream_keys``; the normals are those of
-    ``Generator(PCG64(seed)).standard_normal(size)``.
+    ``Generator(PCG64(seed)).standard_normal(size)``.  They are written into
+    ``out``, a C-contiguous float64 vector of ``size`` values, when it is
+    given, and into a new array otherwise.
     """
     state, inc = _pcg64_state(key)
     gen = _generator()
     gen.bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
                                "has_uint32": 0, "uinteger": 0}
-    return gen.standard_normal(size)
+    return gen.standard_normal(size, out=out)

@@ -1,6 +1,7 @@
 """Grid/path types, Gram factorization, the three sampler routes and the router."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -20,6 +21,7 @@ from msfbm.sampler import (
     _route,
     _route_bytes,
     _symmetric_fbm_grams,
+    _weighted_spectra,
 )
 from msfbm.seeds import (
     _pcg64_state, derive_seed, normal_stream, replica_seeds, splitmix64, stream_keys,
@@ -271,7 +273,8 @@ def _reference_fgn_draw(sqrt_eig, seed):
 
 
 def _reference_half_spectrum_draw(sqrt_eig, seed):
-    """Index-array assembly of the half-spectrum draw: ``_fgn_draw`` must match bit for bit."""
+    """Index-array assembly of one component's half-spectrum draw: ``_fgn_draw`` of
+    one unit-weight component must match bit for bit."""
     half = sqrt_eig.size - 1
     size = 2 * half
     v = normal_stream(_key(seed), size)
@@ -281,6 +284,27 @@ def _reference_half_spectrum_draw(sqrt_eig, seed):
     ks = np.arange(1, half)
     z[ks] = np.conj((sqrt_eig[ks] / math.sqrt(2.0)) * (v[2 * ks] + 1j * v[2 * ks + 1]))
     return np.fft.irfft(z, n=size, norm="ortho")[:half]
+
+
+def _fgn_vector(spectra, keys):
+    """``_fgn_draw`` of weighted ``spectra`` into fresh buffers."""
+    half = spectra[0].size - 1
+    return _fgn_draw(spectra, keys, np.empty(half + 1, dtype=complex), np.empty(2 * half + 2))
+
+
+def _reference_fgn_ensemble(spec, grid, n_reps, master_seed):
+    """The per-component fold: each active component drawn, cumulated and folded
+    on its own, then added to the path with its weight."""
+    m = grid.n_points - 1
+    spectra = _fgn_spectra(spec, grid)
+    values = np.zeros((n_reps, grid.n_points))
+    for k, seed in enumerate(replica_seeds(master_seed, n_reps)):
+        for i, (a, _), sqrt_eig in zip(spec.active_set, spec.active(), spectra):
+            draw = _reference_half_spectrum_draw(sqrt_eig, derive_seed(seed, i))
+            cum = np.concatenate([[0.0], np.cumsum(draw)])
+            neg, pos = cum[m - 1::-1] - cum[m], cum[m + 1:] - cum[m]
+            values[k, 1:] += a * (pos + neg) / math.sqrt(2.0)
+    return values
 
 
 class TestSampleViaFbm:
@@ -325,9 +349,11 @@ class TestSampleViaFbm:
         # exactly: check E[x_a x_b] across many draws at small size.
         spec = ProcessSpec([1.0], [0.3])
         grid = TimeGrid.uniform(5, 1.0)
-        spectra = _fgn_spectra(spec, grid)
+        spectra = _weighted_spectra(spec, grid)
         keys = stream_keys([derive_seed(2, k) for k in range(40_000)])
-        draws = np.array([_fgn_draw(spectra[0], key) for key in keys])
+        z, normals = np.empty(spectra[0].size, dtype=complex), np.empty(2 * spectra[0].size)
+        draws = np.array([_fgn_draw(spectra, keys[k:k + 1], z, normals)
+                          for k in range(keys.shape[0])])
         emp = draws.T @ draws / draws.shape[0]
         step = 0.25
         lags = np.arange(8, dtype=float)
@@ -342,16 +368,62 @@ class TestSampleViaFbm:
     @pytest.mark.parametrize("n_points", (5, 257, 2049, 2 ** 16 + 1))
     def test_fgn_draw_bit_equal_to_reference(self, n_points):
         grid = TimeGrid.uniform(n_points, 1.0)
-        spectra = _fgn_spectra(ProcessSpec([1.0, 1.0, 1.0], [0.2, 0.5, 0.9]), grid)
-        for sqrt_eig in spectra:
+        spec = ProcessSpec([1.0, 1.0, 1.0], [0.2, 0.5, 0.9])
+        for sqrt_eig, weighted in zip(_fgn_spectra(spec, grid), _weighted_spectra(spec, grid)):
             full = np.concatenate([sqrt_eig, sqrt_eig[-2:0:-1]])
             for k in range(3):
-                got = _fgn_draw(sqrt_eig, _key(derive_seed(7, k)))
+                got = _fgn_vector([weighted], stream_keys([derive_seed(7, k)]))
                 want = _reference_half_spectrum_draw(sqrt_eig, derive_seed(7, k))
                 assert got.tobytes() == want.tobytes()
                 # The same realization as the full complex FFT, up to rounding.
                 want = _reference_fgn_draw(full, derive_seed(7, k))
                 assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("n_points", (5, 257, 2049, 2 ** 16 + 1))
+    def test_merged_draw_is_the_weighted_sum_of_component_draws(self, n_points):
+        grid = TimeGrid.uniform(n_points, 1.0)
+        spec = ProcessSpec([1.5, -0.7, 2.0], [0.2, 0.5, 0.9])
+        seeds = [derive_seed(7, i) for i in range(3)]
+        got = _fgn_vector(_weighted_spectra(spec, grid), stream_keys(seeds))
+        want = sum(a * _reference_half_spectrum_draw(sqrt_eig, seed)
+                   for a, sqrt_eig, seed in zip(spec.coeffs, _fgn_spectra(spec, grid), seeds))
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    def test_ensemble_matches_per_component_fold(self):
+        spec = ProcessSpec([1.5, 0.0, -0.7, 2.0], [0.2, 0.6, 0.5, 0.9])
+        grid = TimeGrid.uniform(2049, 3.0)
+        got = msfbm.sample_ensemble(spec, grid, 6, 21, sampler="fgn").values
+        want = _reference_fgn_ensemble(spec, grid, 6, 21)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_one_inverse_fft_and_one_stream_per_component_per_replica(self, monkeypatch):
+        counts = {"irfft": 0, "normal_stream": 0}
+        real_irfft, real_stream = np.fft.irfft, sampler.normal_stream
+
+        def irfft(*args, **kwargs):
+            counts["irfft"] += 1
+            return real_irfft(*args, **kwargs)
+
+        def stream(*args, **kwargs):
+            counts["normal_stream"] += 1
+            return real_stream(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "irfft", irfft)
+        monkeypatch.setattr(sampler, "normal_stream", stream)
+        spec = ProcessSpec([1.5, -0.7, 2.0], [0.2, 0.5, 0.9])
+        msfbm.sample_ensemble(spec, TimeGrid.uniform(65, 1.0), 5, 3, sampler="fgn")
+        assert counts == {"irfft": 5, "normal_stream": 15}
+
+    def test_workspace_peak_within_route_estimate(self):
+        spec = ProcessSpec([1.5, -0.7, 2.0], [0.2, 0.5, 0.9])
+        grid = TimeGrid.uniform(2 ** 14 + 1, 1.0)
+        tracemalloc.start()
+        try:
+            msfbm.sample_ensemble(spec, grid, 4, 3, sampler="fgn")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= _route_bytes("fgn", spec, grid.n_points - 1, 4)
 
     @pytest.mark.parametrize("length", (4, 512, 4096, 2 ** 17))
     @pytest.mark.parametrize("h", (0.2, 0.5, 0.9))
@@ -410,6 +482,13 @@ class TestBulkSeeding:
                 want = Generator(PCG64(seed)).standard_normal(size)
                 assert np.array_equal(normal_stream(key, size), want)
 
+    def test_stream_into_buffer_equals_new_stream(self):
+        for key in stream_keys([0, 5, 2 ** 64 - 1]):
+            for size in (1, 7, 2 ** 18):
+                buf = np.full(size, np.nan)
+                assert normal_stream(key, size, out=buf) is buf
+                assert buf.tobytes() == normal_stream(key, size).tobytes()
+
     @pytest.mark.parametrize("seed", (-1, 2 ** 64))
     def test_seed_outside_64_bits_is_refused(self, seed):
         with pytest.raises(ValueError, match=r"\[0, 2\^64\)"):
@@ -424,6 +503,16 @@ class TestSampleEnsemble:
         a = msfbm.sample_ensemble(spec, grid, 64, 5, sampler=route, n_threads=1)
         b = msfbm.sample_ensemble(spec, grid, 64, 5, sampler=route, n_threads=4)
         assert np.array_equal(a.values, b.values)
+
+    @pytest.mark.parametrize("route", ("exact", "fbm", "fgn"))
+    @pytest.mark.parametrize("n_reps", (1, 5, 64))
+    def test_blocks_are_thread_invariant(self, route, n_reps):
+        spec = ProcessSpec([1.0, 0.0, -0.5], [0.3, 0.6, 0.8])
+        grid = TimeGrid.uniform(12, 1.0)
+        one = msfbm.sample_ensemble(spec, grid, n_reps, 5, sampler=route, n_threads=1)
+        for n_threads in (2, 4, 7):
+            many = msfbm.sample_ensemble(spec, grid, n_reps, 5, sampler=route, n_threads=n_threads)
+            assert many.values.tobytes() == one.values.tobytes()
 
     def test_values_are_read_only(self):
         ens = msfbm.sample_ensemble(ProcessSpec([1.0], [0.3]), TimeGrid.uniform(6, 1.0), 4, 1)
@@ -561,3 +650,10 @@ class TestOverflow:
             warnings.simplefilter("error")
             with pytest.raises(ArithmeticError, match=f"the {route} route's .* overflow"):
                 msfbm.sample_ensemble(ProcessSpec([1.0], [0.9]), grid, 1, 0, sampler=route)
+
+    def test_exact_route_weight_whose_square_overflows(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ArithmeticError, match="the exact route's .* overflow"):
+                msfbm.sample_ensemble(ProcessSpec([1e200], [0.5]), TimeGrid.uniform(3, 1.0), 1, 0,
+                                      sampler="exact")
