@@ -9,10 +9,10 @@ picked route measured slower than the other one.
 
 It then fits the per-component constant F0 of the routing estimate
 R*(K*F0 + 2.5*N*log2(N)) (the ``_FGN_DRAW_OPS`` constant in
-``msfbm.sampler``).  On each row where "auto" may take the circulant route
-and the slower route took at most NEAR times as long as the faster one, it
-solves for the F0 at which the ratio of the two estimates equals the ratio
-of the measured times, and prints the median.  Rows farther apart fix no
+``msfbm.sampler``).  On each row of at least FIT_STEPS grid steps where the
+slower route took at most NEAR times as long as the faster one, it solves
+for the F0 at which the ratio of the two estimates equals the ratio of the
+measured times, and prints the median.  Rows farther apart fix no
 crossover: any F0 in a wide range routes them right.  Numpy and BLAS run
 single-threaded, so CPU time is run time.
 
@@ -35,9 +35,12 @@ import time
 import numpy as np
 
 from msfbm import ProcessSpec, TimeGrid, sample_ensemble
-from msfbm.sampler import _FGN_DRAW_OPS, FGN_CUTOFF, _route, _route_ops
+from msfbm.sampler import _FGN_DRAW_OPS, _route, _route_ops
 
 NEAR = 3.0
+# Fewest grid steps of a row that enters the fit of F0: the rows the F0 in use
+# was fitted on.
+FIT_STEPS = 256
 SPECS = {1: ProcessSpec((1.0,), (0.4,)), 2: ProcessSpec((1.0, 1.0), (0.4, 0.8))}
 
 
@@ -87,14 +90,14 @@ def main() -> int:
                 slower = (pick == "fgn") != (fgn < exact)
                 print(f"| {n_points} | {reps} | {k} | {exact * 1e3:.1f} | {fgn * 1e3:.1f} "
                       f"| {pick} | {'slower' if slower else ''} |", flush=True)
-                if m >= FGN_CUTOFF and max(exact, fgn) <= NEAR * min(exact, fgn):
+                if m >= FIT_STEPS and max(exact, fgn) <= NEAR * min(exact, fgn):
                     # fgn estimate / dense estimate = fgn / exact, solved for F0 in
                     # reps * (k * F0 + transform_ops) = dense_ops * fgn / exact.
                     dense_ops = _route_ops("exact", spec, m, reps)
                     transform_ops = _route_ops("fgn", spec, m, 1) - k * _FGN_DRAW_OPS
                     fits.append((dense_ops * fgn / exact / reps - transform_ops) / k)
     if fits:
-        print(f"# fitted F0 (median over {len(fits)} rows with at least {FGN_CUTOFF} steps "
+        print(f"# fitted F0 (median over {len(fits)} rows with at least {FIT_STEPS} steps "
               f"and times within {NEAR:g}x): {statistics.median(fits):.3g}")
     return 0
 

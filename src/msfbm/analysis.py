@@ -287,6 +287,14 @@ def _box_levels(k_min: int, k_max: int) -> range:
     return range(k_min, k_max + 1)
 
 
+def _box_fit(levels: range, counts: list[float], method: BoxCountMethod) -> DimensionEstimate:
+    """The estimate of ``method``: the log-log slope of the box ``counts`` against
+    2^k, the boxes per side at each level k of ``levels``, clipped to [0, 2]."""
+    slope, stderr = _loglog_fit(np.array([2.0 ** k for k in levels]), np.array(counts))
+    return DimensionEstimate(value=float(np.clip(slope, 0.0, 2.0)), stderr=stderr,
+                             scale_range=(2 ** levels[0], 2 ** levels[-1]), method=method)
+
+
 def graph_box_dimension(
     path: SamplePath, k_min: int = 3, k_max: int | None = None
 ) -> DimensionEstimate:
@@ -325,13 +333,7 @@ def graph_box_dimension(
         np.maximum.at(hi, np.arange(1, m), fw)
         occupied = np.isfinite(lo)
         counts.append(float(np.sum(hi[occupied] - lo[occupied] + 1.0)))
-    slope, stderr = _loglog_fit(np.array([2.0 ** k for k in levels]), np.array(counts))
-    return DimensionEstimate(
-        value=float(np.clip(slope, 0.0, 2.0)),
-        stderr=stderr,
-        scale_range=(2 ** levels[0], 2 ** levels[-1]),
-        method=BoxCountMethod.GRAPH_BOX_COUNT,
-    )
+    return _box_fit(levels, counts, BoxCountMethod.GRAPH_BOX_COUNT)
 
 
 def level_set_box_dimension(
@@ -348,13 +350,15 @@ def level_set_box_dimension(
     positive-probability statement, so single-path estimates are expected
     to scatter; aggregate with a median across replicas.
     """
-    eps = float(eps)
+    eps, x = float(eps), float(x)
     horizon = path.grid.horizon
     if not (0.0 < eps < horizon):
         raise ValueError("eps must lie strictly inside (0, T)")
+    if not math.isfinite(x):
+        raise ValueError(f"level x must be finite, got {x!r}")
     mask = path.grid.times >= eps
     times = path.grid.times[mask]
-    d = path.values[mask] - float(x)
+    d = path.values[mask] - x
     if times.size < 2:
         raise InsufficientResolution("no grid points beyond eps")
     if k_max is None:
@@ -375,13 +379,7 @@ def level_set_box_dimension(
         m = 2 ** k
         boxes = np.minimum((rel * m).astype(np.int64), m - 1)
         counts.append(float(np.count_nonzero(np.bincount(boxes, minlength=m))))
-    slope, stderr = _loglog_fit(np.array([2.0 ** k for k in levels]), np.array(counts))
-    return DimensionEstimate(
-        value=float(np.clip(slope, 0.0, 2.0)),
-        stderr=stderr,
-        scale_range=(2 ** levels[0], 2 ** levels[-1]),
-        method=BoxCountMethod.LEVEL_SET_BOX_COUNT,
-    )
+    return _box_fit(levels, counts, BoxCountMethod.LEVEL_SET_BOX_COUNT)
 
 
 def range_dimension(
@@ -402,13 +400,7 @@ def range_dimension(
             m = 2 ** k
             boxes = np.minimum((y * m).astype(np.int64), m - 1)
             counts.append(float(np.count_nonzero(np.bincount(boxes, minlength=m))))
-    slope, stderr = _loglog_fit(np.array([2.0 ** k for k in levels]), np.array(counts))
-    return DimensionEstimate(
-        value=float(np.clip(slope, 0.0, 2.0)),
-        stderr=stderr,
-        scale_range=(2 ** levels[0], 2 ** levels[-1]),
-        method=BoxCountMethod.RANGE_BOX_COUNT,
-    )
+    return _box_fit(levels, counts, BoxCountMethod.RANGE_BOX_COUNT)
 
 
 def nondiff_probe(ens: Ensemble, t0: float) -> list[tuple[float, float]]:

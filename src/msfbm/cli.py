@@ -21,7 +21,7 @@ import numpy as np
 from . import analysis, kernels, verify
 from .classify import increment_sign_predict, markov_verdict, semimartingale_classify
 from .process import IncrementWindow, ProcessSpec
-from .sampler import FGN_CUTOFF, FactorizationFailure, TimeGrid, sample_ensemble
+from .sampler import FactorizationFailure, TimeGrid, sample_ensemble
 from .seeds import derive_seed
 
 EXIT_OK = 0
@@ -263,6 +263,8 @@ def _cmd_dims(args: argparse.Namespace) -> int:
     spec = _spec(args)
     grid = TimeGrid.uniform(args.grid_points, args.horizon)
     seed, level, eps, level_reps = args.seed, args.level, args.eps, args.level_reps
+    if not math.isfinite(level):
+        raise ValueError(f"--level must be finite, got {level!r}")
     h_min = spec.h_min
 
     graph_path = sample_ensemble(spec, grid, 1, derive_seed(seed, 1)).paths[0]
@@ -380,9 +382,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
     p.add_argument("--sampler", choices=("auto", "exact", "fbm", "fgn"), default="auto",
                    help="auto (default) takes circulant embedding (fgn) on uniform grids "
-                        f"of at least {FGN_CUTOFF} steps where its estimated cost is below "
-                        "the exact route's, and exact otherwise; any route whose arrays "
-                        "would exceed the memory budget exits 2 before allocating")
+                        "where its estimated cost is below the exact route's, and exact "
+                        "otherwise; any route whose arrays would exceed the memory budget "
+                        "exits 2 before allocating")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=_cmd_simulate)
 

@@ -51,15 +51,10 @@ __all__ = [
     "psd_factor",
     "sample_ensemble",
     "JITTER_LADDER",
-    "FGN_CUTOFF",
 ]
 
 # Relative jitter escalation for barely-indefinite Gram matrices.
 JITTER_LADDER = (0.0, 1e-14, 1e-12, 1e-10)
-
-# Fewest uniform-grid steps on which the "auto" route may take circulant
-# embedding.
-FGN_CUTOFF = 2 ** 8
 
 # Fixed cost of one component's share of a circulant replica draw (seeding and
 # drawing its normal stream, weighting and summing its spectrum, and the
@@ -265,8 +260,19 @@ def psd_factor(g: np.ndarray) -> FactorResult:
     )
 
 
-def _exact_row(lower: np.ndarray, keys: np.ndarray, body: np.ndarray) -> None:
-    np.matmul(lower, normal_stream(keys[0], lower.shape[0]), out=body)
+def _refuse_underflow(route: str, grid: TimeGrid, variances: Sequence[np.ndarray]) -> None:
+    """Raise ArithmeticError unless each of ``variances`` has a positive value: a
+    covariance that underflowed to 0 would draw all-zero paths or fail to factor."""
+    if not all(np.max(v) > 0.0 for v in variances):
+        raise ArithmeticError(f"the {route} route's covariances on [0, {grid.horizon!r}] "
+                              "underflow to 0")
+
+
+def _exact_rows(lower: np.ndarray, keys: np.ndarray, out: np.ndarray) -> None:
+    """Write L z into each row of ``out``, z the normal stream of the row's
+    (1, 4) block of ``stream_keys`` and L the process Gram's factor."""
+    for replica_keys, body in zip(keys, out):
+        np.matmul(lower, normal_stream(replica_keys[0], lower.shape[0]), out=body)
 
 
 def _symmetric_fbm_grams(spec: ProcessSpec, grid: TimeGrid) -> list[np.ndarray]:
@@ -284,37 +290,29 @@ def _symmetric_fbm_grams(spec: ProcessSpec, grid: TimeGrid) -> list[np.ndarray]:
     return _symmetric_gram(sym.size, len(two_hs), fill_block)
 
 
-def _dense_fbm(coeffs: Sequence[float], factors: Sequence[np.ndarray]) -> Callable:
-    """A drawer of W = sum_i a_i L_i z_i through the symmetric Grams' factors.
+def _fold(neg: np.ndarray, pos: np.ndarray, body: np.ndarray) -> None:
+    """Write (W(t) + W(-t)) / sqrt(2) into ``body``, the values at t > 0, from
+    W = sum_i a_i B_i over the active components as ``neg`` = W(-t) and
+    ``pos`` = W(t), t ascending."""
+    np.add(pos, neg, out=body)
+    body /= math.sqrt(2.0)
 
-    It owns its buffers, and ``draw(keys)`` returns (W(-t_1) ... W(-t_m),
-    W(t_1) ... W(t_m)) as views of them, valid until the next draw; z_i is
-    the normal stream of ``keys[i]``.
-    """
+
+def _fbm_rows(coeffs: Sequence[float], factors: Sequence[np.ndarray], keys: np.ndarray,
+              out: np.ndarray) -> None:
+    """Fold W = sum_i a_i L_i z_i into each row of ``out``, through the factors
+    L_i of the symmetric Grams, z_i the normal stream of row i of the row's
+    (K, 4) block of ``stream_keys``."""
     size = factors[0].shape[0]
     m = size // 2
     normals, part, w = np.empty(size), np.empty(size), np.empty(size)
-
-    def draw(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    for replica_keys, body in zip(keys, out):
         w.fill(0.0)
-        for a, lower, key in zip(coeffs, factors, keys):
+        for a, lower, key in zip(coeffs, factors, replica_keys):
             np.matmul(lower, normal_stream(key, size, out=normals), out=part)
             np.multiply(part, a, out=part)
             np.add(w, part, out=w)
-        return w[:m][::-1], w[m:]
-
-    return draw
-
-
-def _fold(draw: Callable, keys: np.ndarray, body: np.ndarray) -> None:
-    """Write (W(t) + W(-t)) / sqrt(2) into ``body``, the values at t > 0.
-
-    ``draw(keys)`` returns W = sum_i a_i B_i over the active components as
-    (W(-t), W(t)), t ascending.
-    """
-    neg, pos = draw(keys)
-    np.add(pos, neg, out=body)
-    body /= math.sqrt(2.0)
+        _fold(w[:m][::-1], w[m:], body)
 
 
 def _fgn_autocov(length: int, step: float, two_h: float) -> np.ndarray:
@@ -356,6 +354,7 @@ def _weighted_spectra(spec: ProcessSpec, grid: TimeGrid) -> list[np.ndarray]:
     the interior bins 0 < k < N/2 also by 1/sqrt(2): the factor each bin's
     normals take in ``_fgn_draw``."""
     spectra = _fgn_spectra(spec, grid)
+    _refuse_underflow("fgn", grid, spectra)
     for (a, _), sqrt_eig in zip(spec.active(), spectra):
         sqrt_eig *= a
         sqrt_eig[1:-1] /= math.sqrt(2.0)
@@ -392,24 +391,18 @@ def _fgn_draw(
     return np.fft.irfft(z, n=size, norm="ortho")[:half]
 
 
-def _circulant_fbm(spectra: Sequence[np.ndarray]) -> Callable:
-    """A drawer of W = sum_i a_i B_i from one fGn draw over [-T, T] (``_fgn_draw``).
-
-    It owns its buffers, and ``draw(keys)`` returns (W(-t_1) ... W(-t_m),
-    W(t_1) ... W(t_m)) as views of them, valid until the next draw: the
-    cumulated draw shifted so that W(0) = 0.
-    """
+def _fgn_rows(spectra: Sequence[np.ndarray], keys: np.ndarray, out: np.ndarray) -> None:
+    """Fold W = sum_i a_i B_i into each row of ``out``: one fGn draw over
+    [-T, T] (``_fgn_draw``) from the row's (K, 4) block of ``stream_keys``,
+    cumulated and shifted so that W(0) = 0."""
     half = spectra[0].size - 1
     m = half // 2
     z, normals, cum = np.empty(half + 1, dtype=complex), np.empty(2 * half + 2), np.empty(half + 1)
-
-    def draw(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    for replica_keys, body in zip(keys, out):
         cum[0] = 0.0
-        np.cumsum(_fgn_draw(spectra, keys, z, normals), out=cum[1:])
+        np.cumsum(_fgn_draw(spectra, replica_keys, z, normals), out=cum[1:])
         np.subtract(cum, cum[m], out=cum)
-        return cum[m - 1::-1], cum[m + 1:]
-
-    return draw
+        _fold(cum[m - 1::-1], cum[m + 1:], body)
 
 
 def _route_ops(route: str, spec: ProcessSpec, m: int, n_reps: int) -> float:
@@ -459,15 +452,15 @@ def _check_budget(what: str, need: int) -> None:
 def _route(spec: ProcessSpec, grid: TimeGrid, n_reps: int, sampler: str) -> str:
     """The route ("exact", "fbm" or "fgn") that draws ``n_reps`` replicas.
 
-    "auto" takes circulant embedding ("fgn") on uniform grids of at least
-    FGN_CUTOFF steps whose estimated cost is below that of the exact route,
-    and "exact" otherwise; any other sampler names its route.
+    "auto" takes circulant embedding ("fgn") on uniform grids where its
+    estimated cost (``_route_ops``) is below that of the exact route, and
+    "exact" otherwise; any other sampler names its route.
     Raises ValueError, before anything is allocated, when the route's arrays
     would exceed the memory budget.
     """
     m = grid.n_points - 1
     if sampler == "auto":
-        cheaper = (m >= FGN_CUTOFF and grid.is_uniform()
+        cheaper = (grid.is_uniform()
                    and _route_ops("fgn", spec, m, n_reps) < _route_ops("exact", spec, m, n_reps))
         sampler = "fgn" if cheaper else "exact"
     if sampler not in ("exact", "fbm", "fgn"):
@@ -477,38 +470,34 @@ def _route(spec: ProcessSpec, grid: TimeGrid, n_reps: int, sampler: str) -> str:
     return sampler
 
 
-def _row_filler(route: str, spec: ProcessSpec, grid: TimeGrid) -> tuple[Callable, float]:
-    """The route's workspace maker, and the jitter its factors took.
-
-    ``make()`` allocates one replica worker's buffers and returns
-    ``fill(keys, body)``, which writes one replica's path at t > 0 into
-    ``body`` from the replica's rows of ``stream_keys``.
-    """
-    if route == "exact":
-        factor = psd_factor(gram_matrix(spec, grid))
-        fill = partial(_exact_row, factor.lower)
-        return (lambda: fill), factor.jitter
+def _route_rows(route: str, spec: ProcessSpec, grid: TimeGrid) -> tuple[Callable, float]:
+    """The route's row filler ``rows(keys, out)``, which writes a block of replicas'
+    paths at t > 0 into ``out`` from their (streams, 4) blocks of ``stream_keys``,
+    and the jitter its factors took."""
     if route == "fgn":
-        make_draw, jitter = partial(_circulant_fbm, _weighted_spectra(spec, grid)), 0.0
-    else:
-        grams = _symmetric_fbm_grams(spec, grid)
-        # Pop each Gram as it is factored so it is freed before the next factor.
-        factors = [psd_factor(grams.pop(0)) for _ in range(len(grams))]
-        make_draw = partial(_dense_fbm, [a for a, _ in spec.active()], [f.lower for f in factors])
-        jitter = max(f.jitter for f in factors)
-    return (lambda: partial(_fold, make_draw())), jitter
+        return partial(_fgn_rows, _weighted_spectra(spec, grid)), 0.0
+    grams = [gram_matrix(spec, grid)] if route == "exact" else _symmetric_fbm_grams(spec, grid)
+    _refuse_underflow(route, grid, [g.diagonal() for g in grams])
+    # Pop each Gram as it is factored so it is freed before the next factor.
+    factors = [psd_factor(grams.pop(0)) for _ in range(len(grams))]
+    lowers, jitter = [f.lower for f in factors], max(f.jitter for f in factors)
+    if route == "exact":
+        return partial(_exact_rows, lowers[0]), jitter
+    return partial(_fbm_rows, [a for a, _ in spec.active()], lowers), jitter
 
 
-def _replica_runner(fill_rows: Callable[[int, int], None], n_reps: int, n_threads: int) -> None:
-    """Call ``fill_rows(lo, hi)`` on contiguous blocks that cover range(n_reps),
-    one block per worker thread, and at most one worker per replica."""
+def _replica_runner(rows: Callable, keys: np.ndarray, out: np.ndarray, n_threads: int) -> None:
+    """Call ``rows(keys[lo:hi], out[lo:hi])`` on contiguous blocks that cover
+    every replica, one block per worker thread, and at most one worker per replica."""
+    n_reps = len(out)
     n_workers = max(1, min(n_threads, n_reps))
     if n_workers == 1:
-        fill_rows(0, n_reps)
+        rows(keys, out)
         return
     bounds = [n_reps * w // n_workers for w in range(n_workers + 1)]
     with ThreadPoolExecutor(max_workers=n_workers) as pool:
-        futures = [pool.submit(fill_rows, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+        futures = [pool.submit(rows, keys[lo:hi], out[lo:hi])
+                   for lo, hi in zip(bounds, bounds[1:])]
     # Reading every result re-raises the first block's exception.
     for future in futures:
         future.result()
@@ -526,16 +515,15 @@ def sample_ensemble(
 
     ``sampler`` is "exact" (factored process Gram), "fbm" (folded fBms from
     symmetric Grams), "fgn" (folded fBms from circulant embedding, uniform
-    grids only) or "auto".  "auto" takes "fgn" on uniform grids of at least
-    FGN_CUTOFF steps when its estimated operation count,
-    R*(K*F0 + 2.5*N*log2(N)) for R replicas, K active components and circulant
-    length N = 4*(n_points - 1), is below the exact route's
-    n^3/3 + 2*R*n^2, and "exact" otherwise; both routes are distribution-exact.
+    grids only) or "auto", which takes "fgn" on uniform grids where its
+    estimated cost (``_route_ops``) is below the exact route's, and "exact"
+    otherwise; every route is distribution-exact.
     Every route is checked against a fixed memory budget first: a request
-    over it raises ValueError before anything is allocated, and covariances
-    that overflow a double raise ArithmeticError.  The result is a
-    pure function of (spec, grid, n_reps, master_seed, sampler) regardless of
-    ``n_threads``; ``Ensemble.sampler`` records the route taken.
+    over it raises ValueError before anything is allocated.  Covariances
+    that overflow a double, or that underflow to 0, raise ArithmeticError.
+    The result is a pure function of (spec, grid, n_reps, master_seed,
+    sampler) regardless of ``n_threads``; ``Ensemble.sampler`` records the
+    route taken.
 
     The exact route draws one normal stream per replica, from the replica
     seed; the folded routes draw one per active component i, from
@@ -543,14 +531,14 @@ def sample_ensemble(
     once (``stream_keys``), then each replica writes its path into its own
     row of a zeroed (n_reps, n_points) array, the t = 0 column left at 0.
     Each of at most ``n_threads`` workers fills a contiguous block of rows
-    with draw buffers it allocates once and drops when its block is done.
+    with the route's row filler, whose draw buffers live as long as the block.
     """
     if n_reps < 1:
         raise ValueError("n_reps must be >= 1")
     route = _route(spec, grid, n_reps, sampler)
     try:
         with np.errstate(over="raise", invalid="raise"):
-            make_fill, jitter = _row_filler(route, spec, grid)
+            rows, jitter = _route_rows(route, spec, grid)
     except FloatingPointError as exc:
         raise ArithmeticError(
             f"the {route} route's covariances on [0, {grid.horizon!r}] overflow a double ({exc})"
@@ -558,22 +546,7 @@ def sample_ensemble(
     seeds = replica_seeds(master_seed, n_reps)
     active = spec.active_set
     streams = seeds if route == "exact" else [derive_seed(s, i) for s in seeds for i in active]
-    per = len(streams) // n_reps
-    keys = stream_keys(streams)
     values = np.zeros((n_reps, grid.n_points))
-
-    def fill_rows(lo: int, hi: int) -> None:
-        fill = make_fill()
-        for k in range(lo, hi):
-            fill(keys[k * per:(k + 1) * per], values[k, 1:])
-
-    _replica_runner(fill_rows, n_reps, n_threads)
-    return Ensemble(
-        spec=spec,
-        grid=grid,
-        values=values,
-        master_seed=int(master_seed),
-        replica_seeds=seeds,
-        sampler=route,
-        jitter=jitter,
-    )
+    _replica_runner(rows, stream_keys(streams).reshape(n_reps, -1, 4), values[:, 1:], n_threads)
+    return Ensemble(spec=spec, grid=grid, values=values, master_seed=int(master_seed),
+                    replica_seeds=seeds, sampler=route, jitter=jitter)

@@ -255,6 +255,12 @@ class TestLevelSetDimension:
         with pytest.raises(ValueError):
             level_set_box_dimension(line_path(), 0.5, 0.0)
 
+    @pytest.mark.parametrize("x", (math.nan, math.inf, -math.inf))
+    def test_non_finite_level_is_invalid_input_not_an_uncrossed_level(self, x):
+        with pytest.raises(ValueError, match="level x must be finite") as info:
+            level_set_box_dimension(line_path(), x, 0.01)
+        assert not isinstance(info.value, LevelNotCrossed)
+
 
 class TestRangeDimension:
     def test_constant_path(self):

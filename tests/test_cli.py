@@ -302,6 +302,17 @@ class TestDims:
         assert payload["range"]["target"] == 1.0
         assert payload["level_set"]["target"] == 0.5
 
+    @pytest.mark.parametrize("level", ("nan", "inf", "-inf"))
+    def test_non_finite_level_is_refused_before_drawing(self, monkeypatch, capsys, level):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("dims drew paths for a level it refuses")
+
+        monkeypatch.setattr(cli, "sample_ensemble", no_draw)
+        rc = cli.main(["dims", "--hurst", "0.5", "--grid-points", "16385", f"--level={level}"])
+        out, err = capsys.readouterr()
+        assert (rc, out) == (cli.EXIT_VALIDATION, "")
+        assert err == f"invalid input: --level must be finite, got {float(level)!r}\n"
+
 
 class TestClassify:
     def test_verdict_schema_and_values(self):

@@ -27,15 +27,14 @@ _SUBPARSERS = cli.build_parser()._subparsers._group_actions[0].choices
 _SMALL_INTS = st.integers(min_value=-3, max_value=40)
 _FLOATS = st.floats(allow_nan=True, allow_infinity=True)
 _NUMERIC_TEXT = st.text(alphabet="0123456789.,-+einfa ", max_size=14)
-_JSON_VALUES = st.one_of(
+_NON_STRING_JSON_VALUES = st.one_of(
     st.none(),
     st.booleans(),
     _SMALL_INTS,
     _FLOATS,
-    _NUMERIC_TEXT,
-    st.text(max_size=6),
     st.lists(st.one_of(_SMALL_INTS, _FLOATS, st.booleans(), st.none()), max_size=5),
 )
+_JSON_VALUES = st.one_of(_NON_STRING_JSON_VALUES, _NUMERIC_TEXT, st.text(max_size=6))
 
 
 def _unit(lo, hi):
@@ -78,8 +77,9 @@ def _options(command):
 
 def _config_value(action, out_path):
     if action.dest == "out":
-        # Output goes to one scratch file; a drawn path could land anywhere.
-        return st.one_of(st.just(out_path), _JSON_VALUES)
+        # Output goes to one scratch file; a drawn string is a path that could land
+        # anywhere, and a non-string is refused as one.
+        return st.one_of(st.just(out_path), _NON_STRING_JSON_VALUES)
     if action.choices is not None:
         return st.one_of(st.sampled_from(list(action.choices)), _JSON_VALUES)
     return st.one_of(_PLAUSIBLE[action.dest], _JSON_VALUES)

@@ -13,7 +13,6 @@ from msfbm import ProcessSpec, SamplePath, TimeGrid, sampler
 from msfbm.kernels import _p2h_array
 from msfbm.sampler import (
     _GRAM_ROWS,
-    FGN_CUTOFF,
     FactorizationFailure,
     _fgn_autocov,
     _fgn_draw,
@@ -444,13 +443,6 @@ class TestSampleViaFbm:
         with pytest.raises(FactorizationFailure, match="indefinite"):
             _fgn_spectra(ProcessSpec([1.0], [0.5]), TimeGrid.uniform(9, 1.0))
 
-    def test_auto_cutoff_routing(self):
-        spec = ProcessSpec([1.0], [0.5])
-        small = TimeGrid.uniform(FGN_CUTOFF // 2, 1.0)
-        big = TimeGrid.uniform(FGN_CUTOFF + 2, 1.0)
-        assert _route(spec, small, 1, "auto") == "exact"
-        assert _route(spec, big, 1, "auto") == "fgn"
-
 
 class TestBulkSeeding:
     """``stream_keys`` and ``_pcg64_state`` against numpy's own seeding, the oracle."""
@@ -589,6 +581,14 @@ class TestRoute:
         grid = TimeGrid(np.linspace(0.0, 1.0, 2049) ** 1.5)
         assert _route(self.SPEC, grid, 64, "auto") == "exact"
 
+    def test_auto_follows_the_cost_estimate_alone(self):
+        # The README's crossover table at 129 points: fgn measured faster for one
+        # replica and exact for 64, with one active component and with two.
+        grid = TimeGrid.uniform(129, 1.0)
+        for spec in (ProcessSpec([1.0], [0.4]), self.SPEC):
+            assert _route(spec, grid, 1, "auto") == "fgn"
+            assert _route(spec, grid, 64, "auto") == "exact"
+
     def test_many_replicas_on_short_grid_stay_exact(self):
         # The exact route measured about five times faster here (README, "Sampler routing").
         assert _route(self.SPEC, TimeGrid.uniform(257, 1.0), 3000, "auto") == "exact"
@@ -650,6 +650,16 @@ class TestOverflow:
             warnings.simplefilter("error")
             with pytest.raises(ArithmeticError, match=f"the {route} route's .* overflow"):
                 msfbm.sample_ensemble(ProcessSpec([1.0], [0.9]), grid, 1, 0, sampler=route)
+
+    @pytest.mark.parametrize("route,hurst,horizon", [("exact", 0.7, 1e-310),
+                                                     ("fbm", 0.7, 1e-310),
+                                                     ("fgn", 0.9, 1e-200)])
+    def test_underflowing_covariance_is_an_arithmetic_error(self, route, hurst, horizon):
+        # The paths' scale horizon^H is a double, but their variances underflow to 0:
+        # fgn drew all-zero paths, and exact and fbm failed to factor.
+        grid = TimeGrid.uniform(5, horizon)
+        with pytest.raises(ArithmeticError, match=f"the {route} route's .* underflow to 0"):
+            msfbm.sample_ensemble(ProcessSpec([1.0], [hurst]), grid, 1, 0, sampler=route)
 
     def test_exact_route_weight_whose_square_overflows(self):
         with warnings.catch_warnings():
