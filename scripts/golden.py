@@ -34,9 +34,12 @@ _SPEC = ["--coeffs", "1,1", "--hurst", "0.4,0.8"]
 _UNIFORM = ["simulate", *_SPEC, "--grid-points", "9", "--reps", "3", "--seed", "7"]
 _NON_UNIFORM = ["simulate", *_SPEC, "--times", "0,0.1,0.35,0.6,1.2", "--reps", "4"]
 
+_DIMS_REFUSAL = ["dims", "--hurst", "0.5", "--grid-points", str(2 ** 14 + 1)]
+
 # Every simulate route on uniform and non-uniform grids in both formats, auto
-# on both sides of the exact/fgn crossover, verify at two seeds, dims, one help
-# text, and one refusal for each refusing exit code.
+# on both sides of the exact/fgn crossover, verify at two seeds, dims, both cov
+# tables, srd in both formats, classify, every help text, and refusals for each
+# refusing exit code.
 COMMANDS = {
     "simulate-exact-csv": [*_UNIFORM, "--sampler", "exact"],
     "simulate-fbm-csv": [*_UNIFORM, "--sampler", "fbm"],
@@ -48,10 +51,23 @@ COMMANDS = {
     "verify-seed0": ["verify"],
     "verify-seed5": ["verify", "--seed", "5"],
     "dims-seed5": ["dims", "--coeffs", "1,1", "--hurst", "0.3,0.8", "--seed", "5"],
+    "cov-points-csv": ["cov", *_SPEC, "--points", "0,0.25,1,2.5"],
+    "cov-window-json": ["cov", *_SPEC, "--window", "0.1,0.4,0.6,1.2", "--format", "json"],
+    "srd-csv": ["srd", *_SPEC],
+    "srd-json": ["srd", *_SPEC, "--n-max", "50", "--format", "json"],
+    "classify": ["classify", *_SPEC],
+    "help": ["--help"],
+    "cov-help": ["cov", "--help"],
     "simulate-help": ["simulate", "--help"],
+    "verify-help": ["verify", "--help"],
+    "dims-help": ["dims", "--help"],
+    "classify-help": ["classify", "--help"],
+    "srd-help": ["srd", "--help"],
     "refuse-exact-over-budget": ["simulate", "--hurst", "0.5", "--sampler", "exact",
                                  "--grid-points", "40000"],
     "refuse-overflow": ["simulate", "--hurst", "0.9", "--horizon", "1e300"],
+    "refuse-dims-eps-nan": [*_DIMS_REFUSAL, "--eps=nan"],
+    "refuse-dims-level-reps-0": [*_DIMS_REFUSAL, "--level-reps=0"],
 }
 
 
