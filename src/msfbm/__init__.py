@@ -30,7 +30,6 @@ from .sampler import (
     Ensemble,
     FactorizationFailure,
     FactorResult,
-    SamplePath,
     TimeGrid,
     gram_matrix,
     psd_factor,

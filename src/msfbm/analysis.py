@@ -3,7 +3,9 @@
 Covers variation statistics over dyadic refinements, variogram-based
 regularity estimation, a difference-quotient divergence probe, lag-sum
 short-range-dependence checks, and box-counting dimension estimates for
-the graph, range and level sets of a path.
+the graph, range and level sets of a path.  Every path estimator reads an
+``Ensemble``; the variation sums and box dimensions give one result per
+replica.
 
 All regressions are ordinary least squares on log-log points; every
 estimate carries the regression stderr and the scale window it was fit
@@ -23,7 +25,7 @@ import numpy as np
 
 from .kernels import lag_cov_series, msfbm_cov, msfbm_var
 from .process import ProcessSpec
-from .sampler import _check_budget, Ensemble, SamplePath, TimeGrid, sample_ensemble
+from .sampler import _check_budget, Ensemble, TimeGrid, sample_ensemble
 from .seeds import derive_seed
 
 __all__ = [
@@ -186,28 +188,29 @@ def empirical_cov(ens: Ensemble, j: int, k: int) -> tuple[float, float, float]:
     return est, stderr, z
 
 
-def p_variation_stat(path: SamplePath, p: float, n_sub: int) -> float:
-    """Order-p variation sum over the uniform n_sub-interval partition of [0, T]."""
+def p_variation_stat(ens: Ensemble, p: float, n_sub: int) -> np.ndarray:
+    """Each replica's order-p variation sum over the uniform n_sub-interval
+    partition of [0, T], as an (n_reps,) array."""
     p = float(p)
     if p <= 0.0:
         raise ValueError("variation order p must be positive")
     n_sub = int(n_sub)
     if n_sub < 1:
         raise ValueError("n_sub must be >= 1")
-    times = path.grid.times
+    times = ens.grid.times
     n_steps = times.size - 1
     if n_steps % n_sub != 0:
         raise GridMismatch(
             f"grid with {n_steps} steps does not contain a uniform {n_sub}-interval partition"
         )
     stride = n_steps // n_sub
-    horizon = path.grid.horizon
+    horizon = ens.grid.horizon
     sel_times = times[::stride]
     targets = np.linspace(0.0, horizon, n_sub + 1)
     if not np.allclose(sel_times, targets, rtol=0.0, atol=1e-9 * max(horizon, 1.0)):
         raise GridMismatch("grid points at the partition stride are not uniform")
-    increments = np.diff(path.values[::stride])
-    return float(np.sum(np.abs(increments) ** p))
+    increments = np.diff(ens.values[:, ::stride], axis=1)
+    return np.sum(np.abs(increments) ** p, axis=1)
 
 
 def qv_scaling_exponent(
@@ -215,11 +218,8 @@ def qv_scaling_exponent(
     levels: Sequence[int],
     n_reps: int,
     master_seed: int,
-    p: float = 2.0,
-    sampler: str = "fgn",
-    n_threads: int = 1,
 ) -> VariationReport:
-    """Mean order-p variation across dyadic grids 2^m on [0, 1], with slope fit.
+    """Mean quadratic variation across dyadic grids 2^m on [0, 1], with slope fit.
 
     The fitted log-log slope of the mean statistic against the partition
     size discriminates the variation regimes: positive slope 1 - 2*h_min
@@ -234,16 +234,12 @@ def qv_scaling_exponent(
     for li, m in enumerate(levels):
         n = 2 ** m
         grid = TimeGrid.uniform(n + 1, 1.0)
-        ens = sample_ensemble(
-            spec, grid, n_reps, derive_seed(master_seed, li), sampler=sampler,
-            n_threads=n_threads,
-        )
-        values = [p_variation_stat(path, p, n) for path in ens.paths]
+        ens = sample_ensemble(spec, grid, n_reps, derive_seed(master_seed, li), sampler="fgn")
         sizes.append(n)
-        stats.append(float(np.mean(values)))
+        stats.append(float(np.mean(p_variation_stat(ens, 2.0, n))))
     slope, stderr = _loglog_fit(np.array(sizes, dtype=float), np.array(stats))
     return VariationReport(
-        p=p,
+        p=2.0,
         partition_sizes=tuple(sizes),
         statistics=tuple(stats),
         fitted_log_slope=slope,
@@ -251,11 +247,11 @@ def qv_scaling_exponent(
     )
 
 
-def holder_exponent_estimate(ens: Ensemble, n_lags: int = 10) -> tuple[float, float]:
+def holder_exponent_estimate(ens: Ensemble) -> tuple[float, float]:
     """Variogram regression estimate of the path regularity exponent.
 
     Fits log E|S(t+d) - S(t)|^2 against log d over the smallest decade of
-    lags (multiples 1..n_lags of the grid step) and returns half the slope
+    lags (multiples 1..10 of the grid step) and returns half the slope
     with its stderr.  Small scales are governed by the roughest active
     component, so the estimate targets h_min.
     """
@@ -266,14 +262,11 @@ def holder_exponent_estimate(ens: Ensemble, n_lags: int = 10) -> tuple[float, fl
         raise InsufficientResolution("variogram regression requires at least 2^8 points")
     if ens.n_reps < 10 ** 2:
         raise InsufficientReplicas("variogram regression requires at least 100 replicas")
-    lags = range(1, min(int(n_lags), n_points - 1) + 1)
-    if len(lags) < 4:
-        raise InsufficientResolution("fewer than 4 lag scales available")
     step = ens.grid.horizon / (n_points - 1)
     v = ens.values
     xs = []
     ys = []
-    for k in lags:
+    for k in range(1, 11):
         diff = v[:, k:] - v[:, :-k]
         xs.append(k * step)
         ys.append(float(np.mean(diff * diff)))
@@ -295,27 +288,20 @@ def _box_fit(levels: range, counts: list[float], method: BoxCountMethod) -> Dime
                              scale_range=(2 ** levels[0], 2 ** levels[-1]), method=method)
 
 
-def graph_box_dimension(
-    path: SamplePath, k_min: int = 3, k_max: int | None = None
-) -> DimensionEstimate:
-    """Box-counting dimension of the rescaled graph {(t, S_t)}.
+def _occupied_boxes(rel: np.ndarray, levels: range) -> list[float]:
+    """How many of the 2^k boxes of [0, 1] hold a point of ``rel``, per level k."""
+    counts = []
+    for k in levels:
+        m = 2 ** k
+        boxes = np.minimum((rel * m).astype(np.int64), m - 1)
+        counts.append(float(np.count_nonzero(np.bincount(boxes, minlength=m))))
+    return counts
 
-    Counts boxes of side 2^-k hit by the linearly interpolated graph (per
-    time column, the vertical span of the samples plus the interpolated
-    values at the column boundaries), then fits log N against log 2^k.
-    """
-    n_steps = path.grid.n_points - 1
-    if n_steps + 1 < 2 ** 14:
-        raise InsufficientResolution("graph box counting requires at least 2^14 points")
-    if k_max is None:
-        k_max = int(math.log2(n_steps)) - 5
-    levels = _box_levels(k_min, k_max)
 
-    t_norm = path.grid.times / path.grid.horizon
-    v = path.values
+def _graph_boxes(t_norm: np.ndarray, v: np.ndarray, levels: range) -> list[float]:
+    """Boxes hit by the linearly interpolated graph of ``v`` over ``t_norm``, per level."""
     vmin, vmax = float(v.min()), float(v.max())
     y = np.zeros_like(v) if vmax == vmin else (v - vmin) / (vmax - vmin)
-
     counts = []
     for k in levels:
         m = 2 ** k
@@ -333,74 +319,75 @@ def graph_box_dimension(
         np.maximum.at(hi, np.arange(1, m), fw)
         occupied = np.isfinite(lo)
         counts.append(float(np.sum(hi[occupied] - lo[occupied] + 1.0)))
-    return _box_fit(levels, counts, BoxCountMethod.GRAPH_BOX_COUNT)
+    return counts
 
 
-def level_set_box_dimension(
-    path: SamplePath,
-    x: float,
-    eps: float,
-    k_min: int = 2,
-    k_max: int | None = None,
-) -> DimensionEstimate:
-    """Box-counting dimension of the level-x crossing set on [eps, T].
+def graph_box_dimension(ens: Ensemble) -> list[DimensionEstimate]:
+    """Box-counting dimension of each replica's rescaled graph {(t, S_t)}.
 
-    Counts, at every dyadic subdivision of [eps, T], the intervals that
-    contain a sign change of S - x.  The matching theorem is a
-    positive-probability statement, so single-path estimates are expected
-    to scatter; aggregate with a median across replicas.
+    Counts boxes of side 2^-k hit by the linearly interpolated graph (per
+    time column, the vertical span of the samples plus the interpolated
+    values at the column boundaries), then fits log N against log 2^k for
+    k from 3 to log2(steps) - 5.
+    """
+    n_steps = ens.grid.n_points - 1
+    if n_steps + 1 < 2 ** 14:
+        raise InsufficientResolution("graph box counting requires at least 2^14 points")
+    levels = _box_levels(3, int(math.log2(n_steps)) - 5)
+    t_norm = ens.grid.times / ens.grid.horizon
+    return [_box_fit(levels, _graph_boxes(t_norm, v, levels), BoxCountMethod.GRAPH_BOX_COUNT)
+            for v in ens.values]
+
+
+def level_set_box_dimension(ens: Ensemble, x: float, eps: float) -> list[DimensionEstimate]:
+    """Box-counting dimension of each replica's level-x crossing set on [eps, T].
+
+    Counts, at every dyadic subdivision of [eps, T] into 2^k intervals for k
+    from 2 to log2(points) - 4, the intervals that contain a sign change of
+    S - x.  Returns the estimates of the replicas that cross the level, in
+    row order, and raises LevelNotCrossed when none does.  The matching
+    theorem is a positive-probability statement, so single-path estimates
+    are expected to scatter; aggregate with a median across replicas.
     """
     eps, x = float(eps), float(x)
-    horizon = path.grid.horizon
+    horizon = ens.grid.horizon
     if not (0.0 < eps < horizon):
         raise ValueError("eps must lie strictly inside (0, T)")
     if not math.isfinite(x):
         raise ValueError(f"level x must be finite, got {x!r}")
-    mask = path.grid.times >= eps
-    times = path.grid.times[mask]
-    d = path.values[mask] - x
+    mask = ens.grid.times >= eps
+    times = ens.grid.times[mask]
     if times.size < 2:
         raise InsufficientResolution("no grid points beyond eps")
-    if k_max is None:
-        k_max = int(math.log2(times.size)) - 4
-    levels = _box_levels(k_min, k_max)
-
-    inner = (d[:-1] == 0.0) | (np.sign(d[:-1]) * np.sign(d[1:]) < 0.0)
-    cross_times = np.where(d[:-1] == 0.0, times[:-1], 0.5 * (times[:-1] + times[1:]))[inner]
-    if d[-1] == 0.0:
-        cross_times = np.append(cross_times, times[-1])
-    if cross_times.size == 0:
-        raise LevelNotCrossed(f"path never crosses level {x} on [{eps}, {horizon}]")
+    levels = _box_levels(2, int(math.log2(times.size)) - 4)
 
     span = horizon - eps
-    rel = (cross_times - eps) / span
-    counts = []
-    for k in levels:
-        m = 2 ** k
-        boxes = np.minimum((rel * m).astype(np.int64), m - 1)
-        counts.append(float(np.count_nonzero(np.bincount(boxes, minlength=m))))
-    return _box_fit(levels, counts, BoxCountMethod.LEVEL_SET_BOX_COUNT)
+    estimates = []
+    for v in ens.values:
+        d = v[mask] - x
+        inner = (d[:-1] == 0.0) | (np.sign(d[:-1]) * np.sign(d[1:]) < 0.0)
+        cross_times = np.where(d[:-1] == 0.0, times[:-1], 0.5 * (times[:-1] + times[1:]))[inner]
+        if d[-1] == 0.0:
+            cross_times = np.append(cross_times, times[-1])
+        if cross_times.size:
+            counts = _occupied_boxes((cross_times - eps) / span, levels)
+            estimates.append(_box_fit(levels, counts, BoxCountMethod.LEVEL_SET_BOX_COUNT))
+    if not estimates:
+        raise LevelNotCrossed(f"no replica crossed level {x} on [{eps}, {horizon}]")
+    return estimates
 
 
-def range_dimension(
-    path: SamplePath, k_min: int = 1, k_max: int | None = None
-) -> DimensionEstimate:
-    """Box-counting dimension of the set of attained values."""
-    v = path.values
-    if k_max is None:
-        k_max = max(int(math.log2(v.size)) - 4, k_min + 4)
-    levels = _box_levels(k_min, k_max)
-    vmin, vmax = float(v.min()), float(v.max())
-    counts = []
-    if vmax == vmin:
-        counts = [1.0 for _ in levels]
-    else:
-        y = (v - vmin) / (vmax - vmin)
-        for k in levels:
-            m = 2 ** k
-            boxes = np.minimum((y * m).astype(np.int64), m - 1)
-            counts.append(float(np.count_nonzero(np.bincount(boxes, minlength=m))))
-    return _box_fit(levels, counts, BoxCountMethod.RANGE_BOX_COUNT)
+def range_dimension(ens: Ensemble) -> list[DimensionEstimate]:
+    """Box-counting dimension of each replica's set of attained values, over
+    2^k boxes for k from 1 to max(log2(points) - 4, 5)."""
+    levels = _box_levels(1, max(int(math.log2(ens.grid.n_points)) - 4, 5))
+    estimates = []
+    for v in ens.values:
+        vmin, vmax = float(v.min()), float(v.max())
+        counts = ([1.0] * len(levels) if vmax == vmin
+                  else _occupied_boxes((v - vmin) / (vmax - vmin), levels))
+        estimates.append(_box_fit(levels, counts, BoxCountMethod.RANGE_BOX_COUNT))
+    return estimates
 
 
 def nondiff_probe(ens: Ensemble, t0: float) -> list[tuple[float, float]]:

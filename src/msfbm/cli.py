@@ -265,26 +265,21 @@ def _cmd_dims(args: argparse.Namespace) -> int:
     seed, level, eps, level_reps = args.seed, args.level, args.eps, args.level_reps
     if not math.isfinite(level):
         raise ValueError(f"--level must be finite, got {level!r}")
+    if not 0.0 < eps < grid.horizon:
+        raise ValueError(f"--eps must lie strictly inside (0, --horizon) = (0, {grid.horizon!r}), "
+                         f"got {eps!r}")
+    if level_reps < 1:
+        raise ValueError(f"--level-reps must be >= 1, got {level_reps}")
     h_min = spec.h_min
 
-    graph_path = sample_ensemble(spec, grid, 1, derive_seed(seed, 1)).paths[0]
-    graph = analysis.graph_box_dimension(graph_path)
-    range_est = analysis.range_dimension(graph_path)
+    graph_ens = sample_ensemble(spec, grid, 1, derive_seed(seed, 1))
+    (graph,) = analysis.graph_box_dimension(graph_ens)
+    (range_est,) = analysis.range_dimension(graph_ens)
+    del graph_ens  # freed before the level-set draw, which sets the peak memory
 
-    level_values = []
     level_ens = sample_ensemble(spec, grid, level_reps, derive_seed(seed, 2),
                                 n_threads=_n_threads())
-    for path in level_ens.paths:
-        try:
-            level_values.append(
-                analysis.level_set_box_dimension(path, level, eps).value
-            )
-        except analysis.LevelNotCrossed:
-            continue
-    if not level_values:
-        raise analysis.LevelNotCrossed(
-            f"no replica crossed level {level} on [{eps}, {grid.horizon}]"
-        )
+    level_values = [e.value for e in analysis.level_set_box_dimension(level_ens, level, eps)]
     report = {
         "format": "msfbm.dims",
         "schema_version": 1,

@@ -43,7 +43,6 @@ from .seeds import derive_seed, normal_stream, replica_seeds, stream_keys
 
 __all__ = [
     "TimeGrid",
-    "SamplePath",
     "Ensemble",
     "FactorResult",
     "FactorizationFailure",
@@ -121,26 +120,6 @@ class TimeGrid:
 
 
 @dataclass(frozen=True)
-class SamplePath:
-    """One realization on a grid; the value at t = 0 is pinned to zero."""
-
-    grid: TimeGrid
-    values: np.ndarray
-
-    def __init__(self, grid: TimeGrid, values: Sequence[float]):
-        arr = np.asarray(values, dtype=float)
-        if arr.shape != grid.times.shape:
-            raise ValueError("values and grid lengths differ")
-        if arr[0] != 0.0:
-            raise ValueError("path must start at value 0")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("path values must be finite")
-        arr.setflags(write=False)
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "values", arr)
-
-
-@dataclass(frozen=True)
 class Ensemble:
     """Independent replicas sharing a grid, with reproducible per-replica seeds.
 
@@ -171,11 +150,6 @@ class Ensemble:
     @property
     def n_reps(self) -> int:
         return self.values.shape[0]
-
-    @property
-    def paths(self) -> tuple[SamplePath, ...]:
-        """Each replica as a ``SamplePath`` view of its row of ``values``."""
-        return tuple(SamplePath(self.grid, row) for row in self.values)
 
 
 @dataclass(frozen=True)

@@ -226,7 +226,7 @@ def run_sampler_suite(
     return _suite_report("sampler", checks)
 
 
-def run_srd_suite(spec: Optional[ProcessSpec] = None, seed: int = 0) -> dict:
+def run_srd_suite(spec: Optional[ProcessSpec] = None) -> dict:
     """Lag-covariance tail decay against its dominant power law.
 
     The component with the largest active H != 1/2 dominates the tail at
@@ -332,7 +332,7 @@ def run_suites(
         "kernels": lambda: run_kernels_suite(seed=seed),
         "sampler": lambda: run_sampler_suite(spec=spec, seed=seed, n_reps=n_reps,
                                              n_threads=n_threads),
-        "srd": lambda: run_srd_suite(spec=spec, seed=seed),
+        "srd": lambda: run_srd_suite(spec=spec),
         "markov": lambda: run_markov_suite(spec=spec, seed=seed),
         "selfsim": lambda: run_selfsim_suite(seed=seed),
     }

@@ -272,22 +272,16 @@ def test_criterion_09_fractal_dimensions():
         ("H=0.5", ProcessSpec((1.0,), (0.5,)), 1.5),
         ("H=(0.3,0.8)", ProcessSpec((1.0, 1.0), (0.3, 0.8)), 1.7),
     ]:
-        path = sample_ensemble(spec, grid16, 1, derive_seed(SEED, 90),
-                               sampler="fgn").paths[0]
-        graph = graph_box_dimension(path)
+        ens = sample_ensemble(spec, grid16, 1, derive_seed(SEED, 90), sampler="fgn")
+        (graph,) = graph_box_dimension(ens)
         assert abs(graph.value - target) <= 0.15, (label, graph.value)
-        rng_est = range_dimension(path)
+        (rng_est,) = range_dimension(ens)
         assert abs(rng_est.value - 1.0) <= 0.1, (label, rng_est.value)
         results[label] = (graph.value, rng_est.value)
 
     spec_bm = ProcessSpec((1.0,), (0.5,))
     ens = sample_ensemble(spec_bm, grid16, 20, derive_seed(SEED, 91), sampler="fgn")
-    level_values = []
-    for path in ens.paths:
-        try:
-            level_values.append(level_set_box_dimension(path, 0.0, 0.01).value)
-        except msfbm.LevelNotCrossed:
-            continue
+    level_values = [est.value for est in level_set_box_dimension(ens, 0.0, 0.01)]
     assert len(level_values) >= 10
     median = float(np.median(level_values))
     assert abs(median - 0.5) <= 0.15

@@ -14,7 +14,7 @@ import pytest
 from scipy.stats import linregress
 
 import msfbm
-from msfbm import ProcessSpec, SamplePath, TimeGrid
+from msfbm import ProcessSpec, TimeGrid
 from msfbm.analysis import (
     _loglog_fit,
     BoxCountMethod,
@@ -39,14 +39,19 @@ from msfbm.sampler import Ensemble, sample_ensemble
 from conftest import package_env
 
 
+def fixture(grid, *rows):
+    """An Ensemble whose replicas are the given value rows on ``grid``."""
+    return Ensemble(spec=ProcessSpec([1.0], [0.5]), grid=grid, values=np.vstack(rows),
+                    master_seed=0, replica_seeds=tuple(range(len(rows))))
+
+
 def constant_zero_path(n_points=2 ** 14 + 1):
-    grid = TimeGrid.uniform(n_points, 1.0)
-    return SamplePath(grid, np.zeros(n_points))
+    return fixture(TimeGrid.uniform(n_points, 1.0), np.zeros(n_points))
 
 
 def line_path(n_points=2 ** 14 + 1, slope=1.0):
     grid = TimeGrid.uniform(n_points, 1.0)
-    return SamplePath(grid, slope * grid.times)
+    return fixture(grid, slope * grid.times)
 
 
 def linregress_fit(x, y):
@@ -85,7 +90,7 @@ class TestLogLogFit:
         assert _loglog_fit(*cases[2]) == (0.0, 0.0)
 
     def test_flat_path_range_counts_match_linregress(self):
-        est = range_dimension(constant_zero_path(2 ** 10 + 1))
+        (est,) = range_dimension(constant_zero_path(2 ** 10 + 1))
         lo, hi = est.scale_range
         scales = [2.0 ** k for k in range(int(math.log2(lo)), int(math.log2(hi)) + 1)]
         assert (est.value, est.stderr) == linregress_fit(scales, [1.0] * len(scales))
@@ -143,45 +148,49 @@ class TestPVariation:
     def test_constant_path(self):
         path = constant_zero_path(9)
         for p in (0.5, 1.0, 2.0, 3.0):
-            assert p_variation_stat(path, p, 4) == 0.0
+            assert p_variation_stat(path, p, 4).tolist() == [0.0]
 
     def test_hand_computed_quadratic(self):
         grid = TimeGrid([0.0, 0.5, 1.0])
-        path = SamplePath(grid, [0.0, 1.0, 0.0])
-        assert p_variation_stat(path, 2.0, 2) == 2.0
+        path = fixture(grid, [0.0, 1.0, 0.0])
+        assert p_variation_stat(path, 2.0, 2).tolist() == [2.0]
 
     def test_hand_computed_first_order(self):
         grid = TimeGrid([0.0, 0.5, 1.0])
-        path = SamplePath(grid, [0.0, 1.0, 0.0])
-        assert p_variation_stat(path, 1.0, 2) == 2.0
+        path = fixture(grid, [0.0, 1.0, 0.0])
+        assert p_variation_stat(path, 1.0, 2).tolist() == [2.0]
 
     def test_refinement_subsampling(self):
         grid = TimeGrid.uniform(9, 1.0)
         values = np.concatenate([[0.0], np.arange(1, 9, dtype=float)])
-        path = SamplePath(grid, values)
-        assert p_variation_stat(path, 1.0, 4) == 8.0
+        path = fixture(grid, values)
+        assert p_variation_stat(path, 1.0, 4).tolist() == [8.0]
 
     def test_grid_mismatch(self):
-        path = SamplePath(TimeGrid.uniform(9, 1.0), np.zeros(9))
+        path = fixture(TimeGrid.uniform(9, 1.0), np.zeros(9))
         with pytest.raises(GridMismatch):
             p_variation_stat(path, 2.0, 3)
 
     def test_nonuniform_grid_rejected(self):
         grid = TimeGrid([0.0, 0.2, 1.0])
-        path = SamplePath(grid, [0.0, 1.0, 0.0])
+        path = fixture(grid, [0.0, 1.0, 0.0])
         with pytest.raises(GridMismatch):
             p_variation_stat(path, 2.0, 2)
 
     def test_matches_naive_double_loop(self, rng):
         grid = TimeGrid.uniform(17, 1.0)
-        values = np.concatenate([[0.0], rng.normal(size=16)])
-        path = SamplePath(grid, values)
+        # Integer values keep every sum exact, whatever order numpy adds in.
+        rows = [np.concatenate([[0.0], rng.integers(-99, 100, size=16)]) for _ in range(5)]
+        ens = fixture(grid, *rows)
         for n_sub in (2, 4, 8, 16):
             stride = 16 // n_sub
-            naive = 0.0
-            for j in range(1, n_sub + 1):
-                naive += abs(values[j * stride] - values[(j - 1) * stride]) ** 2
-            assert p_variation_stat(path, 2.0, n_sub) == naive
+            naive = []
+            for values in rows:
+                total = 0.0
+                for j in range(1, n_sub + 1):
+                    total += abs(values[j * stride] - values[(j - 1) * stride]) ** 2
+                naive.append(total)
+            assert p_variation_stat(ens, 2.0, n_sub).tolist() == naive
 
 
 class TestQvScaling:
@@ -225,7 +234,7 @@ class TestHolder:
 
 class TestGraphDimension:
     def test_straight_line(self):
-        est = graph_box_dimension(line_path(2 ** 14 + 1))
+        (est,) = graph_box_dimension(line_path(2 ** 14 + 1))
         assert est.method is BoxCountMethod.GRAPH_BOX_COUNT
         assert abs(est.value - 1.0) <= 0.1
 
@@ -235,21 +244,31 @@ class TestGraphDimension:
 
     def test_estimate_within_global_bounds(self):
         spec = ProcessSpec([1.0], [0.6])
-        path = sample_ensemble(spec, TimeGrid.uniform(2 ** 14 + 1, 1.0), 1, 3,
-                               sampler="fgn").paths[0]
-        est = graph_box_dimension(path)
-        assert 0.9 <= est.value <= 2.0
+        ens = sample_ensemble(spec, TimeGrid.uniform(2 ** 14 + 1, 1.0), 3, 3, sampler="fgn")
+        estimates = graph_box_dimension(ens)
+        assert len(estimates) == 3
+        assert all(0.9 <= est.value <= 2.0 for est in estimates)
 
 
 class TestLevelSetDimension:
     def test_monotone_path_single_crossing(self):
-        est = level_set_box_dimension(line_path(2 ** 14 + 1), 0.5, 0.01)
+        (est,) = level_set_box_dimension(line_path(2 ** 14 + 1), 0.5, 0.01)
         assert est.method is BoxCountMethod.LEVEL_SET_BOX_COUNT
         assert est.value <= 0.05
 
     def test_level_above_maximum(self):
         with pytest.raises(LevelNotCrossed):
             level_set_box_dimension(line_path(2 ** 14 + 1), 2.0, 0.01)
+
+    def test_rows_that_never_cross_are_skipped(self):
+        grid = TimeGrid.uniform(2 ** 14 + 1, 1.0)
+        flat, steep, line = np.zeros(grid.n_points), 3.0 * grid.times, grid.times
+        crossing = level_set_box_dimension(fixture(grid, flat, steep, flat, line), 0.5, 0.01)
+        assert crossing == (level_set_box_dimension(fixture(grid, steep), 0.5, 0.01)
+                            + level_set_box_dimension(fixture(grid, line), 0.5, 0.01))
+        uncrossed = r"no replica crossed level 0\.5 on \[0\.01, 1\.0\]"
+        with pytest.raises(LevelNotCrossed, match=uncrossed):
+            level_set_box_dimension(fixture(grid, flat, flat), 0.5, 0.01)
 
     def test_eps_validation(self):
         with pytest.raises(ValueError):
@@ -264,22 +283,19 @@ class TestLevelSetDimension:
 
 class TestRangeDimension:
     def test_constant_path(self):
-        est = range_dimension(constant_zero_path(2 ** 10 + 1))
+        (est,) = range_dimension(constant_zero_path(2 ** 10 + 1))
         assert est.value == 0.0
         assert est.method is BoxCountMethod.RANGE_BOX_COUNT
 
     def test_interval_range(self):
-        est = range_dimension(line_path(2 ** 14 + 1))
+        (est,) = range_dimension(line_path(2 ** 14 + 1))
         assert abs(est.value - 1.0) <= 0.1
 
 
 class TestNondiffProbe:
     def test_linear_fixture_constant_quotient(self):
         grid = TimeGrid.uniform(2 ** 8 + 1, 1.0)
-        path = SamplePath(grid, 3.0 * grid.times)
-        ens = Ensemble(spec=ProcessSpec([1.0], [0.5]), grid=grid,
-                       values=np.vstack([path.values, path.values]),
-                       master_seed=0, replica_seeds=(0, 1))
+        ens = fixture(grid, 3.0 * grid.times, 3.0 * grid.times)
         rows = nondiff_probe(ens, 0.5)
         eps = [r[0] for r in rows]
         assert eps == sorted(eps)
@@ -342,7 +358,7 @@ class TestCsvSerialization:
         assert float(fit) > 0.0
 
     def test_dimension_estimate_csv(self):
-        est = range_dimension(line_path(2 ** 12 + 1))
+        (est,) = range_dimension(line_path(2 ** 12 + 1))
         lines = est.to_csv().strip().splitlines()
         assert lines[0] == "method,value,stderr,min_boxes,max_boxes"
         method, value, stderr, lo, hi = lines[1].split(",")

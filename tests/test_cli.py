@@ -209,7 +209,7 @@ class TestSimulate:
             "n_reps": ens.n_reps,
             "sampler": ens.sampler,
             "jitter": ens.jitter,
-            "paths": [list(p.values) for p in ens.paths],
+            "paths": [list(row) for row in ens.values],
         }
         assert out.read_text() == json.dumps(whole, indent=2, sort_keys=True) + "\n"
 
@@ -302,16 +302,23 @@ class TestDims:
         assert payload["range"]["target"] == 1.0
         assert payload["level_set"]["target"] == 0.5
 
-    @pytest.mark.parametrize("level", ("nan", "inf", "-inf"))
-    def test_non_finite_level_is_refused_before_drawing(self, monkeypatch, capsys, level):
+    @pytest.mark.parametrize("flag, value, diagnostic", [
+        *(pytest.param("--level", v, f"--level must be finite, got {float(v)!r}", id=v)
+          for v in ("nan", "inf", "-inf")),
+        *(pytest.param("--eps", v, "--eps must lie strictly inside (0, --horizon) = (0, 1.0), "
+                       f"got {float(v)!r}", id=f"eps={v}") for v in ("nan", "0", "-1", "2")),
+        pytest.param("--level-reps", "0", "--level-reps must be >= 1, got 0", id="level-reps=0"),
+    ])
+    def test_non_finite_level_is_refused_before_drawing(self, monkeypatch, capsys, flag, value,
+                                                        diagnostic):
         def no_draw(*args, **kwargs):
-            raise AssertionError("dims drew paths for a level it refuses")
+            raise AssertionError("dims drew paths for an input it refuses")
 
         monkeypatch.setattr(cli, "sample_ensemble", no_draw)
-        rc = cli.main(["dims", "--hurst", "0.5", "--grid-points", "16385", f"--level={level}"])
+        rc = cli.main(["dims", "--hurst", "0.5", "--grid-points", "16385", f"{flag}={value}"])
         out, err = capsys.readouterr()
         assert (rc, out) == (cli.EXIT_VALIDATION, "")
-        assert err == f"invalid input: --level must be finite, got {float(level)!r}\n"
+        assert err == f"invalid input: {diagnostic}\n"
 
 
 class TestClassify:

@@ -9,7 +9,7 @@ import pytest
 from numpy.random import PCG64, Generator
 
 import msfbm
-from msfbm import ProcessSpec, SamplePath, TimeGrid, sampler
+from msfbm import ProcessSpec, TimeGrid, sampler
 from msfbm.kernels import _p2h_array
 from msfbm.sampler import (
     _GRAM_ROWS,
@@ -60,18 +60,6 @@ class TestTimeGrid:
 
     def test_non_uniform_detected(self):
         assert not TimeGrid([0.0, 0.1, 1.0]).is_uniform()
-
-
-class TestSamplePath:
-    def test_pinned_origin(self):
-        grid = TimeGrid([0.0, 1.0])
-        with pytest.raises(ValueError, match="start at value 0"):
-            SamplePath(grid, [1.0, 2.0])
-
-    def test_length_check(self):
-        grid = TimeGrid([0.0, 1.0])
-        with pytest.raises(ValueError):
-            SamplePath(grid, [0.0, 1.0, 2.0])
 
 
 class TestSeeds:
@@ -511,12 +499,9 @@ class TestSampleEnsemble:
         assert ens.values.shape == (4, 6)
         with pytest.raises(ValueError, match="read-only"):
             ens.values[0, 1] = 1.0
-        with pytest.raises(ValueError, match="read-only"):
-            ens.paths[0].values[1] = 1.0
 
     def test_non_finite_row_is_refused_once(self, monkeypatch):
-        # One replica's stream is poisoned; the matrix check refuses it, and no
-        # per-replica path is built or validated on the way.
+        # One replica's stream is poisoned; the check on the whole matrix refuses it.
         real_stream = sampler.normal_stream
         poison = stream_keys([derive_seed(3, 2)])[0]
 
@@ -524,23 +509,20 @@ class TestSampleEnsemble:
             z = real_stream(key, size)
             return np.full(size, np.nan) if np.array_equal(key, poison) else z
 
-        def no_path(*args, **kwargs):
-            raise AssertionError("a per-replica SamplePath was built")
-
         monkeypatch.setattr(sampler, "normal_stream", stream)
-        monkeypatch.setattr(sampler, "SamplePath", no_path)
         with pytest.raises(ValueError, match="path values must be finite"):
             msfbm.sample_ensemble(ProcessSpec([1.0], [0.3]), TimeGrid.uniform(6, 1.0), 5, 3,
                                   sampler="exact")
         grid = TimeGrid.uniform(3, 1.0)
-        with pytest.raises(ValueError, match="path values must be finite"):
-            sampler.Ensemble(spec=ProcessSpec([1.0], [0.5]), grid=grid,
-                             values=[[0.0, 1.0, 2.0], [0.0, np.nan, 1.0]],
-                             master_seed=0, replica_seeds=(0, 1))
-        with pytest.raises(ValueError, match="start at value 0"):
-            sampler.Ensemble(spec=ProcessSpec([1.0], [0.5]), grid=grid,
-                             values=[[0.0, 1.0, 2.0], [1.0, 1.0, 1.0]],
-                             master_seed=0, replica_seeds=(0, 1))
+        for values, diagnostic in [
+            ([[0.0, 1.0, 2.0], [0.0, np.nan, 1.0]], "path values must be finite"),
+            ([[0.0, 1.0, 2.0], [1.0, 1.0, 1.0]], "start at value 0"),
+            ([[0.0, 1.0, 2.0, 3.0]], "values and grid lengths differ"),
+            ([0.0, 1.0, 2.0], "values and grid lengths differ"),
+        ]:
+            with pytest.raises(ValueError, match=diagnostic):
+                sampler.Ensemble(spec=ProcessSpec([1.0], [0.5]), grid=grid, values=values,
+                                 master_seed=0, replica_seeds=tuple(range(len(values))))
 
     def test_centered_mean(self):
         spec = ProcessSpec([1.0], [0.3])
@@ -559,7 +541,7 @@ class TestSampleEnsemble:
         ens = msfbm.sample_ensemble(
             ProcessSpec([1.0], [0.8]), TimeGrid.uniform(6, 1.0), 50, 9, sampler="fbm"
         )
-        assert all(p.values[0] == 0.0 for p in ens.paths)
+        assert np.all(ens.values[:, 0] == 0.0)
 
 
 def _fail_if_called(*args, **kwargs):
