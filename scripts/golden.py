@@ -10,8 +10,10 @@ A change that moves a digest regenerates it in the same change and says
 which commands moved and why.
 
 Usage: PYTHONPATH=src python3 scripts/golden.py [--write]
-Prints each command whose output differs from its recorded digest and exits
-1 if any does; --write records this numpy's digests in the file instead.
+Prints each command whose output differs from its recorded digest, labelled
+"moved:", and each command with no recorded digest, labelled "new:", and
+exits 1 if there are any; --write records this numpy's digests in the file
+instead.
 """
 
 import argparse
@@ -89,13 +91,13 @@ def digest(argv: list[str], threads: str = "1") -> dict:
             "stderr": err.getvalue()}
 
 
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--write", action="store_true", help="record this numpy's digests")
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
     recorded = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
-    now = {name: digest(argv) for name, argv in COMMANDS.items()}
+    now = {name: digest(cmd) for name, cmd in COMMANDS.items()}
     if args.write:
         recorded[numpy_key()] = now
         GOLDEN.write_text(json.dumps(recorded, indent=2, sort_keys=True) + "\n")
@@ -104,10 +106,12 @@ def main() -> int:
     if numpy_key() not in recorded:
         print(f"no digests recorded for numpy {numpy_key()}; run with --write")
         return 1
-    moved = [name for name in COMMANDS if recorded[numpy_key()].get(name) != now[name]]
-    for name in moved:
-        print(f"moved: {name}: msfbm {' '.join(COMMANDS[name])}")
-    return 1 if moved else 0
+    digests = recorded[numpy_key()]
+    differ = [name for name in COMMANDS if digests.get(name) != now[name]]
+    for name in differ:
+        label = "moved" if name in digests else "new"
+        print(f"{label}: {name}: msfbm {' '.join(COMMANDS[name])}")
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":

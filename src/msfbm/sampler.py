@@ -73,6 +73,10 @@ _MEMORY_BUDGET = 2 * 2 ** 30
 # per-block numpy call overhead is negligible.
 _GRAM_ROWS = 32
 
+# Edge of the square tiles in which ``psd_factor`` compares a matrix with its
+# transpose: a tile and its mirror tile fit in cache together.
+_SYM_TILE = 64
+
 
 class FactorizationFailure(RuntimeError):
     """Gram factorization failed at every jitter level."""
@@ -161,34 +165,48 @@ class FactorResult:
 
 
 def _symmetric_gram(
-    n: int, n_out: int, fill_block: Callable[[int, int], list[np.ndarray]]
+    n: int, n_out: int, n_work: int, fill_block: Callable[[int, int, list, list], None]
 ) -> list[np.ndarray]:
     """``n_out`` symmetric n x n matrices built from their upper triangles.
 
-    ``fill_block(lo, hi)`` returns one (hi - lo, n - lo) block per matrix:
-    rows lo..hi-1 from the diagonal column lo rightward, of a kernel
-    symmetric in its two points.  Each block is stored and mirrored into
-    the lower triangle, so about half the entries are evaluated and the
-    result is exactly symmetric.
+    ``fill_block(lo, hi, dests, work)`` writes into each of ``dests`` one
+    matrix's rows lo..hi-1 from the diagonal column lo rightward, of a
+    kernel symmetric in its two points.  ``work`` holds ``n_work`` scratch
+    arrays of the same (hi - lo, n - lo) shape: C-contiguous views of one
+    workspace that every block reuses.  The block's part right of its
+    diagonal square is mirrored into the lower triangle, so about half the
+    entries are evaluated.  The square itself is evaluated whole, and is
+    exactly symmetric because every operation of the kernels is symmetric
+    in its two points, so the result is exactly symmetric.
     """
     mats = [np.empty((n, n)) for _ in range(n_out)]
+    space = np.empty((n_work, _GRAM_ROWS * n))
     for lo in range(0, n, _GRAM_ROWS):
         hi = min(lo + _GRAM_ROWS, n)
-        for mat, block in zip(mats, fill_block(lo, hi)):
-            mat[lo:hi, lo:] = block
-            mat[lo:, lo:hi] = block.T
+        size = (hi - lo) * (n - lo)
+        work = [buf[:size].reshape(hi - lo, n - lo) for buf in space]
+        fill_block(lo, hi, [mat[lo:hi, lo:] for mat in mats], work)
+        for mat in mats:
+            mat[hi:, lo:hi] = mat[lo:hi, hi:].T
     return mats
 
 
-def _log_abs(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """log|x| with zeros mapped to log 1, and the mask of those zeros."""
-    zero = x == 0.0
-    return np.log(np.where(zero, 1.0, np.abs(x))), zero
+def _log_abs_diff(rows: np.ndarray, cols: np.ndarray, out: np.ndarray) -> None:
+    """log|t_i - t_j| of a block from the diagonal rightward into ``out``,
+    with log 1 on the block diagonal.  Distinct times never differ by 0, so
+    the diagonal, where each time meets itself, holds the only zeros."""
+    np.subtract(rows, cols, out=out)
+    np.abs(out, out=out)
+    np.fill_diagonal(out, 1.0)
+    np.log(out, out=out)
 
 
-def _pow_from_log(log_x: np.ndarray, zero: np.ndarray, two_h: float) -> np.ndarray:
-    """x^(2h) from ``_log_abs``; the same bits as ``_p2h_array(|x|, two_h)``."""
-    return np.where(zero, 0.0, np.exp(two_h * log_x))
+def _pow_abs_diff(two_h: float, log_diff: np.ndarray, out: np.ndarray) -> None:
+    """|t_i - t_j|^(2h) from ``_log_abs_diff`` into ``out``: the same bits as
+    ``_p2h_array``, with 0^(2h) = 0 on the block diagonal."""
+    np.multiply(two_h, log_diff, out=out)
+    np.exp(out, out=out)
+    np.fill_diagonal(out, 0.0)
 
 
 def gram_matrix(spec: ProcessSpec, grid: TimeGrid) -> np.ndarray:
@@ -199,18 +217,40 @@ def gram_matrix(spec: ProcessSpec, grid: TimeGrid) -> np.ndarray:
     # Squared in numpy, so that an overflowing a^2 sets its floating-point flag.
     weights = np.square(np.asarray(spec.coeffs, dtype=float))
 
-    def fill_block(lo: int, hi: int) -> list[np.ndarray]:
+    def fill_block(lo: int, hi: int, dests: list, work: list) -> None:
+        # g += w * (t_i^2h + t_j^2h - 0.5 * ((t_i + t_j)^2h + |t_i - t_j|^2h)),
+        # one operation at a time in the order numpy evaluates that expression,
+        # so the block has the expression's bits.
+        (g,), (log_sum, log_diff, term, pow_sum, pow_diff) = dests, work
         rows, cols = t[lo:hi, None], t[None, lo:]
-        log_sum = np.log(rows + cols)
-        log_diff, zero = _log_abs(rows - cols)
-        g = np.zeros(log_sum.shape)
+        np.add(rows, cols, out=log_sum)
+        np.log(log_sum, out=log_sum)
+        _log_abs_diff(rows, cols, log_diff)
+        g.fill(0.0)
         for w, two_h, pt in zip(weights, two_hs, powers):
-            g += w * (pt[lo:hi, None] + pt[None, lo:]
-                      - 0.5 * (np.exp(two_h * log_sum)
-                               + _pow_from_log(log_diff, zero, two_h)))
-        return [g]
+            np.add(pt[lo:hi, None], pt[None, lo:], out=term)
+            np.multiply(two_h, log_sum, out=pow_sum)
+            np.exp(pow_sum, out=pow_sum)
+            _pow_abs_diff(two_h, log_diff, pow_diff)
+            np.add(pow_sum, pow_diff, out=pow_sum)
+            np.multiply(0.5, pow_sum, out=pow_sum)
+            np.subtract(term, pow_sum, out=term)
+            np.multiply(w, term, out=term)
+            np.add(g, term, out=g)
 
-    return _symmetric_gram(t.size, 1, fill_block)[0]
+    return _symmetric_gram(t.size, 1, 5, fill_block)[0]
+
+
+def _is_symmetric(g: np.ndarray) -> bool:
+    """Whether the square ``g`` equals its transpose in every entry (NaN never
+    does), compared tile against mirror tile so both stay in cache."""
+    n = g.shape[0]
+    for lo in range(0, n, _SYM_TILE):
+        for col in range(lo, n, _SYM_TILE):
+            if not np.array_equal(g[lo:lo + _SYM_TILE, col:col + _SYM_TILE],
+                                  g[col:col + _SYM_TILE, lo:lo + _SYM_TILE].T):
+                return False
+    return True
 
 
 def psd_factor(g: np.ndarray) -> FactorResult:
@@ -218,14 +258,17 @@ def psd_factor(g: np.ndarray) -> FactorResult:
     g = np.asarray(g, dtype=float)
     if g.ndim != 2 or g.shape[0] != g.shape[1]:
         raise ValueError("gram matrix must be square")
-    if not np.array_equal(g, g.T):
+    if not _is_symmetric(g):
         raise ValueError("gram matrix must be symmetric")
     max_diag = float(np.max(np.diag(g))) if g.size else 0.0
     for level in JITTER_LADDER:
         eps = level * max_diag
         target = g + eps * np.eye(g.shape[0]) if eps else g
         try:
-            lower = np.linalg.cholesky(target)
+            # LAPACK factors a column-major copy of its input.  target equals
+            # target.T, and copying the F-contiguous one of them is a
+            # contiguous read where the other is a transposing one.
+            lower = np.linalg.cholesky(target if target.flags.f_contiguous else target.T)
         except np.linalg.LinAlgError:
             continue
         return FactorResult(lower=lower, jitter=eps)
@@ -256,12 +299,17 @@ def _symmetric_fbm_grams(spec: ProcessSpec, grid: TimeGrid) -> list[np.ndarray]:
     two_hs = [2.0 * h for _, h in spec.active()]
     powers = [_p2h_array(np.abs(sym), two_h) for two_h in two_hs]
 
-    def fill_block(lo: int, hi: int) -> list[np.ndarray]:
-        log_diff, zero = _log_abs(sym[lo:hi, None] - sym[None, lo:])
-        return [0.5 * (pt[lo:hi, None] + pt[None, lo:] - _pow_from_log(log_diff, zero, two_h))
-                for two_h, pt in zip(two_hs, powers)]
+    def fill_block(lo: int, hi: int, dests: list, work: list) -> None:
+        # g = 0.5 * (s_i^2h + s_j^2h - |s_i - s_j|^2h) with |s|^2h in ``powers``.
+        log_diff, term, pow_diff = work
+        _log_abs_diff(sym[lo:hi, None], sym[None, lo:], log_diff)
+        for g, two_h, pt in zip(dests, two_hs, powers):
+            np.add(pt[lo:hi, None], pt[None, lo:], out=term)
+            _pow_abs_diff(two_h, log_diff, pow_diff)
+            np.subtract(term, pow_diff, out=term)
+            np.multiply(0.5, term, out=g)
 
-    return _symmetric_gram(sym.size, len(two_hs), fill_block)
+    return _symmetric_gram(sym.size, len(two_hs), 3, fill_block)
 
 
 def _fold(neg: np.ndarray, pos: np.ndarray, body: np.ndarray) -> None:
@@ -395,8 +443,8 @@ def _route_bytes(route: str, spec: ProcessSpec, m: int, n_reps: int) -> int:
     """Estimated peak bytes of the route's arrays, the ensemble's values included.
 
     Only active components count.  Dense routes hold their Grams or factors
-    plus three more n x n matrices while factoring: the new factor and either
-    the jitter path's ``g + eps*I`` and ``np.eye`` or LAPACK's working copy.
+    plus three more n x n matrices while factoring: the new factor, LAPACK's
+    working copy of its input and the jitter path's ``g + eps*I``.
     The circulant route of length N = 4m holds one weighted half spectrum of
     N/2 + 1 values per component, and one replica worker's workspace holds
     N + 2 normals, the complex spectrum accumulator of N/2 + 1 values, the

@@ -30,3 +30,18 @@ def test_digests_cover_the_command_matrix(recorded):
 @pytest.mark.parametrize("name", sorted(golden.COMMANDS))
 def test_output_matches_its_digest(name, threads, recorded):
     assert golden.digest(golden.COMMANDS[name], threads) == recorded[name]
+
+
+def test_check_labels_new_and_moved_commands(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(golden, "GOLDEN", tmp_path / "golden.json")
+    monkeypatch.setattr(golden, "COMMANDS", {"help": ["--help"], "cov-help": ["cov", "--help"]})
+    assert golden.main(["--write"]) == 0
+    assert golden.main([]) == 0
+    capsys.readouterr()
+    digests = json.loads(golden.GOLDEN.read_text())
+    digests[golden.numpy_key()]["help"]["stdout_sha256"] = "0" * 64
+    del digests[golden.numpy_key()]["cov-help"]
+    golden.GOLDEN.write_text(json.dumps(digests))
+    assert golden.main([]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "moved: help: msfbm --help", "new: cov-help: msfbm cov --help"]

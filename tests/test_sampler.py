@@ -13,6 +13,7 @@ from msfbm import ProcessSpec, TimeGrid, sampler
 from msfbm.kernels import _p2h_array
 from msfbm.sampler import (
     _GRAM_ROWS,
+    _SYM_TILE,
     FactorizationFailure,
     _fgn_autocov,
     _fgn_draw,
@@ -202,6 +203,54 @@ class TestPsdFactor:
             msfbm.psd_factor(np.array([[1.0, 0.5], [off, 1.0]]))
         with pytest.raises(ValueError, match="must be symmetric"):
             msfbm.psd_factor(np.array([[1.0, np.nan], [np.nan, 1.0]]))
+
+    @staticmethod
+    def _planted_entries(n):
+        """Entries in different tiles of the symmetry check: the far off-diagonal
+        corners, the last (partial) tile, and one in the middle of the lower half."""
+        return [(0, n - 1), (n - 1, 0), (n - 1, n - 2), (n // 2, 1)]
+
+    @pytest.mark.parametrize("n", (_SYM_TILE - 1, _SYM_TILE, _SYM_TILE + 1, 3 * _SYM_TILE + 5))
+    def test_tiled_check_refuses_every_planted_asymmetry(self, rng, n):
+        m = rng.standard_normal((n, n))
+        g = m + m.T + 2.0 * n * np.eye(n)
+        assert msfbm.psd_factor(g).jitter == 0.0
+        for i, j in self._planted_entries(n):
+            bad = g.copy()
+            bad[i, j] = np.nextafter(bad[i, j], np.inf)
+            with pytest.raises(ValueError, match="must be symmetric"):
+                msfbm.psd_factor(bad)
+        for i, j in [*self._planted_entries(n), (n - 1, n - 1)]:
+            bad = g.copy()
+            bad[i, j] = bad[j, i] = np.nan
+            with pytest.raises(ValueError, match="must be symmetric"):
+                msfbm.psd_factor(bad)
+
+    @staticmethod
+    def _layouts(g):
+        """g in C order, in F order, and as a non-contiguous slice."""
+        n = g.shape[0]
+        wide = np.zeros((2 * n, 2 * n))
+        wide[::2, 1::2] = g
+        sliced = wide[::2, 1::2]
+        assert n == 1 or not (sliced.flags.c_contiguous or sliced.flags.f_contiguous)
+        return [np.ascontiguousarray(g), np.asfortranarray(g), sliced]
+
+    @pytest.mark.parametrize("n", _BLOCK_EDGE_SIZES)
+    def test_factor_bit_equal_to_cholesky_in_every_layout(self, n):
+        g = msfbm.gram_matrix(ProcessSpec([1.0, 0.5], [0.3, 0.8]), TimeGrid.uniform(n + 1, 2.0))
+        for x in self._layouts(g):
+            fr = msfbm.psd_factor(x)
+            assert fr.jitter == 0.0
+            assert np.array_equal(fr.lower, np.linalg.cholesky(x))
+
+    def test_jittered_factor_bit_equal_to_cholesky_in_every_layout(self):
+        # All ones is singular, so it factors only on a nonzero rung.
+        n = 3 * _GRAM_ROWS + 5
+        for x in self._layouts(np.ones((n, n))):
+            fr = msfbm.psd_factor(x)
+            assert fr.jitter > 0.0
+            assert np.array_equal(fr.lower, np.linalg.cholesky(x + fr.jitter * np.eye(n)))
 
 
 class TestSampleExact:
