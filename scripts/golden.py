@@ -70,6 +70,8 @@ COMMANDS = {
     "refuse-overflow": ["simulate", "--hurst", "0.9", "--horizon", "1e300"],
     "refuse-dims-eps-nan": [*_DIMS_REFUSAL, "--eps=nan"],
     "refuse-dims-level-reps-0": [*_DIMS_REFUSAL, "--level-reps=0"],
+    "refuse-seed-negative": ["simulate", "--hurst", "0.5", "--seed=-1"],
+    "refuse-verify-reps-0": ["verify", "--reps=0"],
 }
 
 

@@ -313,10 +313,11 @@ def _graph_boxes(t_norm: np.ndarray, v: np.ndarray, levels: range) -> list[float
         np.maximum.at(hi, cols, fy)
         borders = np.arange(1, m) / m
         fw = np.minimum(np.floor(np.interp(borders, t_norm, y) * m), m - 1)
-        np.minimum.at(lo, np.arange(m - 1), fw)
-        np.maximum.at(hi, np.arange(m - 1), fw)
-        np.minimum.at(lo, np.arange(1, m), fw)
-        np.maximum.at(hi, np.arange(1, m), fw)
+        # Border j, at (j + 1) / m, bounds columns j and j + 1.
+        np.minimum(lo[:-1], fw, out=lo[:-1])
+        np.maximum(hi[:-1], fw, out=hi[:-1])
+        np.minimum(lo[1:], fw, out=lo[1:])
+        np.maximum(hi[1:], fw, out=hi[1:])
         occupied = np.isfinite(lo)
         counts.append(float(np.sum(hi[occupied] - lo[occupied] + 1.0)))
     return counts

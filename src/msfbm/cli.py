@@ -165,6 +165,21 @@ def _spec_dict(spec: ProcessSpec) -> dict:
     return {"coeffs": list(spec.coeffs), "hurst": list(spec.hurst)}
 
 
+def _seed(args: argparse.Namespace) -> int:
+    """``--seed``, refused by name where the seed derivation refuses it."""
+    try:
+        derive_seed(args.seed, 0)
+    except ValueError:
+        raise ValueError(f"--seed must be an integer in [0, 2^64), got {args.seed}") from None
+    return args.seed
+
+
+def _at_least_one(flag: str, value: int) -> int:
+    if value < 1:
+        raise ValueError(f"{flag} must be >= 1, got {value}")
+    return value
+
+
 def _n_threads() -> int:
     raw = os.environ.get("MSFBM_THREADS", "1")
     try:
@@ -212,12 +227,13 @@ def _cmd_cov(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    seed, n_reps = _seed(args), _at_least_one("--reps", args.reps)
     spec = _spec(args)
     if args.times:
         grid = TimeGrid(_floats(args.times, "times"))
     else:
         grid = TimeGrid.uniform(args.grid_points, args.horizon)
-    ens = sample_ensemble(spec, grid, args.reps, args.seed, sampler=args.sampler,
+    ens = sample_ensemble(spec, grid, n_reps, seed, sampler=args.sampler,
                           n_threads=_n_threads())
     meta = {
         "coeffs": ",".join(_fmt(a) for a in spec.coeffs),
@@ -250,10 +266,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    seed, n_reps = _seed(args), _at_least_one("--reps", args.reps)
     spec = _spec(args) if args.hurst is not None else None
     names = verify.SUITE_NAMES if args.suite == "all" else (args.suite,)
     report = verify.run_suites(
-        names, spec=spec, seed=args.seed, n_reps=args.reps, n_threads=_n_threads(),
+        names, spec=spec, seed=seed, n_reps=n_reps, n_threads=_n_threads(),
     )
     _emit(_json_text(report), args.out)
     return EXIT_OK if report["all_passed"] else EXIT_VERIFY_FAILED
@@ -262,14 +279,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_dims(args: argparse.Namespace) -> int:
     spec = _spec(args)
     grid = TimeGrid.uniform(args.grid_points, args.horizon)
-    seed, level, eps, level_reps = args.seed, args.level, args.eps, args.level_reps
+    seed, level, eps, level_reps = _seed(args), args.level, args.eps, args.level_reps
     if not math.isfinite(level):
         raise ValueError(f"--level must be finite, got {level!r}")
     if not 0.0 < eps < grid.horizon:
         raise ValueError(f"--eps must lie strictly inside (0, --horizon) = (0, {grid.horizon!r}), "
                          f"got {eps!r}")
-    if level_reps < 1:
-        raise ValueError(f"--level-reps must be >= 1, got {level_reps}")
+    _at_least_one("--level-reps", level_reps)
     h_min = spec.h_min
 
     graph_ens = sample_ensemble(spec, grid, 1, derive_seed(seed, 1))

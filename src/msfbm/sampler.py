@@ -39,7 +39,7 @@ import numpy as np
 
 from .kernels import _p2h_array
 from .process import ProcessSpec
-from .seeds import derive_seed, normal_stream, replica_seeds, stream_keys
+from .seeds import ensemble_seeds, normal_stream, stream_keys
 
 __all__ = [
     "TimeGrid",
@@ -125,7 +125,7 @@ class TimeGrid:
 
 @dataclass(frozen=True)
 class Ensemble:
-    """Independent replicas sharing a grid, with reproducible per-replica seeds.
+    """Independent replicas sharing a grid, drawn from one master seed.
 
     ``values`` is one read-only (n_reps, n_points) array whose row k is the
     path of replica k; every row starts at 0 and all values are finite, which
@@ -136,7 +136,6 @@ class Ensemble:
     grid: TimeGrid
     values: np.ndarray
     master_seed: int
-    replica_seeds: tuple[int, ...]
     sampler: str = "exact"
     jitter: float = 0.0
 
@@ -549,8 +548,9 @@ def sample_ensemble(
 
     The exact route draws one normal stream per replica, from the replica
     seed; the folded routes draw one per active component i, from
-    ``derive_seed(seed, i)``.  The seeding of all streams is computed at
-    once (``stream_keys``), then each replica writes its path into its own
+    ``derive_seed(seed, i)``.  All stream seeds are derived and hashed at
+    once (``ensemble_seeds``, ``stream_keys``); a master seed outside
+    [0, 2^64) raises ValueError.  Each replica writes its path into its own
     row of a zeroed (n_reps, n_points) array, the t = 0 column left at 0.
     Each of at most ``n_threads`` workers fills a contiguous block of rows
     with the route's row filler, whose draw buffers live as long as the block.
@@ -565,10 +565,8 @@ def sample_ensemble(
         raise ArithmeticError(
             f"the {route} route's covariances on [0, {grid.horizon!r}] overflow a double ({exc})"
         ) from None
-    seeds = replica_seeds(master_seed, n_reps)
-    active = spec.active_set
-    streams = seeds if route == "exact" else [derive_seed(s, i) for s in seeds for i in active]
+    seeds = ensemble_seeds(master_seed, n_reps, None if route == "exact" else spec.active_set)
     values = np.zeros((n_reps, grid.n_points))
-    _replica_runner(rows, stream_keys(streams).reshape(n_reps, -1, 4), values[:, 1:], n_threads)
+    _replica_runner(rows, stream_keys(seeds), values[:, 1:], n_threads)
     return Ensemble(spec=spec, grid=grid, values=values, master_seed=int(master_seed),
-                    replica_seeds=seeds, sampler=route, jitter=jitter)
+                    sampler=route, jitter=jitter)

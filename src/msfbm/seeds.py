@@ -1,25 +1,23 @@
 """Deterministic, splittable 64-bit seed derivation and seeded normal streams.
 
-Replica and component streams are derived from a master seed with the
-SplitMix64 finalizer over state ``master + (k+1) * GOLDEN``.  The
-finalizer is bijective and GOLDEN is odd, so distinct indices always map
-to distinct seeds.
+Seeds are integers in [0, 2^64); ``_uint64`` turns them into uint64 words
+and is the one place that range is checked.  Replica and component streams
+derive from a master seed by SplitMix64, written once over uint64 arrays:
+the finalizer of state ``master + (k+1) * GOLDEN``.  The finalizer is
+bijective and GOLDEN is odd, so distinct indices map to distinct seeds.
 
 Normal variates are those of ``Generator(PCG64(seed)).standard_normal``
-(ziggurat); golden outputs are tied to the numpy version recorded in the
-lock/install metadata.  No stream builds its own ``PCG64(seed)``, and no
-stream is seeded one at a time: ``stream_keys`` runs numpy's
-``SeedSequence`` hash over a whole array of seeds at once in vectorized
-uint32 arithmetic, 32 bytes per seed, and ``normal_stream`` takes only a
-row of its result.  Each draw turns its key into PCG64's state with the two
-seeding LCG steps (``_pcg64_state``) and sets it on the one generator its
-thread owns; it can write into a buffer the caller owns.
+(ziggurat); golden outputs are tied to the numpy version.  No stream builds
+its own ``PCG64(seed)``, and no stream is seeded one at a time:
+``stream_keys`` follows numpy's ``SeedSequence`` step by step for a whole
+array of seeds at once, 32 bytes per seed, and ``normal_stream`` sets the
+PCG64 state of one row of its result (``_pcg64_state``) on the one
+generator its thread owns; it can write into a buffer the caller owns.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Sequence
 
 import numpy as np
 from numpy.random import PCG64, Generator
@@ -27,15 +25,11 @@ from numpy.random import PCG64, Generator
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
-# numpy.random.SeedSequence (bit_generator.pyx): a pool of 4 uint32 words
-# hashed from the entropy words, then expanded by generate_state.
+# numpy.random.SeedSequence (bit_generator.pyx): a pool of 4 uint32 words.
 _POOL_SIZE = 4
-_INIT_A = 0x43B0D7E5
-_MULT_A = 0x931E8875
-_INIT_B = 0x8B51F9DD
-_MULT_B = 0x58F38DED
-_MIX_MULT_L = np.uint32(0xCA01F9DD)
-_MIX_MULT_R = np.uint32(0x4973F715)
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _XSHIFT = np.uint32(16)
 _MASK32 = (1 << 32) - 1
 
@@ -44,79 +38,89 @@ _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK128 = (1 << 128) - 1
 
 
-def _hash_steps(init: int, mult: int, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """The hash constant before and after each of ``count`` successive hash steps.
-
-    A step xors its value with the constant, advances the constant by one
-    multiplication, and multiplies the value by the advanced constant.  The
-    constants do not depend on the values hashed, so they are computed once.
-    """
-    consts = [init]
-    for _ in range(count):
-        consts.append(consts[-1] * mult & _MASK32)
-    return np.array(consts[:-1], dtype=np.uint32), np.array(consts[1:], dtype=np.uint32)
+def _uint64(seeds) -> np.ndarray:
+    """Integer ``seeds`` as a uint64 array of their shape; ValueError for any other value."""
+    if isinstance(seeds, np.ndarray) and seeds.dtype == np.uint64:
+        return seeds
+    objects = np.asarray(seeds, dtype=object)
+    bad = [s for s in objects.flat if not (isinstance(s, (int, np.integer)) and 0 <= s <= _MASK)]
+    if bad:
+        raise ValueError(f"seeds must be integers in [0, 2^64), got {bad[0]}")
+    return objects.astype(np.uint64)
 
 
-def _mix_steps() -> list[tuple[np.ndarray, np.ndarray]]:
-    """``mix_entropy``'s mixing constants, one pair of pool-length rows per source word.
-
-    Source word ``src`` is hashed once per other pool word, with the next
-    steps of the A sequence after the pool fill; its own column holds 0,
-    and the value computed there is discarded.
-    """
-    before, after = _hash_steps(_INIT_A, _MULT_A, _POOL_SIZE * _POOL_SIZE)
-    table = []
-    k = _POOL_SIZE
-    for src in range(_POOL_SIZE):
-        cols = [dst for dst in range(_POOL_SIZE) if dst != src]
-        row_before = np.zeros(_POOL_SIZE, dtype=np.uint32)
-        row_after = np.zeros(_POOL_SIZE, dtype=np.uint32)
-        row_before[cols] = before[k:k + len(cols)]
-        row_after[cols] = after[k:k + len(cols)]
-        table.append((row_before, row_after))
-        k += len(cols)
-    return table
+def _splitmix64(master: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """SplitMix64 output ``index`` of each ``master`` seed, over broadcast uint64 arrays:
+    they wrap mod 2^64 silently, where numpy warns on uint64 scalars."""
+    z = master + (index + 1) * _GOLDEN
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB
+    return z ^ (z >> 31)
 
 
-_FILL_STEPS = _hash_steps(_INIT_A, _MULT_A, _POOL_SIZE)
-_MIX_STEPS = _mix_steps()
-# generate_state(4, np.uint64) hashes 8 uint32 words, cycling over the pool.
-_STATE_STEPS = _hash_steps(_INIT_B, _MULT_B, 2 * _POOL_SIZE)
-_STATE_WORDS = np.arange(2 * _POOL_SIZE) % _POOL_SIZE
+def derive_seed(master_seed: int, index: int) -> int:
+    """Seed for substream ``index`` of ``master_seed``; injective in index."""
+    if index < 0:
+        raise ValueError("substream index must be nonnegative")
+    return int(_splitmix64(_uint64([master_seed]), np.array([index], dtype=np.uint64))[0])
 
 
-def _hash(value: np.ndarray, steps: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    value = (value ^ steps[0]) * steps[1]
-    value ^= value >> _XSHIFT
-    return value
+def replica_seeds(master_seed: int, n_reps: int) -> np.ndarray:
+    """Pairwise-distinct per-replica seeds ``derive_seed(master_seed, k)``, k < n_reps."""
+    return _splitmix64(_uint64([master_seed]), np.arange(n_reps, dtype=np.uint64))
 
 
-def stream_keys(seeds: Sequence[int]) -> np.ndarray:
+def ensemble_seeds(master_seed: int, n_reps: int,
+                   substreams: tuple[int, ...] | None) -> np.ndarray:
+    """An ensemble's (n_reps, streams) stream seeds: row k holds replica k's seed
+    when ``substreams`` is None, and its ``derive_seed(seed, i)`` for i in
+    ``substreams`` otherwise."""
+    seeds = replica_seeds(master_seed, n_reps)[:, None]
+    if substreams is None:
+        return seeds
+    return _splitmix64(seeds, np.array(substreams, dtype=np.uint64))
+
+
+def _hashmix(value: np.ndarray, hash_const: list[int], mult: int = _MULT_A) -> np.ndarray:
+    """SeedSequence's ``hashmix`` of a uint32 column; it advances ``hash_const[0]``."""
+    value = value ^ np.uint32(hash_const[0])
+    hash_const[0] = hash_const[0] * mult & _MASK32
+    value = value * np.uint32(hash_const[0])
+    return value ^ (value >> _XSHIFT)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """SeedSequence's ``mix`` of two uint32 columns."""
+    result = _MIX_MULT_L * x - _MIX_MULT_R * y
+    return result ^ (result >> _XSHIFT)
+
+
+def stream_keys(seeds) -> np.ndarray:
     """``SeedSequence(seed).generate_state(4, np.uint64)`` of every seed at once.
 
-    Row k holds the initial state and sequence, as (high, low, high, low)
-    64-bit words, that ``PCG64(seeds[k])`` seeds itself from;
-    ``_pcg64_state`` turns a row into the generator's state.  A seed lies in
-    [0, 2^64) and enters SeedSequence as its two little-endian uint32
-    words; a seed below 2^32 has one word, and the pool word it leaves
-    empty hashes as 0, the same as a zero high word.
+    ``seeds`` holds integers in an array or nested sequence of shape S; the
+    result has shape S + (4,).  A seed's row holds the initial state and
+    sequence, as (high, low, high, low) 64-bit words, that ``PCG64(seed)``
+    seeds itself from.  A seed enters SeedSequence as its little-endian
+    uint32 words, one below 2^32 and two above; the pool word a one-word
+    seed leaves empty hashes as 0, the same as a zero high word.
     """
-    seeds = [int(s) for s in seeds]
-    if any(not 0 <= s <= _MASK for s in seeds):
-        raise ValueError("stream seeds must be integers in [0, 2^64)")
-    words = np.zeros((len(seeds), _POOL_SIZE), dtype=np.uint32)
-    words[:, :2] = np.array(seeds, dtype="<u8").view("<u4").reshape(-1, 2)
-    # SeedSequence.mix_entropy: hash each word into the pool, then mix each
-    # pool word into every other one, in order of the source word.
-    pool = _hash(words, _FILL_STEPS)
-    for src in range(_POOL_SIZE):
-        mixed = _MIX_MULT_L * pool - _MIX_MULT_R * _hash(pool[:, src:src + 1], _MIX_STEPS[src])
-        mixed ^= mixed >> _XSHIFT
-        mixed[:, src] = pool[:, src]
-        pool = mixed
-    # SeedSequence.generate_state(4, np.uint64): its uint32 words read in
-    # little-endian pairs.
-    return _hash(pool.take(_STATE_WORDS, axis=1), _STATE_STEPS).astype("<u4").view("<u8")
+    seeds = _uint64(seeds)
+    low, high = seeds.reshape(-1, 1).astype("<u8").view("<u4").T
+    # mix_entropy: hash the entropy into the pool, running the hash out on 0
+    # past it, then mix every pool word into every other one.
+    hash_const, zero = [_INIT_A], np.zeros_like(low)
+    mixer = [_hashmix(word, hash_const) for word in (low, high, zero, zero)]
+    for i_src in range(_POOL_SIZE):
+        for i_dst in range(_POOL_SIZE):
+            if i_src != i_dst:
+                mixer[i_dst] = _mix(mixer[i_dst], _hashmix(mixer[i_src], hash_const))
+    # generate_state(4, np.uint64): 8 uint32 words cycling over the pool, each
+    # hashed with the B constants, read in little-endian pairs.
+    hash_const = [_INIT_B]
+    state = np.stack([_hashmix(mixer[i % _POOL_SIZE], hash_const, _MULT_B)
+                      for i in range(2 * _POOL_SIZE)], axis=1)
+    return state.astype("<u4").view("<u8").reshape(seeds.shape + (4,))
 
 
 def _pcg64_state(key: np.ndarray) -> tuple[int, int]:
@@ -139,26 +143,6 @@ def _generator() -> Generator:
     if gen is None:
         gen = _local.generator = Generator(PCG64(0))
     return gen
-
-
-def splitmix64(state: int) -> int:
-    """One SplitMix64 finalization step of a 64-bit state."""
-    z = state & _MASK
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
-    return z ^ (z >> 31)
-
-
-def derive_seed(master_seed: int, index: int) -> int:
-    """Seed for substream ``index`` of ``master_seed``; injective in index."""
-    if index < 0:
-        raise ValueError("substream index must be nonnegative")
-    return splitmix64((int(master_seed) + (index + 1) * _GOLDEN) & _MASK)
-
-
-def replica_seeds(master_seed: int, n_reps: int) -> tuple[int, ...]:
-    """Pairwise-distinct per-replica seeds for an ensemble."""
-    return tuple(derive_seed(master_seed, k) for k in range(n_reps))
 
 
 def normal_stream(key: np.ndarray, size: int, out: np.ndarray | None = None) -> np.ndarray:

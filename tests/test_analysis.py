@@ -42,7 +42,7 @@ from conftest import package_env
 def fixture(grid, *rows):
     """An Ensemble whose replicas are the given value rows on ``grid``."""
     return Ensemble(spec=ProcessSpec([1.0], [0.5]), grid=grid, values=np.vstack(rows),
-                    master_seed=0, replica_seeds=tuple(range(len(rows))))
+                    master_seed=0)
 
 
 def constant_zero_path(n_points=2 ** 14 + 1):

@@ -4,13 +4,14 @@ import json
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from importlib import resources
 
 import jsonschema
 import pytest
 
 import msfbm
-from msfbm import analysis, cli, kernels, sampler
+from msfbm import analysis, cli, kernels, sampler, verify
 
 from conftest import package_env
 
@@ -97,6 +98,15 @@ class TestSimulate:
         assert run_cli(*args, "--out", str(out1)).returncode == 0
         assert run_cli(*args, "--out", str(out2)).returncode == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_top_seed_is_accepted_without_warnings(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = cli.main(["simulate", "--hurst", "0.5", "--reps", "2",
+                           f"--seed={2 ** 64 - 1}"])
+        out, err = capsys.readouterr()
+        assert (rc, err) == (cli.EXIT_OK, "")
+        assert f"# master_seed: {2 ** 64 - 1}\n" in out
 
     def test_row_shape_and_metadata(self):
         cp = run_cli("simulate", "--coeffs", "1", "--hurst", "0.3", "--grid-points", "8",
@@ -557,3 +567,37 @@ class TestThreads:
         err = capsys.readouterr().err
         assert rc == cli.EXIT_VALIDATION
         assert "MSFBM_THREADS" in err and "[1, 64]" in err
+
+
+class TestSeedAndReps:
+    """--seed outside [0, 2^64) and --reps below 1 exit 2 by name, before any work."""
+
+    @pytest.fixture(autouse=True)
+    def no_work(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("worked on an input it refuses")
+
+        monkeypatch.setattr(cli, "sample_ensemble", fail)
+        monkeypatch.setattr(verify, "run_suites", fail)
+
+    @pytest.mark.parametrize("command", [
+        ["simulate", "--hurst", "0.5"], ["verify"], ["verify", "--suite", "markov"],
+        ["dims", "--hurst", "0.5"],
+    ])
+    @pytest.mark.parametrize("seed", ("-1", str(2 ** 64), "18446744073709551621"))
+    def test_seed_outside_64_bits_is_refused(self, command, seed, capsys):
+        rc = cli.main([*command, f"--seed={seed}"])
+        out, err = capsys.readouterr()
+        assert (rc, out) == (cli.EXIT_VALIDATION, "")
+        assert err == f"invalid input: --seed must be an integer in [0, 2^64), got {seed}\n"
+
+    @pytest.mark.parametrize("command", [
+        ["simulate", "--hurst", "0.5"], ["verify"],
+        *(["verify", "--suite", name] for name in verify.SUITE_NAMES),
+    ])
+    @pytest.mark.parametrize("reps", ("0", "-2"))
+    def test_reps_below_one_is_refused(self, command, reps, capsys):
+        rc = cli.main([*command, f"--reps={reps}"])
+        out, err = capsys.readouterr()
+        assert (rc, out) == (cli.EXIT_VALIDATION, "")
+        assert err == f"invalid input: --reps must be >= 1, got {reps}\n"

@@ -23,9 +23,7 @@ from msfbm.sampler import (
     _symmetric_fbm_grams,
     _weighted_spectra,
 )
-from msfbm.seeds import (
-    _pcg64_state, derive_seed, normal_stream, replica_seeds, splitmix64, stream_keys,
-)
+from msfbm.seeds import _pcg64_state, derive_seed, normal_stream, replica_seeds, stream_keys
 
 from conftest import rand_spec
 
@@ -75,8 +73,33 @@ class TestSeeds:
 
     def test_splitmix_reference_values(self):
         # finalizer of state 0 and 1 from the published splitmix64 stream
-        assert splitmix64((0 + 0x9E3779B97F4A7C15) & (2**64 - 1)) == 0xE220A8397B1DCDAF
-        assert splitmix64((1 + 0x9E3779B97F4A7C15) & (2**64 - 1)) == 0x910A2DEC89025CC1
+        assert derive_seed(0, 0) == 0xE220A8397B1DCDAF
+        assert derive_seed(1, 0) == 0x910A2DEC89025CC1
+
+    @pytest.mark.parametrize("seed", (-1, 2 ** 64, 1.5))
+    def test_master_seed_not_a_64_bit_integer_is_refused(self, seed):
+        with pytest.raises(ValueError, match=r"\[0, 2\^64\)"):
+            derive_seed(seed, 0)
+        with pytest.raises(ValueError, match=r"\[0, 2\^64\)"):
+            replica_seeds(seed, 3)
+        with pytest.raises(ValueError, match=r"\[0, 2\^64\)"):
+            msfbm.sample_ensemble(ProcessSpec([1.0], [0.5]), TimeGrid.uniform(4, 1.0), 2, seed)
+
+    def test_keys_equal_seed_sequence_state(self):
+        # One-word and two-word entropy, and random seeds over the whole range.
+        rng = np.random.default_rng(5)
+        seeds = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 63, 2 ** 64 - 1]
+        seeds += [int(s) for s in rng.integers(0, 2 ** 64, size=10_000, dtype=np.uint64)]
+        keys = stream_keys(seeds)
+        assert keys.shape == (len(seeds), 4) and keys.dtype == np.uint64
+        for seed, key in zip(seeds, keys):
+            want = np.random.SeedSequence(seed).generate_state(4, np.uint64)
+            assert key.tobytes() == want.tobytes(), seed
+
+    def test_keys_keep_the_shape_of_their_seeds(self):
+        seeds = replica_seeds(9, 6).reshape(3, 2)
+        assert stream_keys(seeds).tobytes() == stream_keys(seeds.ravel()).tobytes()
+        assert stream_keys(seeds).shape == (3, 2, 4)
 
 
 class TestGramMatrix:
@@ -543,6 +566,24 @@ class TestSampleEnsemble:
             many = msfbm.sample_ensemble(spec, grid, n_reps, 5, sampler=route, n_threads=n_threads)
             assert many.values.tobytes() == one.values.tobytes()
 
+    @pytest.mark.parametrize("route", ("exact", "fbm", "fgn"))
+    def test_stream_seeds_follow_the_scalar_chain(self, route, monkeypatch):
+        # The top master seed wraps every uint64 sum, and component 1 is inert,
+        # so the active components (0, 2) are not contiguous.
+        spec = ProcessSpec([1.0, 0.0, 0.5], [0.3, 0.6, 0.8])
+        grid = TimeGrid.uniform(12, 1.0)
+        master, n_reps = 2 ** 64 - 1, 5
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = msfbm.sample_ensemble(spec, grid, n_reps, master, sampler=route).values
+            chain = [[derive_seed(master, k)] if route == "exact"
+                     else [derive_seed(derive_seed(master, k), i) for i in (0, 2)]
+                     for k in range(n_reps)]
+            monkeypatch.setattr(sampler, "ensemble_seeds",
+                                lambda *args: np.array(chain, dtype=np.uint64))
+            want = msfbm.sample_ensemble(spec, grid, n_reps, master, sampler=route).values
+        assert got.tobytes() == want.tobytes()
+
     def test_values_are_read_only(self):
         ens = msfbm.sample_ensemble(ProcessSpec([1.0], [0.3]), TimeGrid.uniform(6, 1.0), 4, 1)
         assert ens.values.shape == (4, 6)
@@ -571,7 +612,7 @@ class TestSampleEnsemble:
         ]:
             with pytest.raises(ValueError, match=diagnostic):
                 sampler.Ensemble(spec=ProcessSpec([1.0], [0.5]), grid=grid, values=values,
-                                 master_seed=0, replica_seeds=tuple(range(len(values))))
+                                 master_seed=0)
 
     def test_centered_mean(self):
         spec = ProcessSpec([1.0], [0.3])
