@@ -72,6 +72,7 @@ COMMANDS = {
     "refuse-dims-level-reps-0": [*_DIMS_REFUSAL, "--level-reps=0"],
     "refuse-seed-negative": ["simulate", "--hurst", "0.5", "--seed=-1"],
     "refuse-verify-reps-0": ["verify", "--reps=0"],
+    "refuse-verify-selfsim-spec": ["verify", "--suite", "selfsim", "--hurst", "0.3"],
 }
 
 

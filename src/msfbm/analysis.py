@@ -94,15 +94,6 @@ class VariationReport:
         if any(s < 0.0 for s in self.statistics):
             raise ValueError("variation statistics must be nonnegative")
 
-    def to_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "partition_sizes": list(self.partition_sizes),
-            "statistics": list(self.statistics),
-            "fitted_log_slope": self.fitted_log_slope,
-            "slope_stderr": self.slope_stderr,
-        }
-
     def to_csv(self) -> str:
         """Plot-ready table: scale, statistic, and the fitted power law."""
         logn = np.log(np.array(self.partition_sizes, dtype=float))
@@ -129,14 +120,6 @@ class DimensionEstimate:
         lo, hi = self.scale_range
         if lo < 1 or hi < lo:
             raise ValueError("scale_range must satisfy 1 <= min_boxes <= max_boxes")
-
-    def to_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "stderr": self.stderr,
-            "scale_range": list(self.scale_range),
-            "method": self.method.value,
-        }
 
     def to_csv(self) -> str:
         return (

@@ -77,13 +77,6 @@ class SemimartingaleVerdict:
         if self.is_semimartingale != positive or (self.witness is not None) != positive:
             raise ValueError("verdict fields are inconsistent with the reason clause")
 
-    def to_dict(self) -> dict:
-        return {
-            "is_semimartingale": self.is_semimartingale,
-            "witness": self.witness,
-            "reason": self.reason.value,
-        }
-
 
 def _is_half(h: float, half_tol: float) -> bool:
     return h == 0.5 if half_tol == 0.0 else abs(h - 0.5) <= half_tol

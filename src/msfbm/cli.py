@@ -14,6 +14,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
@@ -161,8 +162,10 @@ def _spec(args: argparse.Namespace) -> ProcessSpec:
     return ProcessSpec(weights, hs)
 
 
-def _spec_dict(spec: ProcessSpec) -> dict:
-    return {"coeffs": list(spec.coeffs), "hurst": list(spec.hurst)}
+def _report(kind: str, spec: Optional[ProcessSpec], **fields) -> dict:
+    """The JSON report ``msfbm.<kind>``: its versioned envelope, then ``fields``."""
+    return {"format": f"msfbm.{kind}", "schema_version": 1,
+            "spec": None if spec is None else asdict(spec), **fields}
 
 
 def _seed(args: argparse.Namespace) -> int:
@@ -193,36 +196,26 @@ def _n_threads() -> int:
 
 def _cmd_cov(args: argparse.Namespace) -> int:
     spec = _spec(args)
+    if args.window and args.points:
+        raise ValueError("cov takes --points or --window, not both")
     if args.window:
         bounds = _floats(args.window, "window")
         if len(bounds) != 4:
             raise ValueError(f"--window needs four values u,v,s,t, got {len(bounds)}")
         w = IncrementWindow(*bounds)
-        value = kernels.increment_cov(spec, w)
-        rows = [",".join(map(_fmt, (w.u, w.v, w.s, w.t, value)))]
-        header = ["u", "v", "s", "t", "cov"]
-        payload = [{"u": w.u, "v": w.v, "s": w.s, "t": w.t, "cov": value}]
+        header = ("u", "v", "s", "t", "cov")
+        rows = [(w.u, w.v, w.s, w.t, kernels.increment_cov(spec, w))]
     else:
         if not args.points:
             raise ValueError("cov needs --points or --window")
         pts = _floats(args.points, "points")
-        rows = []
-        payload = []
-        for i, s in enumerate(pts):
-            for t in pts[i:]:
-                value = kernels.msfbm_cov(spec, s, t)
-                rows.append(",".join(map(_fmt, (s, t, value))))
-                payload.append({"s": s, "t": t, "cov": value})
-        header = ["s", "t", "cov"]
+        header = ("s", "t", "cov")
+        rows = [(s, t, kernels.msfbm_cov(spec, s, t)) for i, s in enumerate(pts) for t in pts[i:]]
     if args.format == "json":
-        _emit(_json_text({
-            "format": "msfbm.cov",
-            "schema_version": 1,
-            "spec": _spec_dict(spec),
-            "rows": payload,
-        }), args.out)
+        _emit(_json_text(_report("cov", spec, rows=[dict(zip(header, r)) for r in rows])),
+              args.out)
     else:
-        _emit(_csv(rows, header), args.out)
+        _emit(_csv([",".join(map(_fmt, r)) for r in rows], header), args.out)
     return EXIT_OK
 
 
@@ -235,29 +228,20 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         grid = TimeGrid.uniform(args.grid_points, args.horizon)
     ens = sample_ensemble(spec, grid, n_reps, seed, sampler=args.sampler,
                           n_threads=_n_threads())
-    meta = {
-        "coeffs": ",".join(_fmt(a) for a in spec.coeffs),
-        "hurst": ",".join(_fmt(h) for h in spec.hurst),
-        "grid_points": grid.n_points,
-        "horizon": _fmt(grid.horizon),
-        "master_seed": ens.master_seed,
-        "n_reps": ens.n_reps,
-        "sampler": ens.sampler,
-        "jitter": _fmt(ens.jitter),
-    }
+    shared = {"master_seed": ens.master_seed, "n_reps": ens.n_reps, "sampler": ens.sampler,
+              "jitter": ens.jitter}
     # One chunk per replica, so the text of the whole ensemble is never held.
     if args.format == "json":
-        _emit(_json_chunks({
-            "format": "msfbm.ensemble",
-            "schema_version": 1,
-            "spec": _spec_dict(spec),
-            "grid": {"times": list(grid.times)},
-            "master_seed": ens.master_seed,
-            "n_reps": ens.n_reps,
-            "sampler": ens.sampler,
-            "jitter": ens.jitter,
-        }, "paths", (row.tolist() for row in ens.values)), args.out)
+        report = _report("ensemble", spec, grid={"times": list(grid.times)}, **shared)
+        _emit(_json_chunks(report, "paths", (row.tolist() for row in ens.values)), args.out)
     else:
+        meta = {
+            "coeffs": ",".join(map(_fmt, spec.coeffs)),
+            "hurst": ",".join(map(_fmt, spec.hurst)),
+            "grid_points": grid.n_points,
+            "horizon": _fmt(grid.horizon),
+            **shared,
+        }
         times = [repr(t) for t in grid.times.tolist()]
         rows = ("\n".join([f"{r},{t},{v!r}" for t, v in zip(times, row.tolist())]) + "\n"
                 for r, row in enumerate(ens.values))
@@ -267,13 +251,19 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     seed, n_reps = _seed(args), _at_least_one("--reps", args.reps)
-    spec = _spec(args) if args.hurst is not None else None
     names = verify.SUITE_NAMES if args.suite == "all" else (args.suite,)
-    report = verify.run_suites(
-        names, spec=spec, seed=seed, n_reps=n_reps, n_threads=_n_threads(),
-    )
-    _emit(_json_text(report), args.out)
-    return EXIT_OK if report["all_passed"] else EXIT_VERIFY_FAILED
+    spec = None
+    if args.hurst is not None or args.coeffs is not None:
+        readers = [n for n in names if n in verify.SPEC_SUITES]
+        if not readers:
+            raise ValueError(f"--hurst and --coeffs are read only by the "
+                             f"{', '.join(verify.SPEC_SUITES)} suites, not by {', '.join(names)}")
+        if args.hurst is None:
+            raise ValueError(f"--coeffs needs --hurst for the {', '.join(readers)} suite(s)")
+        spec = _spec(args)
+    checks = verify.run_suites(names, spec=spec, seed=seed, n_reps=n_reps, n_threads=_n_threads())
+    _emit(_json_text(_report("verify", spec, master_seed=seed, **checks)), args.out)
+    return EXIT_OK if checks["all_passed"] else EXIT_VERIFY_FAILED
 
 
 def _cmd_dims(args: argparse.Namespace) -> int:
@@ -296,26 +286,14 @@ def _cmd_dims(args: argparse.Namespace) -> int:
     level_ens = sample_ensemble(spec, grid, level_reps, derive_seed(seed, 2),
                                 n_threads=_n_threads())
     level_values = [e.value for e in analysis.level_set_box_dimension(level_ens, level, eps)]
-    report = {
-        "format": "msfbm.dims",
-        "schema_version": 1,
-        "spec": _spec_dict(spec),
-        "grid_points": grid.n_points,
-        "horizon": grid.horizon,
-        "master_seed": seed,
-        "graph": {**graph.to_dict(), "target": 2.0 - h_min},
-        "range": {**range_est.to_dict(), "target": 1.0},
-        "level_set": {
-            "level": level,
-            "eps": eps,
-            "values": level_values,
-            "median": float(np.median(level_values)),
-            "n_crossed": len(level_values),
-            "n_paths": level_reps,
-            "target": 1.0 - h_min,
-        },
-    }
-    _emit(_json_text(report), args.out)
+    level_set = {"level": level, "eps": eps, "values": level_values,
+                 "median": float(np.median(level_values)), "n_crossed": len(level_values),
+                 "n_paths": level_reps, "target": 1.0 - h_min}
+    _emit(_json_text(_report(
+        "dims", spec, grid_points=grid.n_points, horizon=grid.horizon, master_seed=seed,
+        graph={**asdict(graph), "target": 2.0 - h_min},
+        range={**asdict(range_est), "target": 1.0}, level_set=level_set,
+    )), args.out)
     return EXIT_OK
 
 
@@ -323,15 +301,11 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     spec = _spec(args)
     half_tol = args.half_tol
     verdict = semimartingale_classify(spec, half_tol=half_tol)
-    report = {
-        "format": "msfbm.classify",
-        "schema_version": 1,
-        "spec": _spec_dict(spec),
-        "semimartingale": verdict.to_dict(),
-        "markov": markov_verdict(spec, half_tol=half_tol),
-        "increment_sign": increment_sign_predict(spec, half_tol=half_tol).value,
-    }
-    _emit(_json_text(report), args.out)
+    _emit(_json_text(_report(
+        "classify", spec, semimartingale=asdict(verdict),
+        markov=markov_verdict(spec, half_tol=half_tol),
+        increment_sign=increment_sign_predict(spec, half_tol=half_tol).value,
+    )), args.out)
     return EXIT_OK
 
 
@@ -341,15 +315,8 @@ def _cmd_srd(args: argparse.Namespace) -> int:
     terms = analysis._srd_terms(spec, p, n_max)
     sums = np.cumsum(terms)
     if args.format == "json":
-        _emit(_json_text({
-            "format": "msfbm.srd",
-            "schema_version": 1,
-            "spec": _spec_dict(spec),
-            "p": p,
-            "n_max": n_max,
-            "lag_cov": list(terms),
-            "partial_sums": list(sums),
-        }), args.out)
+        _emit(_json_text(_report("srd", spec, p=p, n_max=n_max, lag_cov=list(terms),
+                                 partial_sums=list(sums))), args.out)
     else:
         rows = [f"{n},{c!r},{total!r}"
                 for n, c, total in zip(range(1, n_max + 1), terms.tolist(), sums.tolist())]

@@ -6,6 +6,9 @@ increment second moments and envelopes, lag covariances of unit
 increments, the stationary mixed-fBm comparator, and the factorization
 residual used by the Markov test.
 
+Spec-level sums run over the active components: a zero-weight component
+is never evaluated (``bound_constants`` and ``rescale_coeffs`` map all).
+
 Powers x^(2H) are evaluated as exp(2H*log(x)) with an explicit x = 0
 branch.  Differences of nearly equal large powers are grouped pairwise
 before summation; at large times the pairing, not the raw eight-term sum,
@@ -150,7 +153,7 @@ def msfbm_cov(spec: ProcessSpec, s: float, t: float) -> float:
     t = float(t)
     if s < 0.0 or t < 0.0:
         raise ValueError("times must be nonnegative")
-    value = sum(a * a * _sfbm_term(_p2h, 2.0 * h, s, t) for a, h in zip(spec.coeffs, spec.hurst))
+    value = sum(a * a * _sfbm_term(_p2h, 2.0 * h, s, t) for a, h in spec.active())
     return _finite(value, "msfbm_cov", s, t)
 
 
@@ -159,7 +162,7 @@ def msfbm_var(spec: ProcessSpec, t: float) -> float:
     t = float(t)
     if t < 0.0:
         raise ValueError("times must be nonnegative")
-    return sum(_var_term(_p2h, a * a, 2.0 * h, t) for a, h in zip(spec.coeffs, spec.hurst))
+    return sum(_var_term(_p2h, a * a, 2.0 * h, t) for a, h in spec.active())
 
 
 def mfbm_cov(spec: ProcessSpec, s: float, t: float) -> float:
@@ -168,7 +171,7 @@ def mfbm_cov(spec: ProcessSpec, s: float, t: float) -> float:
     t = float(t)
     if s < 0.0 or t < 0.0:
         raise ValueError("times must be nonnegative")
-    return sum(a * a * fbm_cov(h, s, t) for a, h in zip(spec.coeffs, spec.hurst))
+    return sum(a * a * fbm_cov(h, s, t) for a, h in spec.active())
 
 
 def _check_increment_times(s: float, t: float) -> tuple[float, float]:
@@ -189,13 +192,13 @@ def increment_second_moment(spec: ProcessSpec, s: float, t: float) -> float:
     """
     s, t = _check_increment_times(s, t)
     return max(sum(_moment_term(_p2h, a * a, 2.0 * h, s, t)
-                   for a, h in zip(spec.coeffs, spec.hurst)), 0.0)
+                   for a, h in spec.active()), 0.0)
 
 
 def increment_bounds(spec: ProcessSpec, s: float, t: float) -> tuple[float, float]:
     """Two-sided envelope (lower, upper) for the increment second moment."""
     s, t = _check_increment_times(s, t)
-    terms = [_envelope_terms(_p2h, a * a, 2.0 * h, t - s) for a, h in zip(spec.coeffs, spec.hurst)]
+    terms = [_envelope_terms(_p2h, a * a, 2.0 * h, t - s) for a, h in spec.active()]
     return sum(lo for lo, _ in terms), sum(hi for _, hi in terms)
 
 
@@ -217,7 +220,7 @@ def increment_cov_component(h: float, w: IncrementWindow) -> float:
 
 def increment_cov(spec: ProcessSpec, w: IncrementWindow) -> float:
     """Covariance of increments over the non-overlapping window (u,v) x (s,t)."""
-    value = sum(a * a * increment_cov_component(h, w) for a, h in zip(spec.coeffs, spec.hurst))
+    value = sum(a * a * increment_cov_component(h, w) for a, h in spec.active())
     return _finite(value, "increment_cov", w.u, w.v, w.s, w.t)
 
 
@@ -228,7 +231,7 @@ def kernel_scale(spec: ProcessSpec, tmax: float) -> float:
     this scale, not to the (possibly vanishing) result.
     """
     tmax = abs(float(tmax))
-    return sum(_scale_term(_p2h, a * a, 2.0 * h, tmax) for a, h in zip(spec.coeffs, spec.hurst))
+    return sum(_scale_term(_p2h, a * a, 2.0 * h, tmax) for a, h in spec.active())
 
 
 def _lag_window(x: float, n: int) -> IncrementWindow:
@@ -259,7 +262,7 @@ def lag_cov_c(spec: ProcessSpec, x: float, n: int) -> float:
         closed = sum(
             a * a * _pair_term(_p2h, 2.0 * h, big + 1.0, big + 2.0, m + 1.0, m,
                                big + 1.0, big, m - 1.0, m)
-            for a, h in zip(spec.coeffs, spec.hurst)
+            for a, h in spec.active()
         )
         scale = kernel_scale(spec, x + n + 1.0)
         if not math.isclose(closed, value, rel_tol=1e-12, abs_tol=1e-12 * scale):
@@ -294,7 +297,7 @@ def lag_cov_series(spec: ProcessSpec, p: int, ns: Sequence[int]) -> np.ndarray:
     out = np.zeros_like(ns)
     far = ns + (2 * p + 1)
     with np.errstate(over="ignore", invalid="ignore"):
-        for a, h in zip(spec.coeffs, spec.hurst):
+        for a, h in spec.active():
             two_h = 2.0 * h
             out += (a * a / 2.0) * (second_diff(ns, two_h) - second_diff(far, two_h))
     if not np.all(np.isfinite(out)):
@@ -309,7 +312,7 @@ def lag_cov_c_asymptotic(spec: ProcessSpec, p: int, n: int) -> float:
     if p < 0:
         raise ValueError("p must be a nonnegative integer")
     out = 0.0
-    for a, h in zip(spec.coeffs, spec.hurst):
+    for a, h in spec.active():
         out += (
             2.0 * (1.0 - h) * h * (2.0 * h - 1.0) * (2 * p + 1) * a * a
             * _p2h(float(n), 2.0 * h - 3.0)
@@ -321,7 +324,7 @@ def mfbm_lag_cov_r(spec: ProcessSpec, n: int) -> float:
     """Stationary lag covariance R(0, n) of the mixed fractional comparator."""
     n = _check_lag(n)
     out = 0.0
-    for a, h in zip(spec.coeffs, spec.hurst):
+    for a, h in spec.active():
         two_h = 2.0 * h
         d_up = _p2h(n + 1.0, two_h) - _p2h(float(n), two_h)
         d_dn = _p2h(n - 1.0, two_h) - _p2h(float(n), two_h)

@@ -30,6 +30,9 @@ class ProcessSpec:
         object.__setattr__(self, "coeffs", _as_floats(coeffs))
         object.__setattr__(self, "hurst", _as_floats(hurst))
         self._validate()
+        # Built once: every spec-level kernel iterates over it.
+        object.__setattr__(self, "_active", tuple(
+            (a, h) for a, h in zip(self.coeffs, self.hurst) if a != 0.0))
 
     def _validate(self) -> None:
         if len(self.coeffs) == 0:
@@ -68,7 +71,7 @@ class ProcessSpec:
 
     def active(self) -> tuple[tuple[float, float], ...]:
         """(coeff, hurst) pairs of the active components."""
-        return tuple((self.coeffs[i], self.hurst[i]) for i in self.active_set)
+        return self._active
 
     def with_coeff(self, slot: int, value: float) -> "ProcessSpec":
         """Copy of the spec with one coefficient replaced."""

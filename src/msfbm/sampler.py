@@ -8,8 +8,7 @@ three routes, all with the process's finite-dimensional law:
 * "fbm" and "fgn" draw W = sum_i a_i B_i over the active components, each
   B_i a fractional Brownian motion on the symmetric grid {-t_k, ..., t_k}
   from its own normal stream, and one fold writes (W(t) + W(-t))/sqrt(2)
-  into the path.  Zero-weight components are inert: they are never
-  evaluated, factored or drawn.
+  into the path.
 * "fbm" forms W as sum_i a_i L_i z_i through the factors L_i of the dense
   Grams.
 * "fgn" draws W's increments on uniform grids through circulant embedding
@@ -18,6 +17,9 @@ three routes, all with the process's finite-dimensional law:
   distinct eigenvalues are kept.  Every step from normals to path is
   linear, so each replica sums the components' weighted half-length complex
   spectra and runs one real inverse FFT, not one per component.
+
+Zero-weight components are inert on every route: they are never evaluated,
+factored or drawn, so a spec padded with them draws its live spec's bytes.
 
 All paths are pure functions of (spec, grid, seed): replicas can be
 generated concurrently in any order without changing a single bit.  An
@@ -211,10 +213,10 @@ def _pow_abs_diff(two_h: float, log_diff: np.ndarray, out: np.ndarray) -> None:
 def gram_matrix(spec: ProcessSpec, grid: TimeGrid) -> np.ndarray:
     """Process covariance at the positive grid times (t = 0 row excluded)."""
     t = grid.times[1:]
-    two_hs = [2.0 * h for h in spec.hurst]
+    two_hs = [2.0 * h for _, h in spec.active()]
     powers = [_p2h_array(t, two_h) for two_h in two_hs]
     # Squared in numpy, so that an overflowing a^2 sets its floating-point flag.
-    weights = np.square(np.asarray(spec.coeffs, dtype=float))
+    weights = np.square(np.asarray([a for a, _ in spec.active()], dtype=float))
 
     def fill_block(lo: int, hi: int, dests: list, work: list) -> None:
         # g += w * (t_i^2h + t_j^2h - 0.5 * ((t_i + t_j)^2h + |t_i - t_j|^2h)),

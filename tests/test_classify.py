@@ -1,5 +1,6 @@
 """Rule-engine verdicts against the independently coded classification predicate."""
 
+import dataclasses
 import itertools
 import json
 
@@ -113,7 +114,7 @@ class TestSemimartingaleClassify:
 
     def test_serialization_reason_names(self):
         verdict = semimartingale_classify(ProcessSpec((1.0,), (0.5,)))
-        payload = json.dumps(verdict.to_dict())
+        payload = json.dumps(dataclasses.asdict(verdict))
         assert "HalfWitnessAndRest" in payload
 
 

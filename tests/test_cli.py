@@ -88,6 +88,40 @@ class TestCov:
         assert cp.stderr.startswith("numerical failure: ") and "not a finite double" in cp.stderr
         assert len(cp.stderr.splitlines()) == 1
 
+    @pytest.mark.parametrize("in_config", [(), ("points", "window"), ("points",)])
+    def test_points_and_window_together_are_refused(self, in_config, tmp_path, capsys):
+        values = {"hurst": "0.5", "points": "1,2", "window": "0,1,2,3"}
+        argv = ["cov"]
+        for key, value in values.items():
+            if key not in in_config:
+                argv += [f"--{key}", value]
+        config = tmp_path / "cov.json"
+        config.write_text(json.dumps({key: values[key] for key in in_config}))
+        rc = cli.main([*argv, "--config", str(config)])
+        out, err = capsys.readouterr()
+        assert (rc, out) == (cli.EXIT_VALIDATION, "")
+        assert err == "invalid input: cov takes --points or --window, not both\n"
+
+
+class TestInertComponents:
+    """A zero-weight component that would overflow a double changes no byte
+    but the echoed spec."""
+
+    @pytest.mark.parametrize("command", [
+        ["simulate", "--horizon", "1e300", "--grid-points", "3", "--sampler", "exact"],
+        ["cov", "--points", "1e300"],
+    ])
+    def test_padded_spec_prints_the_live_spec(self, command, capsys):
+        outputs = []
+        for spec in (["--coeffs", "1,0", "--hurst", "0.5,0.99"],
+                     ["--coeffs", "1", "--hurst", "0.5"]):
+            rc = cli.main([*command, *spec])
+            out, err = capsys.readouterr()
+            assert (rc, err) == (cli.EXIT_OK, "")
+            outputs.append([line for line in out.splitlines(keepends=True)
+                            if not line.startswith(("# coeffs: ", "# hurst: "))])
+        assert outputs[0] == outputs[1]
+
 
 class TestSimulate:
     def test_byte_identical_reruns(self, tmp_path):
@@ -293,6 +327,24 @@ class TestVerify:
     def test_unknown_suite_rejected(self):
         cp = run_cli("verify", "--suite", "bogus")
         assert cp.returncode == 2
+
+    @pytest.mark.parametrize("argv,message", [
+        (["--suite", "markov", "--coeffs", "5"], "--coeffs needs --hurst for the markov suite(s)"),
+        (["--coeffs", "5"], "--coeffs needs --hurst for the sampler, srd, markov suite(s)"),
+        (["--suite", "selfsim", "--hurst", "0.3"],
+         "--hurst and --coeffs are read only by the sampler, srd, markov suites, not by selfsim"),
+        (["--suite", "kernels", "--coeffs", "1", "--hurst", "0.3"],
+         "--hurst and --coeffs are read only by the sampler, srd, markov suites, not by kernels"),
+    ])
+    def test_spec_no_suite_reads_is_refused(self, argv, message, monkeypatch, capsys):
+        def fail(*args, **kwargs):
+            raise AssertionError("ran suites on a refused spec")
+
+        monkeypatch.setattr(verify, "run_suites", fail)
+        rc = cli.main(["verify", *argv])
+        out, err = capsys.readouterr()
+        assert (rc, out) == (cli.EXIT_VALIDATION, "")
+        assert err == f"invalid input: {message}\n"
 
 
 class TestDims:

@@ -488,6 +488,46 @@ def test_lag_cov_asymptotic_agreement_with_offset():
             assert abs(ratio - 1.0) <= 10.0 / math.sqrt(n), (p, n, ratio)
 
 
+class TestInertComponents:
+    """Zero-weight components are never evaluated: a padded spec gives the live
+    spec's bits, also where the inert component alone would overflow a double."""
+
+    LIVE = ProcessSpec([1.0], [0.5])
+    PADDED = ProcessSpec([1.0, 0.0], [0.5, 0.99])
+
+    @staticmethod
+    def evaluations(spec, x):
+        half = 0.5 * x
+        return [
+            msfbm.msfbm_cov(spec, half, x),
+            msfbm.msfbm_var(spec, x),
+            msfbm.mfbm_cov(spec, half, x),
+            msfbm.increment_second_moment(spec, half, x),
+            *msfbm.increment_bounds(spec, half, x),
+            msfbm.increment_cov(spec, IncrementWindow(0.25 * x, half, half, x)),
+            kernel_scale(spec, x),
+            *msfbm.lag_cov_series(spec, 0, [x]),
+            msfbm.lag_cov_c_asymptotic(spec, 0, int(x)),
+            msfbm.mfbm_lag_cov_r(spec, int(x)),
+            msfbm.lag_cov_c(spec, 2.0, 7),
+            msfbm.stationarity_gap(spec, 2.0, 7),
+            msfbm.markov_residual(spec, 0.5, 1.0, 2.0),
+            msfbm.conditional_variance(spec, 2.0, 1.0),
+        ]
+
+    @pytest.mark.parametrize("x", (3.0, 1e300))
+    def test_padded_spec_evaluates_the_live_spec(self, x):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            padded = self.evaluations(self.PADDED, x)
+            live = self.evaluations(self.LIVE, x)
+        assert np.array(padded).tobytes() == np.array(live).tobytes()
+
+    def test_per_component_maps_keep_every_component(self):
+        assert len(bound_constants(self.PADDED).gamma) == 2
+        assert msfbm.rescale_coeffs(self.PADDED, 2.0).coeffs == (approx12(2.0 ** 0.5), 0.0)
+
+
 class TestSharedClosedForms:
     """Each closed form is one helper, fed ``_p2h`` on scalars or ``_p2h_array`` on arrays."""
 

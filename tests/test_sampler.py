@@ -22,6 +22,7 @@ from msfbm.sampler import (
     _route_bytes,
     _symmetric_fbm_grams,
     _weighted_spectra,
+    gram_matrix,
 )
 from msfbm.seeds import _pcg64_state, derive_seed, normal_stream, replica_seeds, stream_keys
 
@@ -709,7 +710,7 @@ class TestInertComponents:
         grid = TimeGrid.uniform(9, 1.0)
         spec = ProcessSpec([0.0, 2.0, 0.0], [0.3, 0.7, 0.9])
         live = ProcessSpec([2.0], [0.7])
-        for build in (_symmetric_fbm_grams, _fgn_spectra):
+        for build in (lambda *a: [gram_matrix(*a)], _symmetric_fbm_grams, _fgn_spectra):
             got, want = build(spec, grid), build(live, grid)
             assert len(got) == 1 and got[0].tobytes() == want[0].tobytes()
 
