@@ -73,6 +73,9 @@ COMMANDS = {
     "refuse-seed-negative": ["simulate", "--hurst", "0.5", "--seed=-1"],
     "refuse-verify-reps-0": ["verify", "--reps=0"],
     "refuse-verify-selfsim-spec": ["verify", "--suite", "selfsim", "--hurst", "0.3"],
+    "refuse-verify-srd-reps": ["verify", "--suite", "srd", "--reps", "7"],
+    "refuse-simulate-times-grid-points": ["simulate", "--hurst", "0.5", "--times", "0,0.5,1",
+                                          "--grid-points", "9"],
 }
 
 

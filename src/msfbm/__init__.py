@@ -50,7 +50,7 @@ from .analysis import (
     p_variation_stat,
     qv_scaling_exponent,
     range_dimension,
-    srd_partial_sums,
+    srd_series,
 )
 from .classify import (
     Ordering,

@@ -44,7 +44,7 @@ __all__ = [
     "level_set_box_dimension",
     "range_dimension",
     "nondiff_probe",
-    "srd_partial_sums",
+    "srd_series",
 ]
 
 
@@ -408,17 +408,8 @@ def nondiff_probe(ens: Ensemble, t0: float) -> list[tuple[float, float]]:
     return rows
 
 
-def _srd_terms(spec: ProcessSpec, p: int, n_max: int) -> np.ndarray:
-    """Lag covariances C(p, n) for n = 1..n_max, refused over the memory budget."""
-    n_max = int(n_max)
-    if n_max < 10:
-        raise ValueError("n_max must be at least 10")
-    _check_budget(f"n_max = {n_max}", _SRD_BYTES_PER_LAG * n_max)
-    return lag_cov_series(spec, p, np.arange(1, n_max + 1))
-
-
-def srd_partial_sums(spec: ProcessSpec, p: int, n_max: int) -> np.ndarray:
-    """Partial sums of the lag covariances C(p, n) for n = 1..n_max.
+def srd_series(spec: ProcessSpec, p: int, n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lag covariances C(p, n) for n = 1..n_max and their partial sums.
 
     Summation order is fixed (ascending n), so results are bit-stable.
     The terms decay like n^(2*h_max - 3); the sums converge for every
@@ -426,4 +417,9 @@ def srd_partial_sums(spec: ProcessSpec, p: int, n_max: int) -> np.ndarray:
     the output ``msfbm srd`` builds from them, would exceed the memory budget
     raises ValueError before anything is allocated.
     """
-    return np.cumsum(_srd_terms(spec, p, n_max))
+    n_max = int(n_max)
+    if n_max < 10:
+        raise ValueError("n_max must be at least 10")
+    _check_budget(f"n_max = {n_max}", _SRD_BYTES_PER_LAG * n_max)
+    terms = lag_cov_series(spec, p, np.arange(1, n_max + 1))
+    return terms, np.cumsum(terms)

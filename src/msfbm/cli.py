@@ -151,7 +151,23 @@ def _with_config(parser: argparse.ArgumentParser, argv: Optional[Sequence[str]],
         if options[key].type is float:
             values[key] = float(value)
     args.subparser.set_defaults(**values)
-    return parser.parse_args(argv)
+    return parser.parse_args(argv, argparse.Namespace(given=args.given | set(values)))
+
+
+def _typed(argv: Optional[Sequence[str]]) -> set[str]:
+    """The dests of the options ``argv`` types, parsed again with no option defaults."""
+    parser = build_parser()
+    for p in parser._subparsers._group_actions[0].choices.values():
+        for action in p._actions:
+            action.default = argparse.SUPPRESS
+    return set(vars(parser.parse_args(argv)))
+
+
+def _refuse_unread(args: argparse.Namespace, mode: str, unread: Iterable[str]) -> None:
+    """Refuse each option of ``unread`` given by a flag or a config key: ``mode`` ignores it."""
+    given = [f"--{dest.replace('_', '-')}" for dest in unread if dest in args.given]
+    if given:
+        raise ValueError(f"{args.command} {mode} does not read {', '.join(given)}")
 
 
 def _spec(args: argparse.Namespace) -> ProcessSpec:
@@ -196,9 +212,8 @@ def _n_threads() -> int:
 
 def _cmd_cov(args: argparse.Namespace) -> int:
     spec = _spec(args)
-    if args.window and args.points:
-        raise ValueError("cov takes --points or --window, not both")
-    if args.window:
+    if args.window is not None:
+        _refuse_unread(args, "--window", ["points"])
         bounds = _floats(args.window, "window")
         if len(bounds) != 4:
             raise ValueError(f"--window needs four values u,v,s,t, got {len(bounds)}")
@@ -222,7 +237,8 @@ def _cmd_cov(args: argparse.Namespace) -> int:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     seed, n_reps = _seed(args), _at_least_one("--reps", args.reps)
     spec = _spec(args)
-    if args.times:
+    if args.times is not None:
+        _refuse_unread(args, "--times", ["grid_points", "horizon"])
         grid = TimeGrid(_floats(args.times, "times"))
     else:
         grid = TimeGrid.uniform(args.grid_points, args.horizon)
@@ -252,15 +268,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     seed, n_reps = _seed(args), _at_least_one("--reps", args.reps)
     names = verify.SUITE_NAMES if args.suite == "all" else (args.suite,)
-    spec = None
-    if args.hurst is not None or args.coeffs is not None:
-        readers = [n for n in names if n in verify.SPEC_SUITES]
-        if not readers:
-            raise ValueError(f"--hurst and --coeffs are read only by the "
-                             f"{', '.join(verify.SPEC_SUITES)} suites, not by {', '.join(names)}")
-        if args.hurst is None:
-            raise ValueError(f"--coeffs needs --hurst for the {', '.join(readers)} suite(s)")
-        spec = _spec(args)
+    input_of = {"coeffs": "spec", "hurst": "spec", "seed": "seed", "reps": "n_reps"}
+    _refuse_unread(args, f"--suite {args.suite}", [
+        dest for dest, key in input_of.items() if not any(key in verify.SUITES[n] for n in names)])
+    spec = None if args.hurst is None and args.coeffs is None else _spec(args)
     checks = verify.run_suites(names, spec=spec, seed=seed, n_reps=n_reps, n_threads=_n_threads())
     _emit(_json_text(_report("verify", spec, master_seed=seed, **checks)), args.out)
     return EXIT_OK if checks["all_passed"] else EXIT_VERIFY_FAILED
@@ -312,8 +323,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 def _cmd_srd(args: argparse.Namespace) -> int:
     spec = _spec(args)
     p, n_max = args.p, args.n_max
-    terms = analysis._srd_terms(spec, p, n_max)
-    sums = np.cumsum(terms)
+    terms, sums = analysis.srd_series(spec, p, n_max)
     if args.format == "json":
         _emit(_json_text(_report("srd", spec, p=p, n_max=n_max, lag_cov=list(terms),
                                  partial_sums=list(sums))), args.out)
@@ -410,6 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    args.given = _typed(argv)
     try:
         if args.config:
             args = _with_config(parser, argv, args)

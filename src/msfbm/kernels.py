@@ -60,6 +60,15 @@ def _check_hurst(h: float) -> float:
     return h
 
 
+def _times(*ts: float) -> tuple[float, ...]:
+    """``ts`` as floats; ValueError unless each is finite and nonnegative (NaN is neither)."""
+    ts = tuple(map(float, ts))
+    for t in ts:  # a plain loop: all() over a generator doubles the cost of a scalar call
+        if not 0.0 <= t < math.inf:
+            raise ValueError(f"times must be finite and nonnegative, got {t!r}")
+    return ts
+
+
 def _p2h(x: float, two_h: float) -> float:
     """x^(2h) for x >= 0, with 0^(2h) = 0."""
     if x == 0.0:
@@ -130,55 +139,40 @@ def _rescale_term(p, a, hurst, factor):
 
 def fbm_cov(h: float, s: float, t: float) -> float:
     """Fractional Brownian covariance (|t|^2h + |s|^2h - |t-s|^2h)/2 on the line."""
-    h = _check_hurst(h)
-    two_h = 2.0 * h
-    s = float(s)
-    t = float(t)
+    two_h = 2.0 * _check_hurst(h)
+    s, t = float(s), float(t)
+    _times(abs(s), abs(t))  # finite: fbm_cov is defined on the whole line
     return 0.5 * (_p2h(abs(t), two_h) + _p2h(abs(s), two_h) - _p2h(abs(t - s), two_h))
 
 
 def sfbm_cov(h: float, s: float, t: float) -> float:
     """Sub-fractional covariance s^2h + t^2h - ((s+t)^2h + |t-s|^2h)/2, s,t >= 0."""
     h = _check_hurst(h)
-    s = float(s)
-    t = float(t)
-    if s < 0.0 or t < 0.0:
-        raise ValueError("times must be nonnegative")
+    s, t = _times(s, t)
     return _sfbm_term(_p2h, 2.0 * h, s, t)
 
 
 def msfbm_cov(spec: ProcessSpec, s: float, t: float) -> float:
     """Mixture covariance sum(a_i^2 * sfbm_cov(H_i, s, t))."""
-    s = float(s)
-    t = float(t)
-    if s < 0.0 or t < 0.0:
-        raise ValueError("times must be nonnegative")
+    s, t = _times(s, t)
     value = sum(a * a * _sfbm_term(_p2h, 2.0 * h, s, t) for a, h in spec.active())
     return _finite(value, "msfbm_cov", s, t)
 
 
 def msfbm_var(spec: ProcessSpec, t: float) -> float:
     """Variance sum(a_i^2 * (2 - 2^(2H_i - 1)) * t^(2H_i)) at time t >= 0."""
-    t = float(t)
-    if t < 0.0:
-        raise ValueError("times must be nonnegative")
+    (t,) = _times(t)
     return sum(_var_term(_p2h, a * a, 2.0 * h, t) for a, h in spec.active())
 
 
 def mfbm_cov(spec: ProcessSpec, s: float, t: float) -> float:
     """Mixed fractional (stationary-increment comparator) covariance."""
-    s = float(s)
-    t = float(t)
-    if s < 0.0 or t < 0.0:
-        raise ValueError("times must be nonnegative")
+    s, t = _times(s, t)
     return sum(a * a * fbm_cov(h, s, t) for a, h in spec.active())
 
 
 def _check_increment_times(s: float, t: float) -> tuple[float, float]:
-    s = float(s)
-    t = float(t)
-    if s < 0.0 or t < 0.0:
-        raise ValueError("times must be nonnegative")
+    s, t = _times(s, t)
     if s > t:
         raise ValueError("increment requires s <= t")
     return s, t
@@ -230,7 +224,7 @@ def kernel_scale(spec: ProcessSpec, tmax: float) -> float:
     Identity checks on cancellation-prone sums are meaningful relative to
     this scale, not to the (possibly vanishing) result.
     """
-    tmax = abs(float(tmax))
+    (tmax,) = _times(abs(float(tmax)))
     return sum(_scale_term(_p2h, a * a, 2.0 * h, tmax) for a, h in spec.active())
 
 
@@ -252,9 +246,7 @@ def lag_cov_c(spec: ProcessSpec, x: float, n: int) -> float:
     ArithmeticError when it disagrees with the window evaluation.
     """
     n = _check_lag(n)
-    x = float(x)
-    if x < 0.0:
-        raise ValueError("times must be nonnegative")
+    (x,) = _times(x)
     value = increment_cov(spec, _lag_window(x, n))
     if x.is_integer():
         # The window's eight terms at u = x, v = x+1, s = x+n, t = x+n+1, summed exactly.

@@ -82,7 +82,7 @@ class ProcessSpec:
 
 @dataclass(frozen=True)
 class IncrementWindow:
-    """Ordered quadruple 0 <= u < v <= s < t of non-overlapping increments."""
+    """Ordered finite quadruple 0 <= u < v <= s < t of non-overlapping increments."""
 
     u: float
     v: float
@@ -94,9 +94,9 @@ class IncrementWindow:
         object.__setattr__(self, "v", float(self.v))
         object.__setattr__(self, "s", float(self.s))
         object.__setattr__(self, "t", float(self.t))
-        if not (0.0 <= self.u < self.v <= self.s < self.t):
+        if not (0.0 <= self.u < self.v <= self.s < self.t < math.inf):
             raise ValueError(
-                f"window must satisfy 0 <= u < v <= s < t, got "
+                f"window must satisfy 0 <= u < v <= s < t < inf, got "
                 f"({self.u}, {self.v}, {self.s}, {self.t})"
             )
 

@@ -21,8 +21,16 @@ from .process import IncrementWindow, ProcessSpec
 from .sampler import Ensemble, TimeGrid, gram_matrix, psd_factor, sample_ensemble
 from .seeds import derive_seed
 
-SUITE_NAMES = ("kernels", "sampler", "srd", "markov", "selfsim")
-SPEC_SUITES = ("sampler", "srd", "markov")  # the suites that read a given spec
+# Each suite and the inputs its runner ``run_<suite>_suite`` reads.  Runners are looked up
+# by name when called, so that a rebinding of the name (a tracer, a test's stub) reaches them.
+SUITES = {
+    "kernels": ("seed",),
+    "sampler": ("spec", "seed", "n_reps", "n_threads"),
+    "srd": ("spec",),
+    "markov": ("spec", "seed"),
+    "selfsim": ("seed",),
+}
+SUITE_NAMES = tuple(SUITES)
 
 _IDENTITY_TOL = 1e-12
 _PAD = 4  # components per padded spec row: random specs have 1 to 4
@@ -324,16 +332,9 @@ def run_suites(
     n_threads: int = 1,
 ) -> dict:
     """Run the named suites: their checks, and whether every check passed."""
-    runners: dict[str, Callable[[], dict]] = {
-        "kernels": lambda: run_kernels_suite(seed=seed),
-        "sampler": lambda: run_sampler_suite(spec=spec, seed=seed, n_reps=n_reps,
-                                             n_threads=n_threads),
-        "srd": lambda: run_srd_suite(spec=spec),
-        "markov": lambda: run_markov_suite(spec=spec, seed=seed),
-        "selfsim": lambda: run_selfsim_suite(seed=seed),
-    }
-    unknown = [n for n in names if n not in runners]
+    unknown = [n for n in names if n not in SUITES]
     if unknown:
         raise ValueError(f"unknown verify suite(s): {unknown}; choose from {SUITE_NAMES}")
-    suites = [runners[n]() for n in names]
+    inputs = {"spec": spec, "seed": seed, "n_reps": n_reps, "n_threads": n_threads}
+    suites = [globals()[f"run_{n}_suite"](**{k: inputs[k] for k in SUITES[n]}) for n in names]
     return {"suites": suites, "all_passed": all(s["all_passed"] for s in suites)}

@@ -32,7 +32,7 @@ from msfbm.analysis import (
     p_variation_stat,
     qv_scaling_exponent,
     range_dimension,
-    srd_partial_sums,
+    srd_series,
 )
 from msfbm.sampler import Ensemble, sample_ensemble
 
@@ -325,24 +325,24 @@ class TestNondiffProbe:
 
 class TestSrdPartialSums:
     def test_brownian_all_zero(self):
-        sums = srd_partial_sums(ProcessSpec([1.0], [0.5]), 0, 100)
+        _, sums = srd_series(ProcessSpec([1.0], [0.5]), 0, 100)
         assert np.max(np.abs(sums)) <= 1e-12
 
     def test_low_hurst_last_decade_cauchy(self):
-        sums = srd_partial_sums(ProcessSpec([1.0], [0.3]), 0, 10 ** 5)
+        _, sums = srd_series(ProcessSpec([1.0], [0.3]), 0, 10 ** 5)
         last = sums[10 ** 4 - 1:]
         assert float(last.max() - last.min()) <= 1e-6
 
     def test_monotone_decreasing_tail_for_high_hurst(self):
         spec = ProcessSpec([1.0], [0.75])
-        sums = srd_partial_sums(spec, 0, 10 ** 4)
+        _, sums = srd_series(spec, 0, 10 ** 4)
         diffs = np.diff(sums[100:])
         assert np.all(diffs > 0.0)  # positive terms, shrinking
         assert np.all(np.diff(diffs) < 0.0)
 
     def test_minimum_n(self):
         with pytest.raises(ValueError):
-            srd_partial_sums(ProcessSpec([1.0], [0.5]), 0, 5)
+            srd_series(ProcessSpec([1.0], [0.5]), 0, 5)
 
 
 class TestCsvSerialization:

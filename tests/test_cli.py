@@ -1,5 +1,7 @@
 """Command-line interface: golden outputs, exit codes, schemas, determinism."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
@@ -9,6 +11,8 @@ from importlib import resources
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import msfbm
 from msfbm import analysis, cli, kernels, sampler, verify
@@ -100,7 +104,7 @@ class TestCov:
         rc = cli.main([*argv, "--config", str(config)])
         out, err = capsys.readouterr()
         assert (rc, out) == (cli.EXIT_VALIDATION, "")
-        assert err == "invalid input: cov takes --points or --window, not both\n"
+        assert err == "invalid input: cov --window does not read --points\n"
 
 
 class TestInertComponents:
@@ -329,12 +333,12 @@ class TestVerify:
         assert cp.returncode == 2
 
     @pytest.mark.parametrize("argv,message", [
-        (["--suite", "markov", "--coeffs", "5"], "--coeffs needs --hurst for the markov suite(s)"),
-        (["--coeffs", "5"], "--coeffs needs --hurst for the sampler, srd, markov suite(s)"),
-        (["--suite", "selfsim", "--hurst", "0.3"],
-         "--hurst and --coeffs are read only by the sampler, srd, markov suites, not by selfsim"),
+        (["--suite", "markov", "--coeffs", "5"],
+         "a process needs --hurst (and optionally --coeffs; flags or config file)"),
+        (["--coeffs", "5"], "a process needs --hurst (and optionally --coeffs; flags or config file)"),
+        (["--suite", "selfsim", "--hurst", "0.3"], "verify --suite selfsim does not read --hurst"),
         (["--suite", "kernels", "--coeffs", "1", "--hurst", "0.3"],
-         "--hurst and --coeffs are read only by the sampler, srd, markov suites, not by kernels"),
+         "verify --suite kernels does not read --coeffs, --hurst"),
     ])
     def test_spec_no_suite_reads_is_refused(self, argv, message, monkeypatch, capsys):
         def fail(*args, **kwargs):
@@ -653,3 +657,60 @@ class TestSeedAndReps:
         out, err = capsys.readouterr()
         assert (rc, out) == (cli.EXIT_VALIDATION, "")
         assert err == f"invalid input: --reps must be >= 1, got {reps}\n"
+
+
+_SPEC_VALUES = {"hurst": st.lists(st.floats(0.01, 0.99), min_size=1, max_size=2),
+                "coeffs": st.lists(st.floats(0.1, 3.0), min_size=1, max_size=2)}
+_REPS = st.integers(1, 10 ** 6)
+
+# Each command mode that leaves options unread: an invocation in that mode that
+# exits 0, and the options it does not read, each with values a user could give.
+# dims, classify, srd and the other modes read every option they take.
+_UNREAD = {
+    "cov --window": (["cov", "--hurst", "0.5", "--window", "0,1,2,3"],
+                     {"points": st.lists(st.floats(0.0, 5.0), min_size=1, max_size=3)}),
+    "simulate --times": (["simulate", "--hurst", "0.5", "--times", "0,0.5,1"],
+                         {"grid_points": st.integers(2, 40), "horizon": st.floats(1e-3, 1e3)}),
+    "verify --suite srd": (["verify", "--suite", "srd"],
+                           {"seed": st.integers(0, 2 ** 64 - 1), "reps": _REPS}),
+    "verify --suite markov": (["verify", "--suite", "markov"], {"reps": _REPS}),
+    "verify --suite kernels": (["verify", "--suite", "kernels"], {**_SPEC_VALUES, "reps": _REPS}),
+    "verify --suite selfsim": (["verify", "--suite", "selfsim"], {**_SPEC_VALUES, "reps": _REPS}),
+}
+
+
+def _main(argv):
+    """``cli.main(argv)`` in-process: (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = cli.main(argv)
+    return rc, out.getvalue(), err.getvalue()
+
+
+class TestUnreadOptions:
+    """Every option given, typed or set by a --config key, is read by the run or refused."""
+
+    @pytest.mark.parametrize("mode", sorted(_UNREAD))
+    def test_invocation_reads_every_option_it_is_given(self, mode):
+        rc, out, err = _main(_UNREAD[mode][0])
+        assert (rc, err) == (cli.EXIT_OK, "") and out
+
+    @pytest.mark.parametrize("mode", sorted(_UNREAD))
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_one_unread_option_turns_exit_0_into_a_one_line_refusal(
+            self, mode, data, tmp_path_factory):
+        argv, unread = _UNREAD[mode]
+        dest = data.draw(st.sampled_from(sorted(unread)))
+        value = data.draw(unread[dest])
+        flag = f"--{dest.replace('_', '-')}"
+        if data.draw(st.booleans()):
+            text = ",".join(map(repr, value)) if isinstance(value, list) else repr(value)
+            argv = [*argv, f"{flag}={text}"]
+        else:
+            config = tmp_path_factory.getbasetemp() / "unread.json"
+            config.write_text(json.dumps({dest: value}))
+            argv = [*argv, "--config", str(config)]
+        rc, out, err = _main(argv)
+        assert (rc, out) == (cli.EXIT_VALIDATION, "")
+        assert err == f"invalid input: {mode} does not read {flag}\n"

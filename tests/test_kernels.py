@@ -488,6 +488,34 @@ def test_lag_cov_asymptotic_agreement_with_offset():
             assert abs(ratio - 1.0) <= 10.0 / math.sqrt(n), (p, n, ratio)
 
 
+_MIX = ProcessSpec([1.0, 2.0], [0.3, 0.7])
+# Each public kernel that takes a time, with that time set to x.
+_TIME_KERNELS = {
+    "fbm_cov": lambda x: msfbm.fbm_cov(0.7, 1.0, x),
+    "fbm_cov_negative": lambda x: msfbm.fbm_cov(0.7, -x, 1.0),
+    "sfbm_cov": lambda x: msfbm.sfbm_cov(0.7, x, 1.0),
+    "msfbm_cov": lambda x: msfbm.msfbm_cov(_MIX, 1.0, x),
+    "msfbm_var": lambda x: msfbm.msfbm_var(_MIX, x),
+    "mfbm_cov": lambda x: msfbm.mfbm_cov(_MIX, x, 1.0),
+    "increment_second_moment": lambda x: msfbm.increment_second_moment(_MIX, 1.0, x),
+    "increment_bounds": lambda x: msfbm.increment_bounds(_MIX, 1.0, x),
+    "increment_cov": lambda x: msfbm.increment_cov(_MIX, IncrementWindow(0.0, 1.0, 2.0, x)),
+    "kernel_scale": lambda x: kernel_scale(_MIX, x),
+    "kernel_scale_negative": lambda x: kernel_scale(_MIX, -x),
+    "lag_cov_c": lambda x: msfbm.lag_cov_c(_MIX, x, 3),
+    "stationarity_gap": lambda x: msfbm.stationarity_gap(_MIX, x, 3),
+    "markov_residual": lambda x: msfbm.markov_residual(_MIX, 0.5, 1.0, x),
+    "conditional_variance": lambda x: msfbm.conditional_variance(_MIX, x, 1.0),
+}
+
+
+@pytest.mark.parametrize("bad", (math.nan, math.inf))
+@pytest.mark.parametrize("kernel", sorted(_TIME_KERNELS))
+def test_non_finite_time_is_refused(kernel, bad):
+    with pytest.raises(ValueError):
+        _TIME_KERNELS[kernel](bad)
+
+
 class TestInertComponents:
     """Zero-weight components are never evaluated: a padded spec gives the live
     spec's bits, also where the inert component alone would overflow a double."""
