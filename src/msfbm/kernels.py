@@ -232,11 +232,29 @@ def _lag_window(x: float, n: int) -> IncrementWindow:
     return IncrementWindow(x, x + 1.0, x + n, x + n + 1.0)
 
 
+def _whole(name: str, value: int) -> int:
+    """``value`` as an int; ValueError naming ``name`` unless it is a finite
+    whole number (an integral float such as 3.0 is taken as 3)."""
+    if not isinstance(value, (int, np.integer)):
+        as_float = float(value)
+        if not as_float.is_integer():  # False for inf and NaN as well
+            raise ValueError(f"{name} must be a finite whole number, got {as_float!r}")
+        value = as_float
+    return int(value)
+
+
 def _check_lag(n: int) -> int:
-    n = int(n)
+    n = _whole("lag n", n)
     if n < 1:
         raise ValueError("lag n must be >= 1 (n = 0 overlaps the base window)")
     return n
+
+
+def _check_offset(p: int) -> int:
+    p = _whole("offset p", p)
+    if p < 0:
+        raise ValueError("p must be a nonnegative integer")
+    return p
 
 
 def lag_cov_c(spec: ProcessSpec, x: float, n: int) -> float:
@@ -272,10 +290,11 @@ def lag_cov_series(spec: ProcessSpec, p: int, ns: Sequence[int]) -> np.ndarray:
     ~1e-12 at n ~ 1e2 and degrades smoothly to ~1e-5 at n ~ 1e5; the raw
     eight-term sum would have lost every digit there.
     """
-    p = int(p)
-    if p < 0:
-        raise ValueError("p must be a nonnegative integer")
+    p = _check_offset(p)
     ns = np.asarray(ns, dtype=float)
+    not_whole = ns[~np.isfinite(ns) | (ns != np.floor(ns))]
+    if not_whole.size:
+        _whole("lag n", not_whole[0])
     if ns.size and ns.min() < 1:
         raise ValueError("lag n must be >= 1 (n = 0 overlaps the base window)")
 
@@ -300,9 +319,7 @@ def lag_cov_series(spec: ProcessSpec, p: int, ns: Sequence[int]) -> np.ndarray:
 def lag_cov_c_asymptotic(spec: ProcessSpec, p: int, n: int) -> float:
     """Leading large-n term 2(1-H)H(2H-1)(2p+1) a^2 n^(2H-3), summed over components."""
     n = _check_lag(n)
-    p = int(p)
-    if p < 0:
-        raise ValueError("p must be a nonnegative integer")
+    p = _check_offset(p)
     out = 0.0
     for a, h in spec.active():
         out += (

@@ -38,6 +38,7 @@ from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .kernels import _p2h_array
 from .process import ProcessSpec
@@ -76,7 +77,8 @@ _MEMORY_BUDGET = 2 * 2 ** 30
 _GRAM_ROWS = 32
 
 # Edge of the square tiles in which ``psd_factor`` compares a matrix with its
-# transpose: a tile and its mirror tile fit in cache together.
+# transpose, and copies its column-major factor into C order: a tile and its
+# mirror tile fit in cache together.
 _SYM_TILE = 64
 
 
@@ -254,8 +256,51 @@ def _is_symmetric(g: np.ndarray) -> bool:
     return True
 
 
+def _not_positive_definite(err: str, flag: int) -> None:
+    raise np.linalg.LinAlgError("matrix is not positive definite")
+
+
+def _cholesky_lower(target: np.ndarray) -> np.ndarray:
+    """The lower Cholesky factor of the symmetric ``target`` as LAPACK returns
+    it, column-major, with zeros above the diagonal.
+
+    This is the gufunc ``np.linalg.cholesky`` calls, written into an F-order
+    output so the column-major result is copied contiguously; the bits are
+    ``np.linalg.cholesky``'s.  A failed factorization raises LinAlgError
+    through the gufunc's invalid flag, as in ``np.linalg.cholesky``, whatever
+    floating-point error state surrounds the call.
+    """
+    n = target.shape[0]
+    col_major = np.empty((n, n), order="F")
+    # LAPACK factors a column-major copy of its input.  target equals
+    # target.T, and copying the F-contiguous one of them is a contiguous
+    # read where the other is a transposing one.
+    with np.errstate(call=_not_positive_definite, invalid="call",
+                     over="ignore", divide="ignore", under="ignore"):
+        _umath_linalg.cholesky_lo(target if target.flags.f_contiguous else target.T,
+                                  out=col_major, signature="d->d")
+    return col_major
+
+
+def _c_order_lower(col_major: np.ndarray) -> np.ndarray:
+    """The lower-triangular ``col_major`` copied into a C-order array, tile by
+    tile so each source tile and its destination stay in cache; the tiles
+    above the diagonal stay zero."""
+    n = col_major.shape[0]
+    lower = np.zeros((n, n))
+    for lo in range(0, n, _SYM_TILE):
+        rows = slice(lo, lo + _SYM_TILE)
+        for col in range(0, lo + 1, _SYM_TILE):
+            lower[rows, col:col + _SYM_TILE] = col_major[rows, col:col + _SYM_TILE]
+    return lower
+
+
 def psd_factor(g: np.ndarray) -> FactorResult:
-    """Cholesky factor of g + eps*I, escalating eps until factorization succeeds."""
+    """Cholesky factor of g + eps*I, escalating eps until factorization succeeds.
+
+    The factor is C-ordered: the per-replica ``L @ z`` of the dense routes
+    keeps its bits only on a C-order factor.
+    """
     g = np.asarray(g, dtype=float)
     if g.ndim != 2 or g.shape[0] != g.shape[1]:
         raise ValueError("gram matrix must be square")
@@ -264,15 +309,13 @@ def psd_factor(g: np.ndarray) -> FactorResult:
     max_diag = float(np.max(np.diag(g))) if g.size else 0.0
     for level in JITTER_LADDER:
         eps = level * max_diag
-        target = g + eps * np.eye(g.shape[0]) if eps else g
         try:
-            # LAPACK factors a column-major copy of its input.  target equals
-            # target.T, and copying the F-contiguous one of them is a
-            # contiguous read where the other is a transposing one.
-            lower = np.linalg.cholesky(target if target.flags.f_contiguous else target.T)
+            # g + eps*I lives only for the call, so at most g, that sum,
+            # LAPACK's buffer and the column-major factor are alive at once.
+            col_major = _cholesky_lower(g + eps * np.eye(g.shape[0]) if eps else g)
         except np.linalg.LinAlgError:
             continue
-        return FactorResult(lower=lower, jitter=eps)
+        return FactorResult(lower=_c_order_lower(col_major), jitter=eps)
     raise FactorizationFailure(
         f"cholesky failed at all jitter levels {JITTER_LADDER}"
     )
@@ -444,8 +487,10 @@ def _route_bytes(route: str, spec: ProcessSpec, m: int, n_reps: int) -> int:
     """Estimated peak bytes of the route's arrays, the ensemble's values included.
 
     Only active components count.  Dense routes hold their Grams or factors
-    plus three more n x n matrices while factoring: the new factor, LAPACK's
-    working copy of its input and the jitter path's ``g + eps*I``.
+    plus three more n x n matrices while factoring: the jitter path's
+    ``g + eps*I``, LAPACK's working copy of its input and the column-major
+    factor it writes.  The C-order factor is allocated after the sum is
+    freed, and the column-major one is freed when it has been copied.
     The circulant route of length N = 4m holds one weighted half spectrum of
     N/2 + 1 values per component, and one replica worker's workspace holds
     N + 2 normals, the complex spectrum accumulator of N/2 + 1 values, the

@@ -27,6 +27,8 @@ SUITES = {
     "kernels": ("seed",),
     "sampler": ("spec", "seed", "n_reps", "n_threads"),
     "srd": ("spec",),
+    # The seed draws the residual's time triples, which only a Markov spec samples: for
+    # any other spec the report differs across seeds in ``master_seed`` alone.
     "markov": ("spec", "seed"),
     "selfsim": ("seed",),
 }

@@ -225,6 +225,34 @@ class TestLagCov:
         with pytest.raises(ValueError, match="n = 0"):
             msfbm.lag_cov_c(ProcessSpec([1.0], [0.5]), 0.0, 0)
 
+    @pytest.mark.parametrize("call", [
+        lambda s, v: msfbm.lag_cov_c(s, 0.0, v),
+        lambda s, v: msfbm.mfbm_lag_cov_r(s, v),
+        lambda s, v: msfbm.stationarity_gap(s, 0.0, v),
+        lambda s, v: msfbm.lag_cov_c_asymptotic(s, 0, v),
+        lambda s, v: msfbm.lag_cov_series(s, 0, [1.0, v]),
+    ], ids=["lag_cov_c", "mfbm_lag_cov_r", "stationarity_gap", "asymptotic", "series"])
+    @pytest.mark.parametrize("lag", (2.5, math.inf, -math.inf, math.nan))
+    def test_lag_not_a_whole_number_is_refused(self, call, lag):
+        with pytest.raises(ValueError, match=r"lag n must be a finite whole number"):
+            call(ProcessSpec([1.0], [0.7]), lag)
+
+    @pytest.mark.parametrize("call", [
+        lambda s, v: msfbm.lag_cov_c_asymptotic(s, v, 3),
+        lambda s, v: msfbm.lag_cov_series(s, v, [3]),
+    ], ids=["asymptotic", "series"])
+    @pytest.mark.parametrize("offset", (0.5, math.inf, math.nan))
+    def test_offset_not_a_whole_number_is_refused(self, call, offset):
+        with pytest.raises(ValueError, match=r"offset p must be a finite whole number"):
+            call(ProcessSpec([1.0], [0.7]), offset)
+
+    def test_whole_number_floats_are_their_integers(self):
+        spec = ProcessSpec([1.0, 0.5], [0.7, 0.3])
+        assert msfbm.lag_cov_c(spec, 0.0, 3.0) == msfbm.lag_cov_c(spec, 0.0, 3)
+        assert msfbm.lag_cov_c_asymptotic(spec, 2.0, 9.0) == msfbm.lag_cov_c_asymptotic(spec, 2, 9)
+        assert np.array_equal(msfbm.lag_cov_series(spec, np.float64(1.0), [2.0, 5.0]),
+                              msfbm.lag_cov_series(spec, 1, [2, 5]))
+
     def test_closed_form_check_survives_optimize_flag(self):
         code = textwrap.dedent("""
             from msfbm import ProcessSpec, kernels

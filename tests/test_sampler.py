@@ -260,12 +260,14 @@ class TestPsdFactor:
         assert n == 1 or not (sliced.flags.c_contiguous or sliced.flags.f_contiguous)
         return [np.ascontiguousarray(g), np.asfortranarray(g), sliced]
 
-    @pytest.mark.parametrize("n", _BLOCK_EDGE_SIZES)
+    @pytest.mark.parametrize("n", _BLOCK_EDGE_SIZES + (_SYM_TILE - 1, _SYM_TILE, _SYM_TILE + 1,
+                                                       2 * _SYM_TILE + 5))
     def test_factor_bit_equal_to_cholesky_in_every_layout(self, n):
         g = msfbm.gram_matrix(ProcessSpec([1.0, 0.5], [0.3, 0.8]), TimeGrid.uniform(n + 1, 2.0))
         for x in self._layouts(g):
             fr = msfbm.psd_factor(x)
             assert fr.jitter == 0.0
+            assert fr.lower.flags.c_contiguous
             assert np.array_equal(fr.lower, np.linalg.cholesky(x))
 
     def test_jittered_factor_bit_equal_to_cholesky_in_every_layout(self):
@@ -275,6 +277,26 @@ class TestPsdFactor:
             fr = msfbm.psd_factor(x)
             assert fr.jitter > 0.0
             assert np.array_equal(fr.lower, np.linalg.cholesky(x + fr.jitter * np.eye(n)))
+
+    def test_failed_rung_is_not_a_floating_point_error(self):
+        # sample_ensemble factors under over="raise", invalid="raise"; a rung that
+        # is not positive definite must still step up the jitter ladder.
+        with np.errstate(over="raise", invalid="raise"):
+            fr = msfbm.psd_factor(np.ones((5, 5)))
+        assert fr.jitter > 0.0
+        assert np.array_equal(fr.lower, np.linalg.cholesky(np.ones((5, 5)) + fr.jitter * np.eye(5)))
+
+    @pytest.mark.parametrize("times,needs_jitter", [
+        # test_near_singular_dense_grid's Gram, which factors at the first rung.
+        (np.linspace(0.0, 1.0, 1000), False),
+        # Two times 1e-12 apart, whose Gram factors only on a nonzero rung.
+        (np.concatenate([[0.0], np.linspace(0.5, 1.0, 50), [1.0 + 1e-12]]), True),
+    ], ids=["uniform-1000", "coincident-pair"])
+    def test_exact_route_steps_up_the_ladder_without_arithmetic_error(self, times, needs_jitter):
+        spec, grid = ProcessSpec([1.0], [0.9]), TimeGrid(times)
+        ens = msfbm.sample_ensemble(spec, grid, 2, 7, sampler="exact")
+        assert ens.jitter == msfbm.psd_factor(msfbm.gram_matrix(spec, grid)).jitter
+        assert (ens.jitter > 0.0) == needs_jitter
 
 
 class TestSampleExact:
@@ -484,6 +506,23 @@ class TestSampleViaFbm:
         finally:
             tracemalloc.stop()
         assert peak <= _route_bytes("fgn", spec, grid.n_points - 1, 4)
+
+    @pytest.mark.parametrize("route", ("exact", "fbm"))
+    def test_dense_peak_within_route_estimate(self, route):
+        # LAPACK's working copy of the factor's input is malloc'd by numpy's
+        # gufunc outside tracemalloc's view.  The estimate counts it, so the
+        # traced peak stays below the estimate by about that copy's size.
+        spec = ProcessSpec([1.5, -0.7], [0.3, 0.8])
+        times = np.cumsum(np.concatenate([[0.0], np.random.default_rng(5).uniform(0.5, 1.5, 300)]))
+        grid = TimeGrid(times)
+        assert not grid.is_uniform()
+        tracemalloc.start()
+        try:
+            msfbm.sample_ensemble(spec, grid, 4, 3, sampler=route)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= _route_bytes(route, spec, grid.n_points - 1, 4)
 
     @pytest.mark.parametrize("length", (4, 512, 4096, 2 ** 17))
     @pytest.mark.parametrize("h", (0.2, 0.5, 0.9))
