@@ -7,8 +7,8 @@ time of ``sample_ensemble`` with sampler "exact" and with sampler "fgn",
 and the route that "auto" picks.  A row is marked "slower" when the
 picked route measured slower than the other one.
 
-It then fits the per-component constant F0 of the routing estimate
-R*(K*F0 + 2.5*N*log2(N)) (the ``_FGN_DRAW_OPS`` constant in
+It then fits the per-replica constant F0 of the routing estimate
+R*(F0 + 2.5*N*log2(N)) (the ``_FGN_DRAW_OPS`` constant in
 ``msfbm.sampler``).  On each row of at least FIT_STEPS grid steps where the
 slower route took at most NEAR times as long as the faster one, it solves
 for the F0 at which the ratio of the two estimates equals the ratio of the
@@ -92,10 +92,10 @@ def main() -> int:
                       f"| {pick} | {'slower' if slower else ''} |", flush=True)
                 if m >= FIT_STEPS and max(exact, fgn) <= NEAR * min(exact, fgn):
                     # fgn estimate / dense estimate = fgn / exact, solved for F0 in
-                    # reps * (k * F0 + transform_ops) = dense_ops * fgn / exact.
+                    # reps * (F0 + transform_ops) = dense_ops * fgn / exact.
                     dense_ops = _route_ops("exact", spec, m, reps)
-                    transform_ops = _route_ops("fgn", spec, m, 1) - k * _FGN_DRAW_OPS
-                    fits.append((dense_ops * fgn / exact / reps - transform_ops) / k)
+                    transform_ops = _route_ops("fgn", spec, m, 1) - _FGN_DRAW_OPS
+                    fits.append(dense_ops * fgn / exact / reps - transform_ops)
     if fits:
         print(f"# fitted F0 (median over {len(fits)} rows with at least {FIT_STEPS} steps "
               f"and times within {NEAR:g}x): {statistics.median(fits):.3g}")

@@ -1,22 +1,25 @@
 """Exact Gaussian samplers for mixed sub-fractional paths on finite grids.
 
 ``sample_ensemble`` is the only way to draw paths.  Its router takes one of
-three routes, all with the process's finite-dimensional law:
+three routes, all with the process's finite-dimensional law, and every
+route maps one i.i.d. normal stream per replica to its path:
 
-* "exact" factorizes the process Gram matrix on the grid and maps an
-  i.i.d. normal vector through the factor.
-* "fbm" and "fgn" draw W = sum_i a_i B_i over the active components, each
-  B_i a fractional Brownian motion on the symmetric grid {-t_k, ..., t_k}
-  from its own normal stream, and one fold writes (W(t) + W(-t))/sqrt(2)
-  into the path.
-* "fbm" forms W as sum_i a_i L_i z_i through the factors L_i of the dense
-  Grams.
+* "exact" factorizes the process Gram matrix on the grid and maps the
+  normals through the factor.
+* "fbm" and "fgn" draw W = sum_i a_i B_i over the active components, the
+  B_i independent fractional Brownian motions on the symmetric grid
+  {-t_k, ..., t_k}, and one fold writes (W(t) + W(-t))/sqrt(2) into the
+  path.  W is one centred Gaussian vector with covariance sum_i a_i^2 K_i,
+  K_i the fBm kernel of H_i, and is drawn from that covariance at once.
+  Both routes sum the covariances with weights (a_i/s)^2, s = max |a_i|,
+  and scale the square root by s, so no weight's square overflows or
+  underflows where the weight itself does not.
+* "fbm" maps the normals through the factor of W's dense Gram.
 * "fgn" draws W's increments on uniform grids through circulant embedding
-  (Davies-Harte), which is still exact and scales to 2^16-point paths.  The
-  embedding's circulant row is real and symmetric, so only its N/2 + 1
-  distinct eigenvalues are kept.  Every step from normals to path is
-  linear, so each replica sums the components' weighted half-length complex
-  spectra and runs one real inverse FFT, not one per component.
+  (Davies-Harte; Wood & Chan 1994), which is still exact and scales to
+  2^16-point paths.  The embedding's circulant row is real and symmetric,
+  so only its N/2 + 1 distinct eigenvalues are kept; W's are the weighted
+  sum of the components'.
 
 Zero-weight components are inert on every route: they are never evaluated,
 factored or drawn, so a spec padded with them draws its live spec's bytes.
@@ -42,7 +45,7 @@ from numpy.linalg import _umath_linalg
 
 from .kernels import _p2h_array
 from .process import ProcessSpec
-from .seeds import ensemble_seeds, normal_stream, stream_keys
+from .seeds import normal_stream, replica_seeds, stream_keys
 
 __all__ = [
     "TimeGrid",
@@ -58,10 +61,9 @@ __all__ = [
 # Relative jitter escalation for barely-indefinite Gram matrices.
 JITTER_LADDER = (0.0, 1e-14, 1e-12, 1e-10)
 
-# Fixed cost of one component's share of a circulant replica draw (seeding and
-# drawing its normal stream, weighting and summing its spectrum, and the
-# replica's cumulative sum and fold spread over its components) in the
-# operation units of the routing estimates, measured by
+# Fixed cost of one circulant replica draw beyond its inverse FFT (seeding and
+# drawing its normal stream, scaling it by the spectrum, and the cumulative
+# sum and fold) in the operation units of the routing estimates, measured by
 # scripts/route_crossover.py (README, "Sampler routing").
 _FGN_DRAW_OPS = 3.5e5
 
@@ -168,13 +170,13 @@ class FactorResult:
 
 
 def _symmetric_gram(
-    n: int, n_out: int, n_work: int, fill_block: Callable[[int, int, list, list], None]
-) -> list[np.ndarray]:
-    """``n_out`` symmetric n x n matrices built from their upper triangles.
+    n: int, n_work: int, fill_block: Callable[[int, int, np.ndarray, list], None]
+) -> np.ndarray:
+    """A symmetric n x n matrix built from its upper triangle.
 
-    ``fill_block(lo, hi, dests, work)`` writes into each of ``dests`` one
-    matrix's rows lo..hi-1 from the diagonal column lo rightward, of a
-    kernel symmetric in its two points.  ``work`` holds ``n_work`` scratch
+    ``fill_block(lo, hi, dest, work)`` writes into ``dest`` the matrix's
+    rows lo..hi-1 from the diagonal column lo rightward, of a kernel
+    symmetric in its two points.  ``work`` holds ``n_work`` scratch
     arrays of the same (hi - lo, n - lo) shape: C-contiguous views of one
     workspace that every block reuses.  The block's part right of its
     diagonal square is mirrored into the lower triangle, so about half the
@@ -182,16 +184,15 @@ def _symmetric_gram(
     exactly symmetric because every operation of the kernels is symmetric
     in its two points, so the result is exactly symmetric.
     """
-    mats = [np.empty((n, n)) for _ in range(n_out)]
+    mat = np.empty((n, n))
     space = np.empty((n_work, _GRAM_ROWS * n))
     for lo in range(0, n, _GRAM_ROWS):
         hi = min(lo + _GRAM_ROWS, n)
         size = (hi - lo) * (n - lo)
         work = [buf[:size].reshape(hi - lo, n - lo) for buf in space]
-        fill_block(lo, hi, [mat[lo:hi, lo:] for mat in mats], work)
-        for mat in mats:
-            mat[hi:, lo:hi] = mat[lo:hi, hi:].T
-    return mats
+        fill_block(lo, hi, mat[lo:hi, lo:], work)
+        mat[hi:, lo:hi] = mat[lo:hi, hi:].T
+    return mat
 
 
 def _log_abs_diff(rows: np.ndarray, cols: np.ndarray, out: np.ndarray) -> None:
@@ -220,11 +221,11 @@ def gram_matrix(spec: ProcessSpec, grid: TimeGrid) -> np.ndarray:
     # Squared in numpy, so that an overflowing a^2 sets its floating-point flag.
     weights = np.square(np.asarray([a for a, _ in spec.active()], dtype=float))
 
-    def fill_block(lo: int, hi: int, dests: list, work: list) -> None:
+    def fill_block(lo: int, hi: int, g: np.ndarray, work: list) -> None:
         # g += w * (t_i^2h + t_j^2h - 0.5 * ((t_i + t_j)^2h + |t_i - t_j|^2h)),
         # one operation at a time in the order numpy evaluates that expression,
         # so the block has the expression's bits.
-        (g,), (log_sum, log_diff, term, pow_sum, pow_diff) = dests, work
+        log_sum, log_diff, term, pow_sum, pow_diff = work
         rows, cols = t[lo:hi, None], t[None, lo:]
         np.add(rows, cols, out=log_sum)
         np.log(log_sum, out=log_sum)
@@ -241,7 +242,7 @@ def gram_matrix(spec: ProcessSpec, grid: TimeGrid) -> np.ndarray:
             np.multiply(w, term, out=term)
             np.add(g, term, out=g)
 
-    return _symmetric_gram(t.size, 1, 5, fill_block)[0]
+    return _symmetric_gram(t.size, 5, fill_block)
 
 
 def _is_symmetric(g: np.ndarray) -> bool:
@@ -331,53 +332,56 @@ def _refuse_underflow(route: str, grid: TimeGrid, variances: Sequence[np.ndarray
 
 def _exact_rows(lower: np.ndarray, keys: np.ndarray, out: np.ndarray) -> None:
     """Write L z into each row of ``out``, z the normal stream of the row's
-    (1, 4) block of ``stream_keys`` and L the process Gram's factor."""
-    for replica_keys, body in zip(keys, out):
-        np.matmul(lower, normal_stream(replica_keys[0], lower.shape[0]), out=body)
+    ``stream_keys`` row and L the process Gram's factor."""
+    for key, body in zip(keys, out):
+        np.matmul(lower, normal_stream(key, lower.shape[0]), out=body)
 
 
-def _symmetric_fbm_grams(spec: ProcessSpec, grid: TimeGrid) -> list[np.ndarray]:
-    """Per-active-component fBm Grams on {-t_k ... -t_1, t_1 ... t_k}."""
+def _scaled_weights(spec: ProcessSpec) -> tuple[float, list[float]]:
+    """s = max |a_i| and the weights (a_i / s)^2 of the active components: the
+    covariance of W / s, W = sum_i a_i B_i, is sum_i (a_i / s)^2 K_i."""
+    scale = max(abs(a) for a, _ in spec.active())
+    return scale, [(a / scale) ** 2 for a, _ in spec.active()]
+
+
+def _fbm_gram(spec: ProcessSpec, grid: TimeGrid) -> np.ndarray:
+    """Gram of W / s on {-t_k ... -t_1, t_1 ... t_k} (``_scaled_weights``)."""
     pos = grid.times[1:]
     sym = np.concatenate([-pos[::-1], pos])
     two_hs = [2.0 * h for _, h in spec.active()]
     powers = [_p2h_array(np.abs(sym), two_h) for two_h in two_hs]
+    halves = [0.5 * w for w in _scaled_weights(spec)[1]]
 
-    def fill_block(lo: int, hi: int, dests: list, work: list) -> None:
-        # g = 0.5 * (s_i^2h + s_j^2h - |s_i - s_j|^2h) with |s|^2h in ``powers``.
+    def fill_block(lo: int, hi: int, g: np.ndarray, work: list) -> None:
+        # g += 0.5 w * (s_i^2h + s_j^2h - |s_i - s_j|^2h) with |s|^2h in ``powers``.
         log_diff, term, pow_diff = work
         _log_abs_diff(sym[lo:hi, None], sym[None, lo:], log_diff)
-        for g, two_h, pt in zip(dests, two_hs, powers):
+        g.fill(0.0)
+        for half_w, two_h, pt in zip(halves, two_hs, powers):
             np.add(pt[lo:hi, None], pt[None, lo:], out=term)
             _pow_abs_diff(two_h, log_diff, pow_diff)
             np.subtract(term, pow_diff, out=term)
-            np.multiply(0.5, term, out=g)
+            np.multiply(half_w, term, out=term)
+            np.add(g, term, out=g)
 
-    return _symmetric_gram(sym.size, len(two_hs), 3, fill_block)
+    return _symmetric_gram(sym.size, 3, fill_block)
 
 
 def _fold(neg: np.ndarray, pos: np.ndarray, body: np.ndarray) -> None:
     """Write (W(t) + W(-t)) / sqrt(2) into ``body``, the values at t > 0, from
-    W = sum_i a_i B_i over the active components as ``neg`` = W(-t) and
-    ``pos`` = W(t), t ascending."""
+    ``neg`` = W(-t) and ``pos`` = W(t), t ascending."""
     np.add(pos, neg, out=body)
     body /= math.sqrt(2.0)
 
 
-def _fbm_rows(coeffs: Sequence[float], factors: Sequence[np.ndarray], keys: np.ndarray,
-              out: np.ndarray) -> None:
-    """Fold W = sum_i a_i L_i z_i into each row of ``out``, through the factors
-    L_i of the symmetric Grams, z_i the normal stream of row i of the row's
-    (K, 4) block of ``stream_keys``."""
-    size = factors[0].shape[0]
+def _fbm_rows(lower: np.ndarray, keys: np.ndarray, out: np.ndarray) -> None:
+    """Fold W = L z into each row of ``out``, L the factor of W's Gram on the
+    symmetric grid and z the normal stream of the row's ``stream_keys`` row."""
+    size = lower.shape[0]
     m = size // 2
-    normals, part, w = np.empty(size), np.empty(size), np.empty(size)
-    for replica_keys, body in zip(keys, out):
-        w.fill(0.0)
-        for a, lower, key in zip(coeffs, factors, replica_keys):
-            np.matmul(lower, normal_stream(key, size, out=normals), out=part)
-            np.multiply(part, a, out=part)
-            np.add(w, part, out=w)
+    normals, w = np.empty(size), np.empty(size)
+    for key, body in zip(keys, out):
+        np.matmul(lower, normal_stream(key, size, out=normals), out=w)
         _fold(w[:m][::-1], w[m:], body)
 
 
@@ -394,8 +398,8 @@ def _fgn_autocov(length: int, step: float, two_h: float) -> np.ndarray:
 
 
 def _fgn_spectra(spec: ProcessSpec, grid: TimeGrid) -> list[np.ndarray]:
-    """Square roots of the N/2 + 1 distinct circulant-embedding eigenvalues
-    of each active component's increment process over the symmetric uniform grid."""
+    """The N/2 + 1 distinct circulant-embedding eigenvalues, clipped at 0, of
+    each active component's increment process over the symmetric uniform grid."""
     if not grid.is_uniform():
         raise ValueError("circulant embedding requires a uniform grid")
     m = grid.n_points - 1
@@ -411,62 +415,59 @@ def _fgn_spectra(spec: ProcessSpec, grid: TimeGrid) -> list[np.ndarray]:
             raise FactorizationFailure(
                 f"circulant embedding is indefinite (min eigenvalue {eig.min():.3e})"
             )
-        spectra.append(np.sqrt(np.clip(eig, 0.0, None)))
+        spectra.append(np.clip(eig, 0.0, None))
     return spectra
 
 
-def _weighted_spectra(spec: ProcessSpec, grid: TimeGrid) -> list[np.ndarray]:
-    """``_fgn_spectra`` scaled in place by each component's weight a_i, and
-    the interior bins 0 < k < N/2 also by 1/sqrt(2): the factor each bin's
-    normals take in ``_fgn_draw``."""
+def _fgn_spectrum(spec: ProcessSpec, grid: TimeGrid) -> np.ndarray:
+    """Square roots of the half spectrum of W's increments, W = sum_i a_i B_i:
+    s * sqrt(sum_i (a_i / s)^2 lambda_i) over ``_fgn_spectra``'s lambda_i
+    (``_scaled_weights``), and the interior bins 0 < k < N/2 also times
+    1/sqrt(2): the factor each bin's normals take in ``_fgn_draw``."""
     spectra = _fgn_spectra(spec, grid)
     _refuse_underflow("fgn", grid, spectra)
-    for (a, _), sqrt_eig in zip(spec.active(), spectra):
-        sqrt_eig *= a
-        sqrt_eig[1:-1] /= math.sqrt(2.0)
-    return spectra
+    scale, weights = _scaled_weights(spec)
+    sqrt_eig = np.zeros_like(spectra[0])
+    for w, eig in zip(weights, spectra):
+        eig *= w
+        sqrt_eig += eig
+    np.sqrt(sqrt_eig, out=sqrt_eig)
+    sqrt_eig *= scale
+    sqrt_eig[1:-1] /= math.sqrt(2.0)
+    return sqrt_eig
 
 
-def _fgn_draw(
-    spectra: Sequence[np.ndarray], keys: np.ndarray, z: np.ndarray, normals: np.ndarray
-) -> np.ndarray:
-    """One exact fGn vector of length N/2, sum_i a_i times component i's draw.
+def _fgn_draw(sqrt_eig: np.ndarray, key: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """One exact draw of W's N/2 increments over [-T, T].
 
-    ``spectra`` are ``_weighted_spectra``'s half spectra of N/2 + 1 values
-    and ``keys[i]`` is component i's row of ``stream_keys``.  ``z`` (N/2 + 1
-    complex values) and ``normals`` (N + 2 doubles) are the caller's buffers
-    and are overwritten.  The transform is linear, so the components'
-    weighted spectra are summed in ``z`` and transformed once.
+    ``sqrt_eig`` is ``_fgn_spectrum``'s half spectrum of N/2 + 1 values and
+    ``key`` a row of ``stream_keys``.  ``z`` (N/2 + 1 complex values) is the
+    caller's buffer, into which the N normals are drawn; it is overwritten.
     """
     half = z.size - 1
     size = 2 * half
-    for i, (sqrt_eig, key) in enumerate(zip(spectra, keys)):
-        # The first component is drawn straight into z; the others are added to it.
-        v = normals if i else z.view(np.float64)
-        normal_stream(key, size, out=v[:size])
-        # Bin k, 0 < k < N/2, takes normals 2k and 2k+1 as (re, im); bins 0
-        # and N/2 take normals 0 and 1 as real values.
-        v[size], v[1], v[size + 1] = v[1], 0.0, 0.0
-        bins = v.view(np.complex128)
-        bins *= sqrt_eig
-        if i:
-            z += bins
+    v = z.view(np.float64)
+    normal_stream(key, size, out=v[:size])
+    # Bin k, 0 < k < N/2, takes normals 2k and 2k+1 as (re, im); bins 0
+    # and N/2 take normals 0 and 1 as real values.
+    v[size], v[1], v[size + 1] = v[1], 0.0, 0.0
+    z *= sqrt_eig
     # The real inverse transform of conj(z) is the forward transform of z's
     # Hermitian extension, so the draw is the one a full complex FFT gives.
     np.conjugate(z, out=z)
     return np.fft.irfft(z, n=size, norm="ortho")[:half]
 
 
-def _fgn_rows(spectra: Sequence[np.ndarray], keys: np.ndarray, out: np.ndarray) -> None:
-    """Fold W = sum_i a_i B_i into each row of ``out``: one fGn draw over
-    [-T, T] (``_fgn_draw``) from the row's (K, 4) block of ``stream_keys``,
-    cumulated and shifted so that W(0) = 0."""
-    half = spectra[0].size - 1
+def _fgn_rows(sqrt_eig: np.ndarray, keys: np.ndarray, out: np.ndarray) -> None:
+    """Fold W into each row of ``out``: one draw of its increments over
+    [-T, T] (``_fgn_draw``) from the row's ``stream_keys`` row, cumulated and
+    shifted so that W(0) = 0."""
+    half = sqrt_eig.size - 1
     m = half // 2
-    z, normals, cum = np.empty(half + 1, dtype=complex), np.empty(2 * half + 2), np.empty(half + 1)
-    for replica_keys, body in zip(keys, out):
+    z, cum = np.empty(half + 1, dtype=complex), np.empty(half + 1)
+    for key, body in zip(keys, out):
         cum[0] = 0.0
-        np.cumsum(_fgn_draw(spectra, replica_keys, z, normals), out=cum[1:])
+        np.cumsum(_fgn_draw(sqrt_eig, key, z), out=cum[1:])
         np.subtract(cum, cum[m], out=cum)
         _fold(cum[m - 1::-1], cum[m + 1:], body)
 
@@ -476,9 +477,9 @@ def _route_ops(route: str, spec: ProcessSpec, m: int, n_reps: int) -> float:
     replicas on ``m`` grid steps."""
     if route == "fgn":
         size = 4 * m  # circulant length: increments over [-T, T], embedded twice
-        # K normal streams and one real inverse FFT of length N per replica,
+        # One normal stream and one real inverse FFT of length N per replica,
         # the FFT about half a complex one's 5 N log2 N.
-        return n_reps * (len(spec.active_set) * _FGN_DRAW_OPS + 2.5 * size * math.log2(size))
+        return n_reps * (_FGN_DRAW_OPS + 2.5 * size * math.log2(size))
     # A Cholesky of the Gram plus a matvec per replica.
     return m ** 3 / 3.0 + 2.0 * n_reps * m * m
 
@@ -486,23 +487,24 @@ def _route_ops(route: str, spec: ProcessSpec, m: int, n_reps: int) -> float:
 def _route_bytes(route: str, spec: ProcessSpec, m: int, n_reps: int) -> int:
     """Estimated peak bytes of the route's arrays, the ensemble's values included.
 
-    Only active components count.  Dense routes hold their Grams or factors
-    plus three more n x n matrices while factoring: the jitter path's
+    Only active components count.  Dense routes hold their one Gram plus
+    three more matrices of its size while factoring: the jitter path's
     ``g + eps*I``, LAPACK's working copy of its input and the column-major
     factor it writes.  The C-order factor is allocated after the sum is
     freed, and the column-major one is freed when it has been copied.
-    The circulant route of length N = 4m holds one weighted half spectrum of
-    N/2 + 1 values per component, and one replica worker's workspace holds
-    N + 2 normals, the complex spectrum accumulator of N/2 + 1 values, the
-    real inverse transform and its working copy, and the N/2 + 1 cumulative
-    sums the fold reads: six vectors of N + 1 doubles bound them all.  Each
+    The circulant route of length N = 4m holds one half spectrum of N/2 + 1
+    values per component while it sums them, and one replica worker's
+    workspace holds the complex spectrum of N/2 + 1 values the normals are
+    drawn into, the real inverse transform and its working copy, and the
+    N/2 + 1 cumulative sums the fold reads: six vectors of N + 1 doubles
+    bound them all.  Each
     further replica thread holds a workspace of its own; those are not
     counted, so a refusal never depends on MSFBM_THREADS.
     """
     if route == "exact":
         held = 4 * m * m
     elif route == "fbm":
-        held = (len(spec.active_set) + 3) * (2 * m) ** 2
+        held = 4 * (2 * m) ** 2
     else:
         held = len(spec.active_set) * (2 * m + 1) + 6 * (4 * m + 1)
     return 8 * (held + n_reps * (m + 1))
@@ -540,18 +542,18 @@ def _route(spec: ProcessSpec, grid: TimeGrid, n_reps: int, sampler: str) -> str:
 
 def _route_rows(route: str, spec: ProcessSpec, grid: TimeGrid) -> tuple[Callable, float]:
     """The route's row filler ``rows(keys, out)``, which writes a block of replicas'
-    paths at t > 0 into ``out`` from their (streams, 4) blocks of ``stream_keys``,
-    and the jitter its factors took."""
+    paths at t > 0 into ``out`` from their rows of ``stream_keys``, and the
+    jitter its factor took (on the fbm route, that of W / s's Gram)."""
     if route == "fgn":
-        return partial(_fgn_rows, _weighted_spectra(spec, grid)), 0.0
-    grams = [gram_matrix(spec, grid)] if route == "exact" else _symmetric_fbm_grams(spec, grid)
-    _refuse_underflow(route, grid, [g.diagonal() for g in grams])
-    # Pop each Gram as it is factored so it is freed before the next factor.
-    factors = [psd_factor(grams.pop(0)) for _ in range(len(grams))]
-    lowers, jitter = [f.lower for f in factors], max(f.jitter for f in factors)
+        return partial(_fgn_rows, _fgn_spectrum(spec, grid)), 0.0
+    gram = gram_matrix(spec, grid) if route == "exact" else _fbm_gram(spec, grid)
+    _refuse_underflow(route, grid, [gram.diagonal()])
+    factor = psd_factor(gram)
     if route == "exact":
-        return partial(_exact_rows, lowers[0]), jitter
-    return partial(_fbm_rows, [a for a, _ in spec.active()], lowers), jitter
+        return partial(_exact_rows, factor.lower), factor.jitter
+    lower = factor.lower
+    lower *= _scaled_weights(spec)[0]
+    return partial(_fbm_rows, lower), factor.jitter
 
 
 def _replica_runner(rows: Callable, keys: np.ndarray, out: np.ndarray, n_threads: int) -> None:
@@ -581,9 +583,9 @@ def sample_ensemble(
 ) -> Ensemble:
     """Generate ``n_reps`` independent replicas with derived per-replica seeds.
 
-    ``sampler`` is "exact" (factored process Gram), "fbm" (folded fBms from
-    symmetric Grams), "fgn" (folded fBms from circulant embedding, uniform
-    grids only) or "auto", which takes "fgn" on uniform grids where its
+    ``sampler`` is "exact" (factored process Gram), "fbm" (folded mixed fBm
+    from its symmetric-grid Gram), "fgn" (folded mixed fBm from circulant
+    embedding, uniform grids only) or "auto", which takes "fgn" on uniform grids where its
     estimated cost (``_route_ops``) is below the exact route's, and "exact"
     otherwise; every route is distribution-exact.
     Every route is checked against a fixed memory budget first: a request
@@ -593,11 +595,10 @@ def sample_ensemble(
     sampler) regardless of ``n_threads``; ``Ensemble.sampler`` records the
     route taken.
 
-    The exact route draws one normal stream per replica, from the replica
-    seed; the folded routes draw one per active component i, from
-    ``derive_seed(seed, i)``.  All stream seeds are derived and hashed at
-    once (``ensemble_seeds``, ``stream_keys``); a master seed outside
-    [0, 2^64) raises ValueError.  Each replica writes its path into its own
+    Every route draws one normal stream per replica k, from its seed
+    ``derive_seed(master_seed, k)``.  All replica seeds are derived and
+    hashed at once (``replica_seeds``, ``stream_keys``); a master seed
+    outside [0, 2^64) raises ValueError.  Each replica writes its path into its own
     row of a zeroed (n_reps, n_points) array, the t = 0 column left at 0.
     Each of at most ``n_threads`` workers fills a contiguous block of rows
     with the route's row filler, whose draw buffers live as long as the block.
@@ -612,8 +613,8 @@ def sample_ensemble(
         raise ArithmeticError(
             f"the {route} route's covariances on [0, {grid.horizon!r}] overflow a double ({exc})"
         ) from None
-    seeds = ensemble_seeds(master_seed, n_reps, None if route == "exact" else spec.active_set)
     values = np.zeros((n_reps, grid.n_points))
-    _replica_runner(rows, stream_keys(seeds), values[:, 1:], n_threads)
+    _replica_runner(rows, stream_keys(replica_seeds(master_seed, n_reps)), values[:, 1:],
+                    n_threads)
     return Ensemble(spec=spec, grid=grid, values=values, master_seed=int(master_seed),
                     sampler=route, jitter=jitter)

@@ -1,10 +1,11 @@
 """Deterministic, splittable 64-bit seed derivation and seeded normal streams.
 
 Seeds are integers in [0, 2^64); ``_uint64`` turns them into uint64 words
-and is the one place that range is checked.  Replica and component streams
-derive from a master seed by SplitMix64, written once over uint64 arrays:
-the finalizer of state ``master + (k+1) * GOLDEN``.  The finalizer is
-bijective and GOLDEN is odd, so distinct indices map to distinct seeds.
+and is the one place that range is checked.  Replica seeds derive from a
+master seed by SplitMix64, written once over uint64 arrays: the finalizer
+of state ``master + (k+1) * GOLDEN``.  The finalizer is bijective and
+GOLDEN is odd, so distinct indices map to distinct seeds.  An ensemble
+draws one normal stream per replica, from the replica's seed.
 
 Normal variates are those of ``Generator(PCG64(seed)).standard_normal``
 (ziggurat); golden outputs are tied to the numpy version.  No stream builds
@@ -68,17 +69,6 @@ def derive_seed(master_seed: int, index: int) -> int:
 def replica_seeds(master_seed: int, n_reps: int) -> np.ndarray:
     """Pairwise-distinct per-replica seeds ``derive_seed(master_seed, k)``, k < n_reps."""
     return _splitmix64(_uint64([master_seed]), np.arange(n_reps, dtype=np.uint64))
-
-
-def ensemble_seeds(master_seed: int, n_reps: int,
-                   substreams: tuple[int, ...] | None) -> np.ndarray:
-    """An ensemble's (n_reps, streams) stream seeds: row k holds replica k's seed
-    when ``substreams`` is None, and its ``derive_seed(seed, i)`` for i in
-    ``substreams`` otherwise."""
-    seeds = replica_seeds(master_seed, n_reps)[:, None]
-    if substreams is None:
-        return seeds
-    return _splitmix64(seeds, np.array(substreams, dtype=np.uint64))
 
 
 def _hashmix(value: np.ndarray, hash_const: list[int], mult: int = _MULT_A) -> np.ndarray:

@@ -15,13 +15,14 @@ from msfbm.sampler import (
     _GRAM_ROWS,
     _SYM_TILE,
     FactorizationFailure,
+    _fbm_gram,
     _fgn_autocov,
     _fgn_draw,
     _fgn_spectra,
+    _fgn_spectrum,
     _route,
     _route_bytes,
-    _symmetric_fbm_grams,
-    _weighted_spectra,
+    _route_rows,
     gram_matrix,
 )
 from msfbm.seeds import _pcg64_state, derive_seed, normal_stream, replica_seeds, stream_keys
@@ -146,19 +147,23 @@ def _reference_gram(spec, grid):
     return 0.5 * (g + g.T)
 
 
-def _reference_fbm_grams(spec, grid):
-    """Unblocked per-component fBm Grams on the symmetric grid."""
+def _reference_fbm_gram(spec, grid):
+    """Unblocked Gram of W / s on the symmetric grid, W = sum_i a_i B_i and
+    s = max |a_i|: the weighted fBm kernels summed in the order of the components."""
     pos = grid.times[1:]
     sym = np.concatenate([-pos[::-1], pos])
     abs_diff = np.abs(sym[:, None] - sym[None, :])
-    grams = []
-    for h in spec.hurst:
+    scale = max(abs(a) for a in spec.coeffs)
+    g = np.zeros((sym.size, sym.size))
+    for a, h in zip(spec.coeffs, spec.hurst):
         two_h = 2.0 * h
         pt = _p2h_array(np.abs(sym), two_h)
-        k = 0.5 * (pt[:, None] + pt[None, :] - _p2h_array(abs_diff, two_h))
-        grams.append(0.5 * (k + k.T))
-    return grams
+        g += (0.5 * (a / scale) ** 2) * (pt[:, None] + pt[None, :] - _p2h_array(abs_diff, two_h))
+    return 0.5 * (g + g.T)
 
+
+# Two times 1e-12 apart: the process Gram factors only on a nonzero jitter rung.
+_COINCIDENT_PAIR = np.concatenate([[0.0], np.linspace(0.5, 1.0, 50), [1.0 + 1e-12]])
 
 # Positive grid sizes: one point, around one block height, and several
 # blocks plus a remainder (the fBm Gram is twice as wide).
@@ -185,11 +190,7 @@ class TestBlockedGram:
         for n_comp in (1, 2, 3):
             spec = ProcessSpec(rng.uniform(-3.0, 3.0, n_comp), rng.uniform(0.05, 0.95, n_comp))
             for grid in self._grids(rng, n):
-                got = _symmetric_fbm_grams(spec, grid)
-                want = _reference_fbm_grams(spec, grid)
-                assert len(got) == n_comp
-                for g, w in zip(got, want):
-                    assert np.array_equal(g, w)
+                assert np.array_equal(_fbm_gram(spec, grid), _reference_fbm_gram(spec, grid))
 
 
 class TestPsdFactor:
@@ -204,14 +205,18 @@ class TestPsdFactor:
         assert fr.jitter == 0.0
 
     def test_near_singular_dense_grid(self):
-        grid = TimeGrid.uniform(1000, 1.0)
-        g = msfbm.gram_matrix(ProcessSpec([1.0], [0.9]), grid)
-        fr = msfbm.psd_factor(g)
-        max_diag = float(np.max(np.diag(g)))
-        assert fr.jitter <= 1e-10 * max_diag
-        recon = fr.lower @ fr.lower.T
-        target = g + fr.jitter * np.eye(g.shape[0])
-        assert float(np.max(np.abs(recon - target))) <= 1e-10 * max_diag
+        # The uniform 1000-point Gram factors at jitter 0; the coincident pair's
+        # only on a higher rung of the ladder, which must still stay small.
+        for times, needs_jitter in ((np.linspace(0.0, 1.0, 1000), False),
+                                    (_COINCIDENT_PAIR, True)):
+            g = msfbm.gram_matrix(ProcessSpec([1.0], [0.9]), TimeGrid(times))
+            fr = msfbm.psd_factor(g)
+            max_diag = float(np.max(np.diag(g)))
+            assert (fr.jitter > 0.0) == needs_jitter
+            assert fr.jitter <= 1e-10 * max_diag
+            recon = fr.lower @ fr.lower.T
+            target = g + fr.jitter * np.eye(g.shape[0])
+            assert float(np.max(np.abs(recon - target))) <= 1e-10 * max_diag
 
     def test_indefinite_matrix_fails(self):
         with pytest.raises(msfbm.FactorizationFailure):
@@ -289,8 +294,7 @@ class TestPsdFactor:
     @pytest.mark.parametrize("times,needs_jitter", [
         # test_near_singular_dense_grid's Gram, which factors at the first rung.
         (np.linspace(0.0, 1.0, 1000), False),
-        # Two times 1e-12 apart, whose Gram factors only on a nonzero rung.
-        (np.concatenate([[0.0], np.linspace(0.5, 1.0, 50), [1.0 + 1e-12]]), True),
+        (_COINCIDENT_PAIR, True),
     ], ids=["uniform-1000", "coincident-pair"])
     def test_exact_route_steps_up_the_ladder_without_arithmetic_error(self, times, needs_jitter):
         spec, grid = ProcessSpec([1.0], [0.9]), TimeGrid(times)
@@ -354,9 +358,18 @@ def _reference_fgn_draw(sqrt_eig, seed):
     return (np.fft.fft(z) / math.sqrt(size)).real[: size // 2]
 
 
+def _reference_sqrt_spectrum(spec, grid):
+    """s * sqrt(sum_i (a_i / s)^2 lambda_i), s = max |a_i|, over the active
+    components' eigenvalues: W's half spectrum before the 1/sqrt(2) of the bins."""
+    scale = max(abs(a) for a in spec.coeffs)
+    total = sum(((a / scale) ** 2) * eig
+                for (a, _), eig in zip(spec.active(), _fgn_spectra(spec, grid)))
+    return scale * np.sqrt(total)
+
+
 def _reference_half_spectrum_draw(sqrt_eig, seed):
-    """Index-array assembly of one component's half-spectrum draw: ``_fgn_draw`` of
-    one unit-weight component must match bit for bit."""
+    """Index-array assembly of a half-spectrum draw: ``_fgn_draw`` must match it
+    bit for bit."""
     half = sqrt_eig.size - 1
     size = 2 * half
     v = normal_stream(_key(seed), size)
@@ -368,24 +381,21 @@ def _reference_half_spectrum_draw(sqrt_eig, seed):
     return np.fft.irfft(z, n=size, norm="ortho")[:half]
 
 
-def _fgn_vector(spectra, keys):
-    """``_fgn_draw`` of weighted ``spectra`` into fresh buffers."""
-    half = spectra[0].size - 1
-    return _fgn_draw(spectra, keys, np.empty(half + 1, dtype=complex), np.empty(2 * half + 2))
+def _fgn_vector(sqrt_eig, key):
+    """``_fgn_draw`` of ``_fgn_spectrum``'s ``sqrt_eig`` into a fresh buffer."""
+    return _fgn_draw(sqrt_eig, key, np.empty(sqrt_eig.size, dtype=complex))
 
 
 def _reference_fgn_ensemble(spec, grid, n_reps, master_seed):
-    """The per-component fold: each active component drawn, cumulated and folded
-    on its own, then added to the path with its weight."""
+    """The one-stream fold: each replica's increments drawn from its own seed,
+    cumulated, and folded."""
     m = grid.n_points - 1
-    spectra = _fgn_spectra(spec, grid)
+    sqrt_eig = _reference_sqrt_spectrum(spec, grid)
     values = np.zeros((n_reps, grid.n_points))
     for k, seed in enumerate(replica_seeds(master_seed, n_reps)):
-        for i, (a, _), sqrt_eig in zip(spec.active_set, spec.active(), spectra):
-            draw = _reference_half_spectrum_draw(sqrt_eig, derive_seed(seed, i))
-            cum = np.concatenate([[0.0], np.cumsum(draw)])
-            neg, pos = cum[m - 1::-1] - cum[m], cum[m + 1:] - cum[m]
-            values[k, 1:] += a * (pos + neg) / math.sqrt(2.0)
+        cum = np.concatenate([[0.0], np.cumsum(_reference_half_spectrum_draw(sqrt_eig, seed))])
+        neg, pos = cum[m - 1::-1] - cum[m], cum[m + 1:] - cum[m]
+        values[k, 1:] = (pos + neg) / math.sqrt(2.0)
     return values
 
 
@@ -431,11 +441,10 @@ class TestSampleViaFbm:
         # exactly: check E[x_a x_b] across many draws at small size.
         spec = ProcessSpec([1.0], [0.3])
         grid = TimeGrid.uniform(5, 1.0)
-        spectra = _weighted_spectra(spec, grid)
-        keys = stream_keys([derive_seed(2, k) for k in range(40_000)])
-        z, normals = np.empty(spectra[0].size, dtype=complex), np.empty(2 * spectra[0].size)
-        draws = np.array([_fgn_draw(spectra, keys[k:k + 1], z, normals)
-                          for k in range(keys.shape[0])])
+        sqrt_eig = _fgn_spectrum(spec, grid)
+        z = np.empty(sqrt_eig.size, dtype=complex)
+        draws = np.array([_fgn_draw(sqrt_eig, key, z)
+                          for key in stream_keys([derive_seed(2, k) for k in range(40_000)])])
         emp = draws.T @ draws / draws.shape[0]
         step = 0.25
         lags = np.arange(8, dtype=float)
@@ -450,26 +459,16 @@ class TestSampleViaFbm:
     @pytest.mark.parametrize("n_points", (5, 257, 2049, 2 ** 16 + 1))
     def test_fgn_draw_bit_equal_to_reference(self, n_points):
         grid = TimeGrid.uniform(n_points, 1.0)
-        spec = ProcessSpec([1.0, 1.0, 1.0], [0.2, 0.5, 0.9])
-        for sqrt_eig, weighted in zip(_fgn_spectra(spec, grid), _weighted_spectra(spec, grid)):
+        for spec in (ProcessSpec([1.0], [0.2]), ProcessSpec([1.5, -0.7, 2.0], [0.2, 0.5, 0.9])):
+            weighted, sqrt_eig = _fgn_spectrum(spec, grid), _reference_sqrt_spectrum(spec, grid)
             full = np.concatenate([sqrt_eig, sqrt_eig[-2:0:-1]])
             for k in range(3):
-                got = _fgn_vector([weighted], stream_keys([derive_seed(7, k)]))
+                got = _fgn_vector(weighted, _key(derive_seed(7, k)))
                 want = _reference_half_spectrum_draw(sqrt_eig, derive_seed(7, k))
                 assert got.tobytes() == want.tobytes()
                 # The same realization as the full complex FFT, up to rounding.
                 want = _reference_fgn_draw(full, derive_seed(7, k))
                 assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
-
-    @pytest.mark.parametrize("n_points", (5, 257, 2049, 2 ** 16 + 1))
-    def test_merged_draw_is_the_weighted_sum_of_component_draws(self, n_points):
-        grid = TimeGrid.uniform(n_points, 1.0)
-        spec = ProcessSpec([1.5, -0.7, 2.0], [0.2, 0.5, 0.9])
-        seeds = [derive_seed(7, i) for i in range(3)]
-        got = _fgn_vector(_weighted_spectra(spec, grid), stream_keys(seeds))
-        want = sum(a * _reference_half_spectrum_draw(sqrt_eig, seed)
-                   for a, sqrt_eig, seed in zip(spec.coeffs, _fgn_spectra(spec, grid), seeds))
-        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
     def test_ensemble_matches_per_component_fold(self):
         spec = ProcessSpec([1.5, 0.0, -0.7, 2.0], [0.2, 0.6, 0.5, 0.9])
@@ -478,7 +477,8 @@ class TestSampleViaFbm:
         want = _reference_fgn_ensemble(spec, grid, 6, 21)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
-    def test_one_inverse_fft_and_one_stream_per_component_per_replica(self, monkeypatch):
+    @pytest.mark.parametrize("route", ("exact", "fbm", "fgn"))
+    def test_one_inverse_fft_and_one_stream_per_replica(self, monkeypatch, route):
         counts = {"irfft": 0, "normal_stream": 0}
         real_irfft, real_stream = np.fft.irfft, sampler.normal_stream
 
@@ -493,8 +493,8 @@ class TestSampleViaFbm:
         monkeypatch.setattr(np.fft, "irfft", irfft)
         monkeypatch.setattr(sampler, "normal_stream", stream)
         spec = ProcessSpec([1.5, -0.7, 2.0], [0.2, 0.5, 0.9])
-        msfbm.sample_ensemble(spec, TimeGrid.uniform(65, 1.0), 5, 3, sampler="fgn")
-        assert counts == {"irfft": 5, "normal_stream": 15}
+        msfbm.sample_ensemble(spec, TimeGrid.uniform(65, 1.0), 5, 3, sampler=route)
+        assert counts == {"irfft": 5 if route == "fgn" else 0, "normal_stream": 5}
 
     def test_workspace_peak_within_route_estimate(self):
         spec = ProcessSpec([1.5, -0.7, 2.0], [0.2, 0.5, 0.9])
@@ -608,18 +608,16 @@ class TestSampleEnsemble:
 
     @pytest.mark.parametrize("route", ("exact", "fbm", "fgn"))
     def test_stream_seeds_follow_the_scalar_chain(self, route, monkeypatch):
-        # The top master seed wraps every uint64 sum, and component 1 is inert,
-        # so the active components (0, 2) are not contiguous.
+        # The top master seed wraps every uint64 sum.  Every route draws replica
+        # k's one stream from derive_seed(master, k), whatever its components.
         spec = ProcessSpec([1.0, 0.0, 0.5], [0.3, 0.6, 0.8])
         grid = TimeGrid.uniform(12, 1.0)
         master, n_reps = 2 ** 64 - 1, 5
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = msfbm.sample_ensemble(spec, grid, n_reps, master, sampler=route).values
-            chain = [[derive_seed(master, k)] if route == "exact"
-                     else [derive_seed(derive_seed(master, k), i) for i in (0, 2)]
-                     for k in range(n_reps)]
-            monkeypatch.setattr(sampler, "ensemble_seeds",
+            chain = [derive_seed(master, k) for k in range(n_reps)]
+            monkeypatch.setattr(sampler, "replica_seeds",
                                 lambda *args: np.array(chain, dtype=np.uint64))
             want = msfbm.sample_ensemble(spec, grid, n_reps, master, sampler=route).values
         assert got.tobytes() == want.tobytes()
@@ -713,7 +711,7 @@ class TestRoute:
             _route(self.SPEC, grid, 1, "dense")
 
     def test_fbm_route_over_budget_is_refused_before_allocating(self, monkeypatch):
-        monkeypatch.setattr(sampler, "_symmetric_fbm_grams", _fail_if_called)
+        monkeypatch.setattr(sampler, "_fbm_gram", _fail_if_called)
         grid = TimeGrid.uniform(20_000, 1.0)
         with pytest.raises(ValueError, match="the fbm route .* memory budget"):
             msfbm.sample_ensemble(self.SPEC, grid, 1, 0, sampler="fbm")
@@ -725,8 +723,7 @@ class TestInertComponents:
     LIVE = ProcessSpec([1.0], [0.5])
     PADDED = ProcessSpec([1.0, 0.0], [0.5, 0.99])
 
-    @pytest.mark.parametrize("route,builder", [("fbm", "_symmetric_fbm_grams"),
-                                               ("fgn", "_fgn_spectra")])
+    @pytest.mark.parametrize("route,builder", [("fbm", "_fbm_gram"), ("fgn", "_fgn_spectra")])
     def test_padded_spec_draws_the_live_spec(self, monkeypatch, route, builder):
         grid = TimeGrid.uniform(65, 1.0)
         live = msfbm.sample_ensemble(self.LIVE, grid, 5, 11, sampler=route)
@@ -735,23 +732,89 @@ class TestInertComponents:
 
         def counted(spec, grid):
             out = original(spec, grid)
-            built.append(len(out))
+            built.append(np.asarray(out).tobytes())
             return out
 
         monkeypatch.setattr(sampler, builder, counted)
         padded = msfbm.sample_ensemble(self.PADDED, grid, 5, 11, sampler=route)
-        assert built == [1]
+        assert built == [np.asarray(original(self.LIVE, grid)).tobytes()]
         assert padded.values.tobytes() == live.values.tobytes()
         assert padded.jitter == live.jitter
         assert _route_bytes(route, self.PADDED, 64, 5) == _route_bytes(route, self.LIVE, 64, 5)
+
+    @pytest.mark.parametrize("route", ("exact", "fbm", "fgn"))
+    def test_front_padded_spec_draws_the_live_spec(self, route):
+        # A zero weight ahead of the live component must not move its stream.
+        grid = TimeGrid.uniform(65, 1.0)
+        live = msfbm.sample_ensemble(self.LIVE, grid, 5, 11, sampler=route)
+        padded = msfbm.sample_ensemble(ProcessSpec([0.0, 1.0], [0.3, 0.5]), grid, 5, 11,
+                                       sampler=route)
+        assert padded.values.tobytes() == live.values.tobytes()
 
     def test_builders_skip_zero_weights(self):
         grid = TimeGrid.uniform(9, 1.0)
         spec = ProcessSpec([0.0, 2.0, 0.0], [0.3, 0.7, 0.9])
         live = ProcessSpec([2.0], [0.7])
-        for build in (lambda *a: [gram_matrix(*a)], _symmetric_fbm_grams, _fgn_spectra):
-            got, want = build(spec, grid), build(live, grid)
-            assert len(got) == 1 and got[0].tobytes() == want[0].tobytes()
+        for build in (gram_matrix, _fbm_gram, _fgn_spectrum):
+            assert build(spec, grid).tobytes() == build(live, grid).tobytes()
+        assert len(_fgn_spectra(spec, grid)) == 1
+
+
+def _linear_map(monkeypatch, route, spec, grid):
+    """The route's map from one replica's normal stream to its path at t > 0,
+    built column by column: the path drawn from each unit vector in place of
+    the stream, through the route's row filler."""
+    sizes = []
+
+    def unit(key, size, out=None):
+        sizes.append(size)
+        z = np.zeros(size) if out is None else out
+        z.fill(0.0)
+        z[int(key[0])] = 1.0
+        return z
+
+    monkeypatch.setattr(sampler, "normal_stream", unit)
+    rows, _ = _route_rows(route, spec, grid)
+    m = grid.n_points - 1
+    rows(np.zeros((1, 4), dtype=np.uint64), np.empty((1, m)))  # the stream's length
+    keys = np.zeros((sizes[0], 4), dtype=np.uint64)
+    keys[:, 0] = np.arange(sizes[0])
+    columns = np.empty((sizes[0], m))
+    rows(keys, columns)
+    return columns.T
+
+
+_LAW_GRIDS = {"uniform-9": TimeGrid.uniform(9, 1.0), "uniform-33": TimeGrid.uniform(33, 2.0),
+              "non-uniform": TimeGrid(np.linspace(0.0, 2.0, 20) ** 1.5)}
+
+
+class TestLaw:
+    """Every route is one linear map A of one normal stream, so its paths have
+    covariance A A^T: noise-free, it must be the process Gram."""
+
+    SPEC = ProcessSpec([1.5, -0.7, 2.0], [0.2, 0.5, 0.9])
+
+    @pytest.mark.parametrize("route,grid", [
+        (route, grid) for route in ("exact", "fbm", "fgn") for grid in _LAW_GRIDS
+        if route != "fgn" or grid != "non-uniform"])
+    def test_map_reproduces_the_process_gram(self, monkeypatch, route, grid):
+        grid = _LAW_GRIDS[grid]
+        a = _linear_map(monkeypatch, route, self.SPEC, grid)
+        g = gram_matrix(self.SPEC, grid)
+        assert np.max(np.abs(a @ a.T - g)) <= 1e-12 * np.max(np.abs(g))
+
+    @pytest.mark.parametrize("route", ("fbm", "fgn"))
+    @pytest.mark.parametrize("weight", (1e200, 1e-200))
+    def test_extreme_weights_are_drawn(self, route, weight):
+        # The weights are scaled by max |a_i| before they are squared, so neither
+        # a^2 overflowing nor a^2 underflowing refuses these specs.
+        grid = TimeGrid.uniform(17, 1.0)
+        unit = msfbm.sample_ensemble(ProcessSpec([1.0], [0.3]), grid, 3, 4, sampler=route).values
+        got = msfbm.sample_ensemble(ProcessSpec([weight], [0.3]), grid, 3, 4, sampler=route).values
+        assert np.max(np.abs(got / weight - unit)) <= 1e-14 * np.max(np.abs(unit))
+        for coeffs in ([weight, 1.0], [1.0, -weight]):
+            ens = msfbm.sample_ensemble(ProcessSpec(coeffs, [0.3, 0.8]), grid, 3, 4, sampler=route)
+            assert np.max(np.abs(ens.values)) > 0.0
 
 
 class TestOverflow:
