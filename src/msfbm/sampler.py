@@ -34,11 +34,12 @@ block of rows and allocates its draw buffers once, for that block only.
 
 from __future__ import annotations
 
+import ctypes
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import partial
-from typing import Callable, Sequence
+from functools import cache, partial
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -79,8 +80,8 @@ _MEMORY_BUDGET = 2 * 2 ** 30
 _GRAM_ROWS = 32
 
 # Edge of the square tiles in which ``psd_factor`` compares a matrix with its
-# transpose, and copies its column-major factor into C order: a tile and its
-# mirror tile fit in cache together.
+# transpose, and moves a triangle into its mirror one: a tile and its mirror
+# tile fit in cache together.
 _SYM_TILE = 64
 
 
@@ -245,78 +246,130 @@ def gram_matrix(spec: ProcessSpec, grid: TimeGrid) -> np.ndarray:
     return _symmetric_gram(t.size, 5, fill_block)
 
 
+def _tiles(n: int) -> Iterator[tuple[slice, slice]]:
+    """(rows, cols) slices of the ``_SYM_TILE`` tiles on and below the
+    diagonal of an n x n matrix, each row of tiles ending on the diagonal."""
+    for lo in range(0, n, _SYM_TILE):
+        for col in range(0, lo + 1, _SYM_TILE):
+            yield slice(lo, lo + _SYM_TILE), slice(col, col + _SYM_TILE)
+
+
 def _is_symmetric(g: np.ndarray) -> bool:
     """Whether the square ``g`` equals its transpose in every entry (NaN never
     does), compared tile against mirror tile so both stay in cache."""
-    n = g.shape[0]
-    for lo in range(0, n, _SYM_TILE):
-        for col in range(lo, n, _SYM_TILE):
-            if not np.array_equal(g[lo:lo + _SYM_TILE, col:col + _SYM_TILE],
-                                  g[col:col + _SYM_TILE, lo:lo + _SYM_TILE].T):
-                return False
-    return True
+    return all(np.array_equal(g[rows, cols], g[cols, rows].T)
+               for rows, cols in _tiles(g.shape[0]))
 
 
 def _not_positive_definite(err: str, flag: int) -> None:
     raise np.linalg.LinAlgError("matrix is not positive definite")
 
 
-def _cholesky_lower(target: np.ndarray) -> np.ndarray:
-    """The lower Cholesky factor of the symmetric ``target`` as LAPACK returns
-    it, column-major, with zeros above the diagonal.
+@cache
+def _dpotrf() -> Callable | None:
+    """LAPACK's ``dpotrf`` in numpy's own LAPACK, the routine the gufunc behind
+    ``np.linalg.cholesky`` calls, or None where that library does not export
+    it as ``scipy_dpotrf_64_`` (64-bit integers), as in numpy 1.x wheels and
+    Accelerate or MKL builds.  The symbol is looked up through the handle of
+    numpy's linalg extension, which also searches the libraries it links, on
+    the first dense factor and not at import.
+    """
+    try:
+        fn = ctypes.CDLL(_umath_linalg.__file__).scipy_dpotrf_64_
+    except (OSError, AttributeError):
+        return None
+    int_ptr = ctypes.POINTER(ctypes.c_int64)
+    fn.argtypes = [ctypes.c_char_p, int_ptr, ctypes.c_void_p, int_ptr, int_ptr]
+    fn.restype = None
+    return fn
 
-    This is the gufunc ``np.linalg.cholesky`` calls, written into an F-order
-    output so the column-major result is copied contiguously; the bits are
-    ``np.linalg.cholesky``'s.  A failed factorization raises LinAlgError
+
+def _dpotrf_lower(a: np.ndarray) -> bool:
+    """Whether ``dpotrf('L')`` factors the C-contiguous symmetric ``a`` in place.
+
+    The column-major reading of ``a`` is ``a`` itself, so LAPACK reads the
+    lower triangle of that reading, ``a``'s upper one, and on success leaves
+    the factor there.  It never writes ``a``'s strict lower triangle.
+    """
+    n = a.shape[0]
+    info = ctypes.c_int64(0)
+    _dpotrf()(b"L", ctypes.byref(ctypes.c_int64(n)), a.ctypes.data,
+              ctypes.byref(ctypes.c_int64(max(n, 1))), ctypes.byref(info))
+    return info.value == 0
+
+
+def _gufunc_lower(a: np.ndarray) -> bool:
+    """``_dpotrf_lower`` through the gufunc ``np.linalg.cholesky`` calls, with
+    the same LAPACK call on the same column-major reading of ``a``.
+
+    The gufunc factors a working copy into a column-major output, which is
+    copied into ``a`` on success; a failure leaves ``a`` untouched.  It fails
     through the gufunc's invalid flag, as in ``np.linalg.cholesky``, whatever
     floating-point error state surrounds the call.
     """
-    n = target.shape[0]
-    col_major = np.empty((n, n), order="F")
-    # LAPACK factors a column-major copy of its input.  target equals
-    # target.T, and copying the F-contiguous one of them is a contiguous
-    # read where the other is a transposing one.
-    with np.errstate(call=_not_positive_definite, invalid="call",
-                     over="ignore", divide="ignore", under="ignore"):
-        _umath_linalg.cholesky_lo(target if target.flags.f_contiguous else target.T,
-                                  out=col_major, signature="d->d")
-    return col_major
+    col_major = np.empty(a.shape, order="F")
+    try:
+        with np.errstate(call=_not_positive_definite, invalid="call",
+                         over="ignore", divide="ignore", under="ignore"):
+            _umath_linalg.cholesky_lo(a.T, out=col_major, signature="d->d")
+    except np.linalg.LinAlgError:
+        return False
+    np.copyto(a.T, col_major)
+    return True
 
 
-def _c_order_lower(col_major: np.ndarray) -> np.ndarray:
-    """The lower-triangular ``col_major`` copied into a C-order array, tile by
-    tile so each source tile and its destination stay in cache; the tiles
-    above the diagonal stay zero."""
-    n = col_major.shape[0]
-    lower = np.zeros((n, n))
-    for lo in range(0, n, _SYM_TILE):
-        rows = slice(lo, lo + _SYM_TILE)
-        for col in range(0, lo + 1, _SYM_TILE):
-            lower[rows, col:col + _SYM_TILE] = col_major[rows, col:col + _SYM_TILE]
-    return lower
+def _lower_from_upper(a: np.ndarray) -> None:
+    """Move the transpose of ``a``'s upper triangle into its lower one and zero
+    the strict upper one, tile against mirror tile so both stay in cache."""
+    for rows, cols in _tiles(a.shape[0]):
+        if rows == cols:
+            a[rows, cols] = np.tril(a[cols, rows].T)
+        else:
+            a[rows, cols] = a[cols, rows].T
+            a[cols, rows] = 0.0
+
+
+def _restore_jittered(a: np.ndarray, diag: np.ndarray, eps: float) -> None:
+    """Rewrite ``a`` as g + eps*I from g's strict lower triangle, which
+    ``_dpotrf_lower`` and ``_gufunc_lower`` leave untouched, and g's saved
+    diagonal ``diag``: off the diagonal the bits of g + 0.0, as in
+    ``g + eps * np.eye(n)``."""
+    for rows, cols in _tiles(a.shape[0]):
+        if rows == cols:
+            strict = np.tril(a[rows, cols], -1)
+            np.add(strict, strict.T, out=a[rows, cols])
+        else:
+            np.add(a[rows, cols].T, 0.0, out=a[cols, rows])
+    np.fill_diagonal(a, diag + eps)
 
 
 def psd_factor(g: np.ndarray) -> FactorResult:
     """Cholesky factor of g + eps*I, escalating eps until factorization succeeds.
 
-    The factor is C-ordered: the per-replica ``L @ z`` of the dense routes
-    keeps its bits only on a C-order factor.
+    The factor is made in place and consumes ``g``: a C- or F-contiguous
+    float64 ``g`` is overwritten, whether or not the factorization succeeds,
+    and the returned ``lower`` shares its memory.  Any other ``g`` is
+    factored in a C-order copy and left untouched.  The factor is C-ordered:
+    the per-replica ``L @ z`` of the dense routes keeps its bits only on a
+    C-order factor.  It has the bits of ``np.linalg.cholesky(g + eps*I)``.
     """
     g = np.asarray(g, dtype=float)
     if g.ndim != 2 or g.shape[0] != g.shape[1]:
         raise ValueError("gram matrix must be square")
     if not _is_symmetric(g):
         raise ValueError("gram matrix must be symmetric")
-    max_diag = float(np.max(np.diag(g))) if g.size else 0.0
-    for level in JITTER_LADDER:
+    # A symmetric g equals g.T, which is C-contiguous where g is F-contiguous.
+    a = np.require(g.T if g.flags.f_contiguous else g, requirements=["C", "A", "W"])
+    diag = a.diagonal().copy()
+    max_diag = float(np.max(diag)) if diag.size else 0.0
+    factor = _dpotrf_lower if _dpotrf() else _gufunc_lower
+    for rung, level in enumerate(JITTER_LADDER):
         eps = level * max_diag
-        try:
-            # g + eps*I lives only for the call, so at most g, that sum,
-            # LAPACK's buffer and the column-major factor are alive at once.
-            col_major = _cholesky_lower(g + eps * np.eye(g.shape[0]) if eps else g)
-        except np.linalg.LinAlgError:
-            continue
-        return FactorResult(lower=_c_order_lower(col_major), jitter=eps)
+        if rung:
+            _restore_jittered(a, diag, eps)
+        if factor(a):
+            _lower_from_upper(a)
+            return FactorResult(lower=a, jitter=eps)
     raise FactorizationFailure(
         f"cholesky failed at all jitter levels {JITTER_LADDER}"
     )
@@ -487,11 +540,12 @@ def _route_ops(route: str, spec: ProcessSpec, m: int, n_reps: int) -> float:
 def _route_bytes(route: str, spec: ProcessSpec, m: int, n_reps: int) -> int:
     """Estimated peak bytes of the route's arrays, the ensemble's values included.
 
-    Only active components count.  Dense routes hold their one Gram plus
-    three more matrices of its size while factoring: the jitter path's
-    ``g + eps*I``, LAPACK's working copy of its input and the column-major
-    factor it writes.  The C-order factor is allocated after the sum is
-    freed, and the column-major one is freed when it has been copied.
+    Only active components count.  Dense routes factor their Gram in its own
+    memory (``psd_factor``).  With LAPACK's ``dpotrf`` bound, that Gram is
+    the only matrix of its size; the gufunc kernel of other platforms also
+    holds LAPACK's working copy and the column-major factor it writes.  The
+    estimate counts those three matrices whichever kernel runs, so a refusal
+    is a pure function of the request.
     The circulant route of length N = 4m holds one half spectrum of N/2 + 1
     values per component while it sums them, and one replica worker's
     workspace holds the complex spectrum of N/2 + 1 values the normals are
@@ -502,9 +556,9 @@ def _route_bytes(route: str, spec: ProcessSpec, m: int, n_reps: int) -> int:
     counted, so a refusal never depends on MSFBM_THREADS.
     """
     if route == "exact":
-        held = 4 * m * m
+        held = 3 * m * m
     elif route == "fbm":
-        held = 4 * (2 * m) ** 2
+        held = 3 * (2 * m) ** 2
     else:
         held = len(spec.active_set) * (2 * m + 1) + 6 * (4 * m + 1)
     return 8 * (held + n_reps * (m + 1))

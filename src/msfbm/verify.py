@@ -203,7 +203,8 @@ def run_sampler_suite(
     eig_min = float(np.linalg.eigvalsh(g).min())
     max_diag = float(np.max(np.diag(g)))
 
-    factor = psd_factor(g)
+    # psd_factor consumes its argument; g is read again below.
+    factor = psd_factor(g.copy())
     fidelity = float(
         np.max(np.abs(factor.lower @ factor.lower.T - (g + factor.jitter * np.eye(g.shape[0]))))
     )

@@ -1,6 +1,8 @@
 """Grid/path types, Gram factorization, the three sampler routes and the router."""
 
 import math
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
@@ -27,7 +29,7 @@ from msfbm.sampler import (
 )
 from msfbm.seeds import _pcg64_state, derive_seed, normal_stream, replica_seeds, stream_keys
 
-from conftest import rand_spec
+from conftest import package_env, rand_spec
 
 
 class TestTimeGrid:
@@ -210,7 +212,7 @@ class TestPsdFactor:
         for times, needs_jitter in ((np.linspace(0.0, 1.0, 1000), False),
                                     (_COINCIDENT_PAIR, True)):
             g = msfbm.gram_matrix(ProcessSpec([1.0], [0.9]), TimeGrid(times))
-            fr = msfbm.psd_factor(g)
+            fr = msfbm.psd_factor(g.copy())
             max_diag = float(np.max(np.diag(g)))
             assert (fr.jitter > 0.0) == needs_jitter
             assert fr.jitter <= 1e-10 * max_diag
@@ -243,7 +245,7 @@ class TestPsdFactor:
     def test_tiled_check_refuses_every_planted_asymmetry(self, rng, n):
         m = rng.standard_normal((n, n))
         g = m + m.T + 2.0 * n * np.eye(n)
-        assert msfbm.psd_factor(g).jitter == 0.0
+        assert msfbm.psd_factor(g.copy()).jitter == 0.0
         for i, j in self._planted_entries(n):
             bad = g.copy()
             bad[i, j] = np.nextafter(bad[i, j], np.inf)
@@ -270,18 +272,20 @@ class TestPsdFactor:
     def test_factor_bit_equal_to_cholesky_in_every_layout(self, n):
         g = msfbm.gram_matrix(ProcessSpec([1.0, 0.5], [0.3, 0.8]), TimeGrid.uniform(n + 1, 2.0))
         for x in self._layouts(g):
+            want = np.linalg.cholesky(x)
             fr = msfbm.psd_factor(x)
             assert fr.jitter == 0.0
             assert fr.lower.flags.c_contiguous
-            assert np.array_equal(fr.lower, np.linalg.cholesky(x))
+            assert np.array_equal(fr.lower, want)
 
     def test_jittered_factor_bit_equal_to_cholesky_in_every_layout(self):
         # All ones is singular, so it factors only on a nonzero rung.
         n = 3 * _GRAM_ROWS + 5
         for x in self._layouts(np.ones((n, n))):
+            untouched = x.copy()
             fr = msfbm.psd_factor(x)
             assert fr.jitter > 0.0
-            assert np.array_equal(fr.lower, np.linalg.cholesky(x + fr.jitter * np.eye(n)))
+            assert np.array_equal(fr.lower, np.linalg.cholesky(untouched + fr.jitter * np.eye(n)))
 
     def test_failed_rung_is_not_a_floating_point_error(self):
         # sample_ensemble factors under over="raise", invalid="raise"; a rung that
@@ -301,6 +305,47 @@ class TestPsdFactor:
         ens = msfbm.sample_ensemble(spec, grid, 2, 7, sampler="exact")
         assert ens.jitter == msfbm.psd_factor(msfbm.gram_matrix(spec, grid)).jitter
         assert (ens.jitter > 0.0) == needs_jitter
+
+    def test_factor_is_made_in_contiguous_input(self):
+        spec, grid = ProcessSpec([1.0, 0.5], [0.3, 0.8]), TimeGrid.uniform(2 * _SYM_TILE, 2.0)
+        for x in self._layouts(msfbm.gram_matrix(spec, grid))[:2]:
+            assert np.shares_memory(msfbm.psd_factor(x).lower, x)
+
+    def test_strided_input_is_left_untouched(self):
+        spec, grid = ProcessSpec([1.0, 0.5], [0.3, 0.8]), TimeGrid.uniform(2 * _SYM_TILE, 2.0)
+        g = msfbm.gram_matrix(spec, grid)
+        sliced = self._layouts(g)[2]
+        fr = msfbm.psd_factor(sliced)
+        assert not np.shares_memory(fr.lower, sliced)
+        assert sliced.tobytes() == g.tobytes()
+
+    def test_rung_failing_at_its_last_column_is_undone(self):
+        # The leading block is positive definite and the last row copies the one
+        # before it with a smaller diagonal, so rungs 0 and 1 fail only at the
+        # last column, after LAPACK has overwritten every column before it.
+        n = 400
+        m = np.random.default_rng(3).standard_normal((n - 1, n - 1))
+        lead = m @ m.T / n + np.eye(n - 1)
+        lead += lead.T
+        g0 = np.empty((n, n))
+        g0[:-1, :-1] = lead
+        g0[-1, :-1] = g0[:-1, -1] = lead[-1]
+        g0[-1, -1] = lead[-1, -1] * (1.0 - 1e-13)
+        np.linalg.cholesky(g0[:-1, :-1])
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(g0)
+        fr = msfbm.psd_factor(g0.copy())
+        assert fr.jitter > 0.0
+        assert np.array_equal(fr.lower, np.linalg.cholesky(g0 + fr.jitter * np.eye(n)))
+
+
+class TestPsdFactorGufuncKernel(TestPsdFactor):
+    """Every ``TestPsdFactor`` test with the ``dpotrf`` binding patched away, so
+    the factor is made by the gufunc kernel of platforms that lack it."""
+
+    @pytest.fixture(autouse=True)
+    def _without_dpotrf(self, monkeypatch):
+        monkeypatch.setattr(sampler, "_dpotrf", lambda: None)
 
 
 class TestSampleExact:
@@ -509,9 +554,9 @@ class TestSampleViaFbm:
 
     @pytest.mark.parametrize("route", ("exact", "fbm"))
     def test_dense_peak_within_route_estimate(self, route):
-        # LAPACK's working copy of the factor's input is malloc'd by numpy's
-        # gufunc outside tracemalloc's view.  The estimate counts it, so the
-        # traced peak stays below the estimate by about that copy's size.
+        # The estimate counts the three matrices of the gufunc kernel, whose
+        # LAPACK working copy is malloc'd outside tracemalloc's view; the
+        # dpotrf kernel factors the Gram in place.
         spec = ProcessSpec([1.5, -0.7], [0.3, 0.8])
         times = np.cumsum(np.concatenate([[0.0], np.random.default_rng(5).uniform(0.5, 1.5, 300)]))
         grid = TimeGrid(times)
@@ -523,6 +568,38 @@ class TestSampleViaFbm:
         finally:
             tracemalloc.stop()
         assert peak <= _route_bytes(route, spec, grid.n_points - 1, 4)
+
+    # Prints how far an exact draw on m points raises a child interpreter's
+    # peak RSS.  That is VmHWM, the peak of the process's own address space:
+    # ru_maxrss also carries the forking parent's RSS over the exec, so under
+    # a large test process it would not move.  A draw on a quarter-size grid
+    # first puts the one-time buffers of the interpreter and of BLAS into the
+    # baseline.
+    _RSS_SCRIPT = """
+import numpy as np, msfbm
+def peak_bytes():
+    with open("/proc/self/status") as status:
+        return 1024 * next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+def grid(m):
+    steps = np.random.default_rng(5).uniform(0.5, 1.5, m)
+    return msfbm.TimeGrid(np.concatenate([[0.0], np.cumsum(steps)]))
+spec = msfbm.ProcessSpec([1.5, -0.7], [0.3, 0.8])
+msfbm.sample_ensemble(spec, grid({m} // 4), 4, 3, sampler="exact")
+before = peak_bytes()
+msfbm.sample_ensemble(spec, grid({m}), 4, 3, sampler="exact")
+print(peak_bytes() - before)
+"""
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="VmHWM is read from Linux's /proc/self/status")
+    @pytest.mark.skipif(sampler._dpotrf() is None,
+                        reason="the gufunc kernel holds LAPACK's copy and its output too")
+    def test_exact_draw_holds_one_gram(self):
+        m = 1500
+        proc = subprocess.run([sys.executable, "-c", self._RSS_SCRIPT.format(m=m)],
+                              capture_output=True, text=True, env=package_env())
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) < 1.5 * 8 * m * m
 
     @pytest.mark.parametrize("length", (4, 512, 4096, 2 ** 17))
     @pytest.mark.parametrize("h", (0.2, 0.5, 0.9))
