@@ -4,7 +4,10 @@
 ``tests/golden.json`` holds, for each command of a fixed matrix, the
 SHA-256 of its stdout, its exit code and its stderr.  The digests are keyed
 by numpy major.minor, because every realization depends on numpy's normal
-draws.  ``tests/test_golden.py`` recomputes them in-process.
+draws.  They also depend on the CPU, which the key does not name: numpy's
+SIMD loops for exp, log and power, and the OpenBLAS core for dgemv and
+dpotrf, move results at ulp level (README, "Determinism").
+``tests/test_golden.py`` recomputes them in-process.
 
 A change that moves a digest regenerates it in the same change and says
 which commands moved and why.

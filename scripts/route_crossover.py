@@ -86,15 +86,15 @@ def main() -> int:
             for k, spec in SPECS.items():
                 exact = _best_cpu_s(spec, grid, reps, "exact", args.repeat)
                 fgn = _best_cpu_s(spec, grid, reps, "fgn", args.repeat)
-                pick = _route(spec, grid, reps, "auto")
+                pick = _route(grid, reps, "auto")
                 slower = (pick == "fgn") != (fgn < exact)
                 print(f"| {n_points} | {reps} | {k} | {exact * 1e3:.1f} | {fgn * 1e3:.1f} "
                       f"| {pick} | {'slower' if slower else ''} |", flush=True)
                 if m >= FIT_STEPS and max(exact, fgn) <= NEAR * min(exact, fgn):
                     # fgn estimate / dense estimate = fgn / exact, solved for F0 in
                     # reps * (F0 + transform_ops) = dense_ops * fgn / exact.
-                    dense_ops = _route_ops("exact", spec, m, reps)
-                    transform_ops = _route_ops("fgn", spec, m, 1) - _FGN_DRAW_OPS
+                    dense_ops = _route_ops("exact", m, reps)
+                    transform_ops = _route_ops("fgn", m, 1) - _FGN_DRAW_OPS
                     fits.append(dense_ops * fgn / exact / reps - transform_ops)
     if fits:
         print(f"# fitted F0 (median over {len(fits)} rows with at least {FIT_STEPS} steps "

@@ -73,6 +73,13 @@ class ProcessSpec:
         """(coeff, hurst) pairs of the active components."""
         return self._active
 
+    def unit(self) -> tuple[float, "ProcessSpec"]:
+        """s = max |a_i| and the spec with weights a_i / s: the process is s
+        times the unit spec's, whose largest weight is +-1, so its squared
+        weights neither overflow nor all underflow."""
+        scale = max(abs(a) for a in self.coeffs)
+        return scale, ProcessSpec([a / scale for a in self.coeffs], self.hurst)
+
     def with_coeff(self, slot: int, value: float) -> "ProcessSpec":
         """Copy of the spec with one coefficient replaced."""
         coeffs = list(self.coeffs)

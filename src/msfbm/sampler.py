@@ -11,15 +11,17 @@ route maps one i.i.d. normal stream per replica to its path:
   {-t_k, ..., t_k}, and one fold writes (W(t) + W(-t))/sqrt(2) into the
   path.  W is one centred Gaussian vector with covariance sum_i a_i^2 K_i,
   K_i the fBm kernel of H_i, and is drawn from that covariance at once.
-  Both routes sum the covariances with weights (a_i/s)^2, s = max |a_i|,
-  and scale the square root by s, so no weight's square overflows or
-  underflows where the weight itself does not.
-* "fbm" maps the normals through the factor of W's dense Gram.
+* "fbm" maps the normals through the factor of W's dense Gram, its rows
+  folded in place.
 * "fgn" draws W's increments on uniform grids through circulant embedding
   (Davies-Harte; Wood & Chan 1994), which is still exact and scales to
-  2^16-point paths.  The embedding's circulant row is real and symmetric,
-  so only its N/2 + 1 distinct eigenvalues are kept; W's are the weighted
-  sum of the components'.
+  2^16-point paths.  The embedding's circulant row, W's weighted sum of
+  the components' increment autocovariances, is real and symmetric, so
+  only its N/2 + 1 distinct eigenvalues are kept.
+
+Every route draws the unit spec, whose weights are a_i / s with
+s = max |a_i| (``ProcessSpec.unit``), and the ensemble is scaled by s once,
+so the squared weights neither overflow nor all underflow on any route.
 
 Zero-weight components are inert on every route: they are never evaluated,
 factored or drawn, so a spec padded with them draws its live spec's bytes.
@@ -37,6 +39,7 @@ from __future__ import annotations
 import ctypes
 import math
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cache, partial
 from typing import Callable, Iterator, Sequence
@@ -352,6 +355,7 @@ def psd_factor(g: np.ndarray) -> FactorResult:
     factored in a C-order copy and left untouched.  The factor is C-ordered:
     the per-replica ``L @ z`` of the dense routes keeps its bits only on a
     C-order factor.  It has the bits of ``np.linalg.cholesky(g + eps*I)``.
+    A non-finite diagonal raises ValueError before ``g`` is written.
     """
     g = np.asarray(g, dtype=float)
     if g.ndim != 2 or g.shape[0] != g.shape[1]:
@@ -361,6 +365,8 @@ def psd_factor(g: np.ndarray) -> FactorResult:
     # A symmetric g equals g.T, which is C-contiguous where g is F-contiguous.
     a = np.require(g.T if g.flags.f_contiguous else g, requirements=["C", "A", "W"])
     diag = a.diagonal().copy()
+    if not np.all(np.isfinite(diag)):
+        raise ValueError("gram matrix diagonal must be finite")
     max_diag = float(np.max(diag)) if diag.size else 0.0
     factor = _dpotrf_lower if _dpotrf() else _gufunc_lower
     for rung, level in enumerate(JITTER_LADDER):
@@ -375,35 +381,29 @@ def psd_factor(g: np.ndarray) -> FactorResult:
     )
 
 
-def _refuse_underflow(route: str, grid: TimeGrid, variances: Sequence[np.ndarray]) -> None:
-    """Raise ArithmeticError unless each of ``variances`` has a positive value: a
+def _refuse_underflow(route: str, grid: TimeGrid, variances: np.ndarray) -> None:
+    """Raise ArithmeticError unless ``variances`` has a positive value: a
     covariance that underflowed to 0 would draw all-zero paths or fail to factor."""
-    if not all(np.max(v) > 0.0 for v in variances):
+    if not np.max(variances) > 0.0:
         raise ArithmeticError(f"the {route} route's covariances on [0, {grid.horizon!r}] "
                               "underflow to 0")
 
 
-def _exact_rows(lower: np.ndarray, keys: np.ndarray, out: np.ndarray) -> None:
-    """Write L z into each row of ``out``, z the normal stream of the row's
-    ``stream_keys`` row and L the process Gram's factor."""
+def _dense_rows(mat: np.ndarray, keys: np.ndarray, out: np.ndarray) -> None:
+    """Write M z into each row of ``out``, z the normal stream of the row's
+    ``stream_keys`` row and M a dense route's map (``_route_rows``)."""
+    normals = np.empty(mat.shape[1])
     for key, body in zip(keys, out):
-        np.matmul(lower, normal_stream(key, lower.shape[0]), out=body)
-
-
-def _scaled_weights(spec: ProcessSpec) -> tuple[float, list[float]]:
-    """s = max |a_i| and the weights (a_i / s)^2 of the active components: the
-    covariance of W / s, W = sum_i a_i B_i, is sum_i (a_i / s)^2 K_i."""
-    scale = max(abs(a) for a, _ in spec.active())
-    return scale, [(a / scale) ** 2 for a, _ in spec.active()]
+        np.matmul(mat, normal_stream(key, normals.size, out=normals), out=body)
 
 
 def _fbm_gram(spec: ProcessSpec, grid: TimeGrid) -> np.ndarray:
-    """Gram of W / s on {-t_k ... -t_1, t_1 ... t_k} (``_scaled_weights``)."""
+    """Gram of W = sum_i a_i B_i on {-t_k ... -t_1, t_1 ... t_k}."""
     pos = grid.times[1:]
     sym = np.concatenate([-pos[::-1], pos])
     two_hs = [2.0 * h for _, h in spec.active()]
     powers = [_p2h_array(np.abs(sym), two_h) for two_h in two_hs]
-    halves = [0.5 * w for w in _scaled_weights(spec)[1]]
+    halves = [0.5 * (a * a) for a, _ in spec.active()]
 
     def fill_block(lo: int, hi: int, g: np.ndarray, work: list) -> None:
         # g += 0.5 w * (s_i^2h + s_j^2h - |s_i - s_j|^2h) with |s|^2h in ``powers``.
@@ -422,20 +422,9 @@ def _fbm_gram(spec: ProcessSpec, grid: TimeGrid) -> np.ndarray:
 
 def _fold(neg: np.ndarray, pos: np.ndarray, body: np.ndarray) -> None:
     """Write (W(t) + W(-t)) / sqrt(2) into ``body``, the values at t > 0, from
-    ``neg`` = W(-t) and ``pos`` = W(t), t ascending."""
+    ``neg`` = W(-t) and ``pos`` = W(t), t ascending along the first axis."""
     np.add(pos, neg, out=body)
     body /= math.sqrt(2.0)
-
-
-def _fbm_rows(lower: np.ndarray, keys: np.ndarray, out: np.ndarray) -> None:
-    """Fold W = L z into each row of ``out``, L the factor of W's Gram on the
-    symmetric grid and z the normal stream of the row's ``stream_keys`` row."""
-    size = lower.shape[0]
-    m = size // 2
-    normals, w = np.empty(size), np.empty(size)
-    for key, body in zip(keys, out):
-        np.matmul(lower, normal_stream(key, size, out=normals), out=w)
-        _fold(w[:m][::-1], w[m:], body)
 
 
 def _fgn_autocov(length: int, step: float, two_h: float) -> np.ndarray:
@@ -450,42 +439,27 @@ def _fgn_autocov(length: int, step: float, two_h: float) -> np.ndarray:
     )
 
 
-def _fgn_spectra(spec: ProcessSpec, grid: TimeGrid) -> list[np.ndarray]:
-    """The N/2 + 1 distinct circulant-embedding eigenvalues, clipped at 0, of
-    each active component's increment process over the symmetric uniform grid."""
+def _fgn_spectrum(spec: ProcessSpec, grid: TimeGrid) -> np.ndarray:
+    """Square roots of the N/2 + 1 distinct circulant-embedding eigenvalues of
+    W's increments over [-T, T], W = sum_i a_i B_i, clipped at 0, and the
+    interior bins 0 < k < N/2 also times 1/sqrt(2): the factor each bin's
+    normals take in ``_fgn_draw``.  The circulant row is W's increment
+    autocovariance, the components' weighted by a_i^2 and summed.
+    """
     if not grid.is_uniform():
         raise ValueError("circulant embedding requires a uniform grid")
     m = grid.n_points - 1
     step = grid.horizon / m
     length = 2 * m  # increments covering [-T, T]
-    spectra = []
-    for _, h in spec.active():
-        gamma = _fgn_autocov(length, step, 2.0 * h)
-        row = np.concatenate([gamma, gamma[-2:0:-1]])
-        eig = np.fft.rfft(row).real
-        floor = -1e-8 * float(eig.max())
-        if eig.min() < floor:
-            raise FactorizationFailure(
-                f"circulant embedding is indefinite (min eigenvalue {eig.min():.3e})"
-            )
-        spectra.append(np.clip(eig, 0.0, None))
-    return spectra
-
-
-def _fgn_spectrum(spec: ProcessSpec, grid: TimeGrid) -> np.ndarray:
-    """Square roots of the half spectrum of W's increments, W = sum_i a_i B_i:
-    s * sqrt(sum_i (a_i / s)^2 lambda_i) over ``_fgn_spectra``'s lambda_i
-    (``_scaled_weights``), and the interior bins 0 < k < N/2 also times
-    1/sqrt(2): the factor each bin's normals take in ``_fgn_draw``."""
-    spectra = _fgn_spectra(spec, grid)
-    _refuse_underflow("fgn", grid, spectra)
-    scale, weights = _scaled_weights(spec)
-    sqrt_eig = np.zeros_like(spectra[0])
-    for w, eig in zip(weights, spectra):
-        eig *= w
-        sqrt_eig += eig
+    gamma = sum((a * a) * _fgn_autocov(length, step, 2.0 * h) for a, h in spec.active())
+    eig = np.fft.rfft(np.concatenate([gamma, gamma[-2:0:-1]])).real
+    if eig.min() < -1e-8 * float(eig.max()):
+        raise FactorizationFailure(
+            f"circulant embedding is indefinite (min eigenvalue {eig.min():.3e})"
+        )
+    sqrt_eig = np.clip(eig, 0.0, None)
+    _refuse_underflow("fgn", grid, sqrt_eig)
     np.sqrt(sqrt_eig, out=sqrt_eig)
-    sqrt_eig *= scale
     sqrt_eig[1:-1] /= math.sqrt(2.0)
     return sqrt_eig
 
@@ -525,7 +499,7 @@ def _fgn_rows(sqrt_eig: np.ndarray, keys: np.ndarray, out: np.ndarray) -> None:
         _fold(cum[m - 1::-1], cum[m + 1:], body)
 
 
-def _route_ops(route: str, spec: ProcessSpec, m: int, n_reps: int) -> float:
+def _route_ops(route: str, m: int, n_reps: int) -> float:
     """Estimated operations of the "exact" or "fgn" route drawing ``n_reps``
     replicas on ``m`` grid steps."""
     if route == "fgn":
@@ -537,30 +511,29 @@ def _route_ops(route: str, spec: ProcessSpec, m: int, n_reps: int) -> float:
     return m ** 3 / 3.0 + 2.0 * n_reps * m * m
 
 
-def _route_bytes(route: str, spec: ProcessSpec, m: int, n_reps: int) -> int:
+def _route_bytes(route: str, m: int, n_reps: int) -> int:
     """Estimated peak bytes of the route's arrays, the ensemble's values included.
 
-    Only active components count.  Dense routes factor their Gram in its own
-    memory (``psd_factor``).  With LAPACK's ``dpotrf`` bound, that Gram is
-    the only matrix of its size; the gufunc kernel of other platforms also
-    holds LAPACK's working copy and the column-major factor it writes.  The
-    estimate counts those three matrices whichever kernel runs, so a refusal
-    is a pure function of the request.
-    The circulant route of length N = 4m holds one half spectrum of N/2 + 1
-    values per component while it sums them, and one replica worker's
-    workspace holds the complex spectrum of N/2 + 1 values the normals are
-    drawn into, the real inverse transform and its working copy, and the
-    N/2 + 1 cumulative sums the fold reads: six vectors of N + 1 doubles
-    bound them all.  Each
-    further replica thread holds a workspace of its own; those are not
-    counted, so a refusal never depends on MSFBM_THREADS.
+    Dense routes factor their Gram in its own memory (``psd_factor``).  With
+    LAPACK's ``dpotrf`` bound, that Gram is the only matrix of its size; the
+    gufunc kernel of other platforms also holds LAPACK's working copy and the
+    column-major factor it writes.  The estimate counts those three matrices
+    whichever kernel runs, so a refusal is a pure function of the request.
+    The circulant route of length N = 4m holds W's half spectrum of N/2 + 1
+    values, and one replica worker's workspace holds the complex spectrum
+    of N/2 + 1 values the normals are drawn into, the real inverse
+    transform and its working copy, and the N/2 + 1 cumulative sums the
+    fold reads: six vectors of N + 1 doubles bound them all.  None of these
+    depends on the number of components.  Each further replica thread
+    holds a workspace of its own; those are not counted, so a refusal
+    never depends on MSFBM_THREADS.
     """
     if route == "exact":
         held = 3 * m * m
     elif route == "fbm":
         held = 3 * (2 * m) ** 2
     else:
-        held = len(spec.active_set) * (2 * m + 1) + 6 * (4 * m + 1)
+        held = (2 * m + 1) + 6 * (4 * m + 1)
     return 8 * (held + n_reps * (m + 1))
 
 
@@ -573,7 +546,7 @@ def _check_budget(what: str, need: int) -> None:
         )
 
 
-def _route(spec: ProcessSpec, grid: TimeGrid, n_reps: int, sampler: str) -> str:
+def _route(grid: TimeGrid, n_reps: int, sampler: str) -> str:
     """The route ("exact", "fbm" or "fgn") that draws ``n_reps`` replicas.
 
     "auto" takes circulant embedding ("fgn") on uniform grids where its
@@ -585,29 +558,31 @@ def _route(spec: ProcessSpec, grid: TimeGrid, n_reps: int, sampler: str) -> str:
     m = grid.n_points - 1
     if sampler == "auto":
         cheaper = (grid.is_uniform()
-                   and _route_ops("fgn", spec, m, n_reps) < _route_ops("exact", spec, m, n_reps))
+                   and _route_ops("fgn", m, n_reps) < _route_ops("exact", m, n_reps))
         sampler = "fgn" if cheaper else "exact"
     if sampler not in ("exact", "fbm", "fgn"):
         raise ValueError(f"unknown sampler {sampler!r}")
     _check_budget(f"the {sampler} route for {n_reps} replica(s) on {grid.n_points} points",
-                  _route_bytes(sampler, spec, m, n_reps))
+                  _route_bytes(sampler, m, n_reps))
     return sampler
 
 
 def _route_rows(route: str, spec: ProcessSpec, grid: TimeGrid) -> tuple[Callable, float]:
     """The route's row filler ``rows(keys, out)``, which writes a block of replicas'
     paths at t > 0 into ``out`` from their rows of ``stream_keys``, and the
-    jitter its factor took (on the fbm route, that of W / s's Gram)."""
+    jitter its factor took.  The fbm route's map is the fold of the factor L of
+    W's Gram, (L[m + k] + L[m - 1 - k]) / sqrt(2), written into L's last m rows."""
     if route == "fgn":
         return partial(_fgn_rows, _fgn_spectrum(spec, grid)), 0.0
     gram = gram_matrix(spec, grid) if route == "exact" else _fbm_gram(spec, grid)
-    _refuse_underflow(route, grid, [gram.diagonal()])
+    _refuse_underflow(route, grid, gram.diagonal())
     factor = psd_factor(gram)
-    if route == "exact":
-        return partial(_exact_rows, factor.lower), factor.jitter
-    lower = factor.lower
-    lower *= _scaled_weights(spec)[0]
-    return partial(_fbm_rows, lower), factor.jitter
+    mat = factor.lower
+    if route == "fbm":
+        m = mat.shape[0] // 2
+        _fold(mat[m - 1::-1], mat[m:], mat[m:])
+        mat = mat[m:]
+    return partial(_dense_rows, mat), factor.jitter
 
 
 def _replica_runner(rows: Callable, keys: np.ndarray, out: np.ndarray, n_threads: int) -> None:
@@ -627,6 +602,16 @@ def _replica_runner(rows: Callable, keys: np.ndarray, out: np.ndarray, n_threads
         future.result()
 
 
+@contextmanager
+def _refuse_overflow(what: str) -> Iterator[None]:
+    """Raise ArithmeticError, naming ``what``, on an overflow or invalid operation in the block."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise ArithmeticError(f"{what} overflow a double ({exc})") from None
+
+
 def sample_ensemble(
     spec: ProcessSpec,
     grid: TimeGrid,
@@ -643,8 +628,11 @@ def sample_ensemble(
     estimated cost (``_route_ops``) is below the exact route's, and "exact"
     otherwise; every route is distribution-exact.
     Every route is checked against a fixed memory budget first: a request
-    over it raises ValueError before anything is allocated.  Covariances
-    that overflow a double, or that underflow to 0, raise ArithmeticError.
+    over it raises ValueError before anything is allocated.  The route
+    draws the unit spec (``ProcessSpec.unit``), and the ensemble is then
+    scaled by s = max |a_i|; the ensemble's jitter is that of the unit
+    spec's factor.  Covariances that overflow a double or underflow to 0,
+    and paths that do so once scaled, raise ArithmeticError.
     The result is a pure function of (spec, grid, n_reps, master_seed,
     sampler) regardless of ``n_threads``; ``Ensemble.sampler`` records the
     route taken.
@@ -659,16 +647,16 @@ def sample_ensemble(
     """
     if n_reps < 1:
         raise ValueError("n_reps must be >= 1")
-    route = _route(spec, grid, n_reps, sampler)
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            rows, jitter = _route_rows(route, spec, grid)
-    except FloatingPointError as exc:
-        raise ArithmeticError(
-            f"the {route} route's covariances on [0, {grid.horizon!r}] overflow a double ({exc})"
-        ) from None
+    route = _route(grid, n_reps, sampler)
+    scale, unit = spec.unit()
+    with _refuse_overflow(f"the {route} route's covariances on [0, {grid.horizon!r}]"):
+        rows, jitter = _route_rows(route, unit, grid)
     values = np.zeros((n_reps, grid.n_points))
     _replica_runner(rows, stream_keys(replica_seeds(master_seed, n_reps)), values[:, 1:],
                     n_threads)
+    with _refuse_overflow(f"the {route} route's paths on [0, {grid.horizon!r}]"):
+        values *= scale
+    if not values.any():
+        raise ArithmeticError(f"the {route} route's paths on [0, {grid.horizon!r}] underflow to 0")
     return Ensemble(spec=spec, grid=grid, values=values, master_seed=int(master_seed),
                     sampler=route, jitter=jitter)

@@ -8,7 +8,9 @@ GOLDEN is odd, so distinct indices map to distinct seeds.  An ensemble
 draws one normal stream per replica, from the replica's seed.
 
 Normal variates are those of ``Generator(PCG64(seed)).standard_normal``
-(ziggurat); golden outputs are tied to the numpy version.  No stream builds
+(ziggurat); golden outputs are tied to the numpy version, and also to the
+SIMD loops numpy dispatches to and the OpenBLAS core it picks on the CPU
+(README, "Determinism").  No stream builds
 its own ``PCG64(seed)``, and no stream is seeded one at a time:
 ``stream_keys`` follows numpy's ``SeedSequence`` step by step for a whole
 array of seeds at once, 32 bytes per seed, and ``normal_stream`` sets the

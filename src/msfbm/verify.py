@@ -282,9 +282,11 @@ def run_srd_suite(spec: Optional[ProcessSpec] = None) -> dict:
 
 
 def run_markov_suite(spec: Optional[ProcessSpec] = None, seed: int = 0) -> dict:
-    """Factorization residual behaviour against the Markov classification."""
+    """Factorization residual behaviour against the Markov classification, on
+    the unit spec: the residual is homogeneous of degree 4 in the weights."""
     spec = spec or ProcessSpec((1.0,), (0.6,))
     is_markov = markov_verdict(spec)
+    spec = spec.unit()[1]
     rng = np.random.default_rng(derive_seed(seed, 301))
     checks = []
     if is_markov:

@@ -192,7 +192,7 @@ class TestSimulate:
         def fail(*args, **kwargs):
             raise AssertionError("a refused route allocated its arrays")
         monkeypatch.setattr(sampler, "gram_matrix", fail)
-        monkeypatch.setattr(sampler, "_fgn_spectra", fail)
+        monkeypatch.setattr(sampler, "_fgn_spectrum", fail)
         for route, size in (("exact", ["--grid-points", "40000"]),
                             ("fgn", ["--grid-points", "65537", "--reps", "10000"])):
             rc = cli.main(["simulate", "--hurst", "0.5", "--sampler", route, *size])

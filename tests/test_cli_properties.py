@@ -156,7 +156,8 @@ def test_every_flag_and_config_value_ends_in_an_answer_or_one_line(
     if rc in (cli.EXIT_OK, cli.EXIT_VERIFY_FAILED):
         # Exit 1 is verify's verdict, with its report.  Drawn specs can fail a
         # check: the srd suite's slope when the dominant tail has a small weight,
-        # and the Markov suite's residual, which underflows for weights near 1e-135.
+        # and the Markov suite's proof triple when the departure from H = 1/2
+        # has a small weight (--hurst 0.5,0.51 --coeffs 1,0.001).
         assert err == "" and (rc == cli.EXIT_OK or command == "verify")
     else:
         assert out == ""

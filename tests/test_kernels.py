@@ -60,6 +60,13 @@ class TestProcessSpec:
         with pytest.raises(AttributeError):
             spec.coeffs = (2.0,)
 
+    def test_unit_divides_by_the_largest_weight(self):
+        scale, unit = ProcessSpec([2.0, 0.0, -4.0], [0.3, 0.9, 0.5]).unit()
+        assert scale == 4.0
+        assert unit == ProcessSpec([0.5, 0.0, -1.0], [0.3, 0.9, 0.5])
+        spec = ProcessSpec([1.0, -0.3], [0.2, 0.7])
+        assert spec.unit() == (1.0, spec)
+
 
 class TestIncrementWindow:
     def test_touching_middle_allowed(self):

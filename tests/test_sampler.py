@@ -20,7 +20,6 @@ from msfbm.sampler import (
     _fbm_gram,
     _fgn_autocov,
     _fgn_draw,
-    _fgn_spectra,
     _fgn_spectrum,
     _route,
     _route_bytes,
@@ -150,17 +149,16 @@ def _reference_gram(spec, grid):
 
 
 def _reference_fbm_gram(spec, grid):
-    """Unblocked Gram of W / s on the symmetric grid, W = sum_i a_i B_i and
-    s = max |a_i|: the weighted fBm kernels summed in the order of the components."""
+    """Unblocked Gram of W = sum_i a_i B_i on the symmetric grid: the fBm
+    kernels weighted by a_i^2 and summed in the order of the components."""
     pos = grid.times[1:]
     sym = np.concatenate([-pos[::-1], pos])
     abs_diff = np.abs(sym[:, None] - sym[None, :])
-    scale = max(abs(a) for a in spec.coeffs)
     g = np.zeros((sym.size, sym.size))
     for a, h in zip(spec.coeffs, spec.hurst):
         two_h = 2.0 * h
         pt = _p2h_array(np.abs(sym), two_h)
-        g += (0.5 * (a / scale) ** 2) * (pt[:, None] + pt[None, :] - _p2h_array(abs_diff, two_h))
+        g += (0.5 * (a * a)) * (pt[:, None] + pt[None, :] - _p2h_array(abs_diff, two_h))
     return 0.5 * (g + g.T)
 
 
@@ -223,6 +221,17 @@ class TestPsdFactor:
     def test_indefinite_matrix_fails(self):
         with pytest.raises(msfbm.FactorizationFailure):
             msfbm.psd_factor(np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+    @pytest.mark.parametrize("value", (np.inf, -np.inf))
+    def test_rejects_infinite_diagonal(self, value):
+        g = np.array([[value, 0.0], [0.0, 1.0]])
+        with pytest.raises(ValueError, match="diagonal must be finite"):
+            msfbm.psd_factor(g)
+        assert np.array_equal(g, [[value, 0.0], [0.0, 1.0]])
+
+    def test_infinite_off_diagonal_fails(self):
+        with pytest.raises(msfbm.FactorizationFailure):
+            msfbm.psd_factor(np.array([[1.0, np.inf], [np.inf, 1.0]]))
 
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError):
@@ -403,13 +412,25 @@ def _reference_fgn_draw(sqrt_eig, seed):
     return (np.fft.fft(z) / math.sqrt(size)).real[: size // 2]
 
 
+def _three_power_autocov(length, step, two_h):
+    """fGn autocovariance at lags 0..length from three separate power tables."""
+    lags = np.arange(length + 1, dtype=float)
+    return 0.5 * _p2h_array(np.full(1, step), two_h)[0] * (
+        _p2h_array(lags + 1.0, two_h)
+        - 2.0 * _p2h_array(lags, two_h)
+        + _p2h_array(np.abs(lags - 1.0), two_h)
+    )
+
+
 def _reference_sqrt_spectrum(spec, grid):
-    """s * sqrt(sum_i (a_i / s)^2 lambda_i), s = max |a_i|, over the active
-    components' eigenvalues: W's half spectrum before the 1/sqrt(2) of the bins."""
-    scale = max(abs(a) for a in spec.coeffs)
-    total = sum(((a / scale) ** 2) * eig
-                for (a, _), eig in zip(spec.active(), _fgn_spectra(spec, grid)))
-    return scale * np.sqrt(total)
+    """Square roots of W's circulant eigenvalues over [-T, T], clipped at 0: the
+    active components' increment autocovariances weighted by a_i^2 and summed
+    into one circulant row.  The half spectrum before the 1/sqrt(2) of the bins."""
+    m = grid.n_points - 1
+    gamma = sum((a * a) * _three_power_autocov(2 * m, grid.horizon / m, 2.0 * h)
+                for a, h in spec.active())
+    eig = np.fft.rfft(np.concatenate([gamma, gamma[-2:0:-1]])).real
+    return np.sqrt(np.clip(eig, 0.0, None))
 
 
 def _reference_half_spectrum_draw(sqrt_eig, seed):
@@ -550,7 +571,7 @@ class TestSampleViaFbm:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= _route_bytes("fgn", spec, grid.n_points - 1, 4)
+        assert peak <= _route_bytes("fgn", grid.n_points - 1, 4)
 
     @pytest.mark.parametrize("route", ("exact", "fbm"))
     def test_dense_peak_within_route_estimate(self, route):
@@ -567,7 +588,7 @@ class TestSampleViaFbm:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= _route_bytes(route, spec, grid.n_points - 1, 4)
+        assert peak <= _route_bytes(route, grid.n_points - 1, 4)
 
     # Prints how far an exact draw on m points raises a child interpreter's
     # peak RSS.  That is VmHWM, the peak of the process's own address space:
@@ -605,12 +626,7 @@ print(peak_bytes() - before)
     @pytest.mark.parametrize("h", (0.2, 0.5, 0.9))
     def test_fgn_autocov_bit_equal_to_three_power_formula(self, length, h):
         two_h, step = 2.0 * h, 1.0 / length
-        lags = np.arange(length + 1, dtype=float)
-        want = 0.5 * _p2h_array(np.full(1, step), two_h)[0] * (
-            _p2h_array(lags + 1.0, two_h)
-            - 2.0 * _p2h_array(lags, two_h)
-            + _p2h_array(np.abs(lags - 1.0), two_h)
-        )
+        want = _three_power_autocov(length, step, two_h)
         assert _fgn_autocov(length, step, two_h).tobytes() == want.tobytes()
 
     def test_indefinite_embedding_is_refused(self, monkeypatch):
@@ -618,7 +634,7 @@ print(peak_bytes() - before)
         monkeypatch.setattr(sampler, "_fgn_autocov",
                             lambda length, step, two_h: np.r_[1.0, 1.0, np.zeros(length - 1)])
         with pytest.raises(FactorizationFailure, match="indefinite"):
-            _fgn_spectra(ProcessSpec([1.0], [0.5]), TimeGrid.uniform(9, 1.0))
+            _fgn_spectrum(ProcessSpec([1.0], [0.5]), TimeGrid.uniform(9, 1.0))
 
 
 class TestBulkSeeding:
@@ -710,9 +726,11 @@ class TestSampleEnsemble:
         real_stream = sampler.normal_stream
         poison = stream_keys([derive_seed(3, 2)])[0]
 
-        def stream(key, size):
-            z = real_stream(key, size)
-            return np.full(size, np.nan) if np.array_equal(key, poison) else z
+        def stream(key, size, out=None):
+            z = real_stream(key, size, out=out)
+            if np.array_equal(key, poison):
+                z.fill(np.nan)
+            return z
 
         monkeypatch.setattr(sampler, "normal_stream", stream)
         with pytest.raises(ValueError, match="path values must be finite"):
@@ -758,7 +776,7 @@ class TestRoute:
 
     def test_auto_takes_circulant_where_cheaper(self):
         grid = TimeGrid.uniform(2049, 1.0)
-        assert _route(self.SPEC, grid, 64, "auto") == "fgn"
+        assert _route(grid, 64, "auto") == "fgn"
         auto = msfbm.sample_ensemble(self.SPEC, grid, 64, 3)
         fgn = msfbm.sample_ensemble(self.SPEC, grid, 64, 3, sampler="fgn")
         assert auto.sampler == "fgn"
@@ -766,26 +784,26 @@ class TestRoute:
 
     def test_non_uniform_grid_stays_exact(self):
         grid = TimeGrid(np.linspace(0.0, 1.0, 2049) ** 1.5)
-        assert _route(self.SPEC, grid, 64, "auto") == "exact"
+        assert _route(grid, 64, "auto") == "exact"
 
     def test_auto_follows_the_cost_estimate_alone(self):
         # The README's crossover table at 129 points: fgn measured faster for one
-        # replica and exact for 64, with one active component and with two.
+        # replica and exact for 64, with one active component and with two; the
+        # router reads no spec.
         grid = TimeGrid.uniform(129, 1.0)
-        for spec in (ProcessSpec([1.0], [0.4]), self.SPEC):
-            assert _route(spec, grid, 1, "auto") == "fgn"
-            assert _route(spec, grid, 64, "auto") == "exact"
+        assert _route(grid, 1, "auto") == "fgn"
+        assert _route(grid, 64, "auto") == "exact"
 
     def test_many_replicas_on_short_grid_stay_exact(self):
         # The exact route measured about five times faster here (README, "Sampler routing").
-        assert _route(self.SPEC, TimeGrid.uniform(257, 1.0), 3000, "auto") == "exact"
+        assert _route(TimeGrid.uniform(257, 1.0), 3000, "auto") == "exact"
 
     def test_explicit_sampler_is_kept(self):
         grid = TimeGrid.uniform(2049, 1.0)
         for name in ("exact", "fbm", "fgn"):
-            assert _route(self.SPEC, grid, 1, name) == name
+            assert _route(grid, 1, name) == name
         with pytest.raises(ValueError, match="unknown sampler"):
-            _route(self.SPEC, grid, 1, "dense")
+            _route(grid, 1, "dense")
 
     def test_fbm_route_over_budget_is_refused_before_allocating(self, monkeypatch):
         monkeypatch.setattr(sampler, "_fbm_gram", _fail_if_called)
@@ -800,7 +818,7 @@ class TestInertComponents:
     LIVE = ProcessSpec([1.0], [0.5])
     PADDED = ProcessSpec([1.0, 0.0], [0.5, 0.99])
 
-    @pytest.mark.parametrize("route,builder", [("fbm", "_fbm_gram"), ("fgn", "_fgn_spectra")])
+    @pytest.mark.parametrize("route,builder", [("fbm", "_fbm_gram"), ("fgn", "_fgn_spectrum")])
     def test_padded_spec_draws_the_live_spec(self, monkeypatch, route, builder):
         grid = TimeGrid.uniform(65, 1.0)
         live = msfbm.sample_ensemble(self.LIVE, grid, 5, 11, sampler=route)
@@ -817,7 +835,6 @@ class TestInertComponents:
         assert built == [np.asarray(original(self.LIVE, grid)).tobytes()]
         assert padded.values.tobytes() == live.values.tobytes()
         assert padded.jitter == live.jitter
-        assert _route_bytes(route, self.PADDED, 64, 5) == _route_bytes(route, self.LIVE, 64, 5)
 
     @pytest.mark.parametrize("route", ("exact", "fbm", "fgn"))
     def test_front_padded_spec_draws_the_live_spec(self, route):
@@ -834,7 +851,6 @@ class TestInertComponents:
         live = ProcessSpec([2.0], [0.7])
         for build in (gram_matrix, _fbm_gram, _fgn_spectrum):
             assert build(spec, grid).tobytes() == build(live, grid).tobytes()
-        assert len(_fgn_spectra(spec, grid)) == 1
 
 
 def _linear_map(monkeypatch, route, spec, grid):
@@ -880,11 +896,12 @@ class TestLaw:
         g = gram_matrix(self.SPEC, grid)
         assert np.max(np.abs(a @ a.T - g)) <= 1e-12 * np.max(np.abs(g))
 
-    @pytest.mark.parametrize("route", ("fbm", "fgn"))
+    @pytest.mark.parametrize("route", ("exact", "fbm", "fgn"))
     @pytest.mark.parametrize("weight", (1e200, 1e-200))
     def test_extreme_weights_are_drawn(self, route, weight):
-        # The weights are scaled by max |a_i| before they are squared, so neither
-        # a^2 overflowing nor a^2 underflowing refuses these specs.
+        # Every route draws the spec with weights a_i / max |a_i| and scales the
+        # paths by max |a_i|, so neither a^2 overflowing nor a^2 underflowing
+        # refuses these specs.
         grid = TimeGrid.uniform(17, 1.0)
         unit = msfbm.sample_ensemble(ProcessSpec([1.0], [0.3]), grid, 3, 4, sampler=route).values
         got = msfbm.sample_ensemble(ProcessSpec([weight], [0.3]), grid, 3, 4, sampler=route).values
@@ -913,9 +930,15 @@ class TestOverflow:
         with pytest.raises(ArithmeticError, match=f"the {route} route's .* underflow to 0"):
             msfbm.sample_ensemble(ProcessSpec([1.0], [hurst]), grid, 1, 0, sampler=route)
 
-    def test_exact_route_weight_whose_square_overflows(self):
+    @pytest.mark.parametrize("route", ("exact", "fbm", "fgn"))
+    @pytest.mark.parametrize("weight,horizon,word", [(1e300, 1e30, "overflow"),
+                                                     (1e-300, 1e-100, "underflow to 0")])
+    def test_paths_out_of_range_once_scaled_are_an_arithmetic_error(self, route, weight, horizon,
+                                                                    word):
+        # The unit spec's covariances are positive and finite here; its paths
+        # times the weight are not.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ArithmeticError, match="the exact route's .* overflow"):
-                msfbm.sample_ensemble(ProcessSpec([1e200], [0.5]), TimeGrid.uniform(3, 1.0), 1, 0,
-                                      sampler="exact")
+            with pytest.raises(ArithmeticError, match=f"the {route} route's paths .* {word}"):
+                msfbm.sample_ensemble(ProcessSpec([weight], [0.9]), TimeGrid.uniform(5, horizon),
+                                      2, 0, sampler=route)

@@ -150,3 +150,32 @@ def test_underflowing_lag_covariances_are_a_numerical_failure():
     # a^2 = 1.25e-606 underflows, so every lag covariance is 0 and has no log.
     with pytest.raises(ArithmeticError, match="underflow"):
         verify.run_srd_suite(ProcessSpec([1.1182970176725395e-303], [0.25]))
+
+
+# Markov and non-Markov specs whose weights span many scales.  The last one
+# fails the proof triple at every scale (FOUND in CHANGES.md).
+_MARKOV_SUITE_SPECS = [
+    ProcessSpec([1000.0, 1.0], [0.5, 0.5]),
+    ProcessSpec([-4.384202115766353e-135], [0.05]),
+    ProcessSpec([1.0, -2.0, 0.0], [0.5, 0.5, 0.7]),
+    ProcessSpec([0.3, -2.0], [0.2, 0.9]),
+    ProcessSpec([1.0], [0.6]),
+    ProcessSpec([1.0, 0.001], [0.5, 0.51]),
+]
+
+
+@pytest.mark.parametrize("spec", _MARKOV_SUITE_SPECS, ids=str)
+def test_markov_verdicts_do_not_depend_on_the_weights_scale(spec):
+    # The residual is homogeneous of degree 4 in the weights, and the suite
+    # evaluates it on the unit spec, so scaling every weight moves no verdict.
+    want = [c["passed"] for c in verify.run_markov_suite(spec)["checks"]]
+    for c in (1e-150, 1e-3, 1e3, 1e150):
+        scaled = ProcessSpec([a * c for a in spec.coeffs], spec.hurst)
+        assert [chk["passed"] for chk in verify.run_markov_suite(scaled)["checks"]] == want
+
+
+@pytest.mark.parametrize("spec", _MARKOV_SUITE_SPECS[:2], ids=str)
+def test_markov_suite_passes_far_from_unit_weights(spec):
+    # A residual of 1.46e-3 at weights (1000, 1) and an underflowing one at
+    # weight -4.38e-135 failed the absolute 1e-12 gate before the unit spec.
+    assert verify.run_markov_suite(spec)["all_passed"]
