@@ -120,6 +120,13 @@ for hval, p, n in (
     show(f"C(p={p}, n={n}) at H={mp.nstr(hval, 3)}", val)
 
 print()
+print("== half second differences ((m+1)^2H - 2 m^2H + (m-1)^2H) / 2 ==")
+for hval in (mp.mpf(1) / 20, mp.mpf(3) / 10, mp.mpf(3) / 4, mp.mpf(99) / 100):
+    for m in (1, 10, 10 ** 3, 10 ** 5, 2 ** 17):
+        val = (p2h(m + 1, hval) - 2 * p2h(m, hval) + p2h(m - 1, hval)) / 2
+        show(f"half second difference H={mp.nstr(hval, 3)}, m={m}", val)
+
+print()
 print("== sampler/analysis Monte Carlo targets ==")
 show("msfbm_cov(a=1, H=0.75, s=1, t=2)", cov12)
 show("msfbm_var(a=1, H=0.75, t=1)", var1)

@@ -14,7 +14,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
@@ -289,13 +289,12 @@ def _cmd_dims(args: argparse.Namespace) -> int:
     _at_least_one("--level-reps", level_reps)
     h_min = spec.h_min
 
-    graph_ens = sample_ensemble(spec, grid, 1, derive_seed(seed, 1))
+    # One ensemble, so one spectrum: row 0 is the graph path, rows 1.. the level-set paths.
+    ens = sample_ensemble(spec, grid, 1 + level_reps, derive_seed(seed, 1),
+                          n_threads=_n_threads())
+    graph_ens, level_ens = replace(ens, values=ens.values[:1]), replace(ens, values=ens.values[1:])
     (graph,) = analysis.graph_box_dimension(graph_ens)
     (range_est,) = analysis.range_dimension(graph_ens)
-    del graph_ens  # freed before the level-set draw, which sets the peak memory
-
-    level_ens = sample_ensemble(spec, grid, level_reps, derive_seed(seed, 2),
-                                n_threads=_n_threads())
     level_values = [e.value for e in analysis.level_set_box_dimension(level_ens, level, eps)]
     level_set = {"level": level, "eps": eps, "values": level_values,
                  "median": float(np.median(level_values)), "n_crossed": len(level_values),

@@ -12,7 +12,10 @@ is never evaluated (``bound_constants`` and ``rescale_coeffs`` map all).
 Powers x^(2H) are evaluated as exp(2H*log(x)) with an explicit x = 0
 branch.  Differences of nearly equal large powers are grouped pairwise
 before summation; at large times the pairing, not the raw eight-term sum,
-is what keeps the increment covariances meaningful.
+is what keeps the increment covariances meaningful.  The second difference
+of unit lags, (m+1)^(2H) - 2 m^(2H) + (m-1)^(2H), has one evaluator,
+``_second_diff``, which ``lag_cov_series``, ``mfbm_lag_cov_r`` and the fgn
+sampler's autocovariance share.
 
 Each per-component closed form is written once, as a private ``_*_term``
 helper generic in its power function: the scalar API passes ``_p2h``
@@ -205,9 +208,7 @@ def bound_constants(spec: ProcessSpec) -> IncrementBoundConstants:
 def increment_cov_component(h: float, w: IncrementWindow) -> float:
     """Unit-weight contribution of one Hurst index to the increment covariance.
 
-    Pairwise grouping of the eight power terms; the same grouping is reused
-    by the integer-lag closed form so the two stay consistent at full
-    precision.
+    Pairwise grouping of the eight power terms (``_pair_term``).
     """
     return _window_term(_p2h, 2.0 * _check_hurst(h), w.u, w.v, w.s, w.t)
 
@@ -258,37 +259,32 @@ def _check_offset(p: int) -> int:
 
 
 def lag_cov_c(spec: ProcessSpec, x: float, n: int) -> float:
-    """Lag covariance C(x, n) of unit increments at (x, x+1) and (x+n, x+n+1).
-
-    Integer x additionally evaluates the six-term closed form and raises
-    ArithmeticError when it disagrees with the window evaluation.
-    """
+    """Lag covariance C(x, n) of unit increments at (x, x+1) and (x+n, x+n+1):
+    ``increment_cov``'s pairwise eight-term sum on that window."""
     n = _check_lag(n)
     (x,) = _times(x)
-    value = increment_cov(spec, _lag_window(x, n))
-    if x.is_integer():
-        # The window's eight terms at u = x, v = x+1, s = x+n, t = x+n+1, summed exactly.
-        big, m = 2.0 * x + n, float(n)
-        closed = sum(
-            a * a * _pair_term(_p2h, 2.0 * h, big + 1.0, big + 2.0, m + 1.0, m,
-                               big + 1.0, big, m - 1.0, m)
-            for a, h in spec.active()
-        )
-        scale = kernel_scale(spec, x + n + 1.0)
-        if not math.isclose(closed, value, rel_tol=1e-12, abs_tol=1e-12 * scale):
-            raise ArithmeticError(
-                f"lag_cov_c({x!r}, {n}): closed form {closed!r} deviates from window form {value!r}"
-            )
-    return value
+    return increment_cov(spec, _lag_window(x, n))
+
+
+def _second_diff(m, two_h: float):
+    """The second difference (m+1)^2h - 2 m^2h + (m-1)^2h for m >= 1, as
+    m^2h * ((1+1/m)^2h + (1-1/m)^2h - 2) expanded through expm1/log1p;
+    exact at m = 1.  The two expm1 terms, each about +-2h/m, cancel to
+    2h(2h-1)/m^2, so the relative error grows like eps * m / |2h - 1|."""
+    inv = 1.0 / m
+    with np.errstate(divide="ignore"):
+        bracket = np.expm1(two_h * np.log1p(inv)) + np.expm1(two_h * np.log1p(-inv))
+    return _p2h_array(m, two_h) * bracket
 
 
 def lag_cov_series(spec: ProcessSpec, p: int, ns: Sequence[int]) -> np.ndarray:
     """C(p, n) over many integer lags, evaluated for large-lag tails.
 
-    Writes C(p, n) as a difference of second central differences of
-    x^(2H) and expands each through expm1/log1p.  Relative accuracy is
-    ~1e-12 at n ~ 1e2 and degrades smoothly to ~1e-5 at n ~ 1e5; the raw
-    eight-term sum would have lost every digit there.
+    Writes C(p, n) = (D(n) - D(n + 2p + 1)) / 2 with D the second
+    difference ``_second_diff``.  The two D cancel by a further factor of
+    about n / (2p + 1), so at p = 0 the relative error grows like eps * n^2:
+    1e-8 to 2e-7 at n = 1e4 and up to 7e-5 at n = 1e5 (README, "Numerical
+    notes"); the raw eight-term sum would have lost every digit there.
     """
     p = _check_offset(p)
     ns = np.asarray(ns, dtype=float)
@@ -298,19 +294,12 @@ def lag_cov_series(spec: ProcessSpec, p: int, ns: Sequence[int]) -> np.ndarray:
     if ns.size and ns.min() < 1:
         raise ValueError("lag n must be >= 1 (n = 0 overlaps the base window)")
 
-    def second_diff(m: np.ndarray, two_h: float) -> np.ndarray:
-        # m^2h * ((1+1/m)^2h + (1-1/m)^2h - 2); exact at m = 1.
-        inv = 1.0 / m
-        with np.errstate(divide="ignore"):
-            bracket = np.expm1(two_h * np.log1p(inv)) + np.expm1(two_h * np.log1p(-inv))
-        return _p2h_array(m, two_h) * bracket
-
     out = np.zeros_like(ns)
     far = ns + (2 * p + 1)
     with np.errstate(over="ignore", invalid="ignore"):
         for a, h in spec.active():
             two_h = 2.0 * h
-            out += (a * a / 2.0) * (second_diff(ns, two_h) - second_diff(far, two_h))
+            out += (a * a / 2.0) * (_second_diff(ns, two_h) - _second_diff(far, two_h))
     if not np.all(np.isfinite(out)):
         raise ArithmeticError(f"lag_cov_series(p = {p}) holds values that are not finite doubles")
     return out
@@ -330,15 +319,14 @@ def lag_cov_c_asymptotic(spec: ProcessSpec, p: int, n: int) -> float:
 
 
 def mfbm_lag_cov_r(spec: ProcessSpec, n: int) -> float:
-    """Stationary lag covariance R(0, n) of the mixed fractional comparator."""
+    """Stationary lag covariance R(0, n) of the mixed fractional comparator,
+    sum(a_i^2 / 2 * second difference of n^(2H_i))."""
     n = _check_lag(n)
     out = 0.0
-    for a, h in spec.active():
-        two_h = 2.0 * h
-        d_up = _p2h(n + 1.0, two_h) - _p2h(float(n), two_h)
-        d_dn = _p2h(n - 1.0, two_h) - _p2h(float(n), two_h)
-        out += (a * a / 2.0) * (d_up + d_dn)
-    return out
+    with np.errstate(over="ignore", invalid="ignore"):
+        for a, h in spec.active():
+            out += (a * a / 2.0) * float(_second_diff(float(n), 2.0 * h))
+    return _finite(out, "mfbm_lag_cov_r", n)
 
 
 def stationarity_gap(spec: ProcessSpec, x: float, n: int) -> float:

@@ -47,7 +47,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .kernels import _p2h_array
+from .kernels import _p2h_array, _second_diff
 from .process import ProcessSpec
 from .seeds import normal_stream, replica_seeds, stream_keys
 
@@ -428,15 +428,12 @@ def _fold(neg: np.ndarray, pos: np.ndarray, body: np.ndarray) -> None:
 
 
 def _fgn_autocov(length: int, step: float, two_h: float) -> np.ndarray:
-    """fGn autocovariance at lags 0..length for grid step ``step``.
-
-    One table of |k|^(2H) for k = 0..length+1, shifted, gives the powers of
-    lag + 1, lag and |lag - 1|.
-    """
-    p = _p2h_array(np.arange(length + 2.0), two_h)
-    return 0.5 * _p2h_array(np.full(1, step), two_h)[0] * (
-        p[1:] - 2.0 * p[:-1] + np.concatenate([p[1:2], p[:-2]])
-    )
+    """fGn autocovariance at lags 0..length for grid step ``step``:
+    step^2H / 2 times 2 at lag 0 and ``_second_diff`` of the lag beyond it."""
+    gamma = np.empty(length + 1)
+    gamma[0] = 2.0
+    gamma[1:] = _second_diff(np.arange(1.0, length + 1.0), two_h)
+    return 0.5 * _p2h_array(np.full(1, step), two_h)[0] * gamma
 
 
 def _fgn_spectrum(spec: ProcessSpec, grid: TimeGrid) -> np.ndarray:

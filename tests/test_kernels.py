@@ -6,9 +6,6 @@ the library must reproduce them to 1e-12 relative.
 """
 
 import math
-import subprocess
-import sys
-import textwrap
 import warnings
 
 import numpy as np
@@ -18,8 +15,9 @@ from hypothesis import strategies as st
 
 import msfbm
 from msfbm import IncrementWindow, ProcessSpec, bound_constants, kernel_scale, kernels
+from msfbm.sampler import _fgn_autocov
 
-from conftest import package_env, rand_spec, rand_window, scaled_close
+from conftest import rand_spec, rand_window, scaled_close
 
 approx12 = lambda x: pytest.approx(x, rel=1e-12, abs=1e-15)
 
@@ -260,21 +258,6 @@ class TestLagCov:
         assert np.array_equal(msfbm.lag_cov_series(spec, np.float64(1.0), [2.0, 5.0]),
                               msfbm.lag_cov_series(spec, 1, [2, 5]))
 
-    def test_closed_form_check_survives_optimize_flag(self):
-        code = textwrap.dedent("""
-            from msfbm import ProcessSpec, kernels
-            honest = kernels.increment_cov
-            kernels.increment_cov = lambda spec, w: honest(spec, w) + 1.0
-            try:
-                kernels.lag_cov_c(ProcessSpec([1.0], [0.75]), 1.0, 1)
-            except ArithmeticError as exc:
-                print("closed form" in str(exc) and "window form" in str(exc))
-        """)
-        cp = subprocess.run([sys.executable, "-O", "-c", code],
-                            capture_output=True, text=True, env=package_env())
-        assert cp.returncode == 0, cp.stderr
-        assert cp.stdout.strip() == "True"
-
     def test_non_integer_x_uses_window_form(self):
         spec = ProcessSpec([1.0], [0.7])
         x = 2.5
@@ -309,6 +292,58 @@ class TestMfbmLagCov:
     def test_rejects_zero_lag(self):
         with pytest.raises(ValueError):
             msfbm.mfbm_lag_cov_r(ProcessSpec([1.0], [0.75]), 0)
+
+
+# oracle: ((m+1)^2H - 2 m^2H + (m-1)^2H) / 2, the unit-step fGn autocovariance
+# at lag m and the one-component R(0, m), keyed by (H, m).
+_HALF_SECOND_DIFF = {
+    (0.05, 1): -0.46411326873185342,
+    (0.05, 10): -0.00056913438133822814,
+    (0.05, 10 ** 3): -8.9786845400733427e-8,
+    (0.05, 10 ** 5): -1.4230249471411113e-11,
+    (0.05, 2 ** 17): -8.5102761716133699e-12,
+    (0.3, 1): -0.24214171674480096,
+    (0.3, 10): -0.0047907295657464309,
+    (0.3, 10 ** 3): -7.5714902537800536e-6,
+    (0.3, 10 ** 5): -1.2000000000336e-8,
+    (0.3, 2 ** 17): -8.2161308885747671e-9,
+    (0.75, 1): 0.41421356237309505,
+    (0.75, 10): 0.11865974527090585,
+    (0.75, 10 ** 3): 0.011858541966790465,
+    (0.75, 10 ** 5): 0.0011858541225705538,
+    (0.75, 2 ** 17): 0.0010358009490074999,
+    (0.99, 1): 0.97246540898671835,
+    (0.99, 10): 0.92654959017796792,
+    (0.99, 10 ** 3): 0.84500887641190481,
+    (0.99, 10 ** 5): 0.77065725332962893,
+    (0.99, 2 ** 17): 0.76649808076992436,
+}
+_HURSTS = sorted({h for h, _ in _HALF_SECOND_DIFF})
+_LAGS = sorted({m for _, m in _HALF_SECOND_DIFF})
+
+
+class TestSecondDifferenceOracle:
+    """The fGn autocovariance and R(0, n) share one second difference, held to
+    50-digit values up to the dims size's 2^17 lags."""
+
+    @pytest.mark.parametrize("h", _HURSTS)
+    def test_fgn_autocov(self, h):
+        gamma = _fgn_autocov(max(_LAGS), 1.0, 2.0 * h)
+        for m in _LAGS:
+            assert gamma[m] == pytest.approx(_HALF_SECOND_DIFF[h, m], rel=2e-10, abs=0.0)
+
+    @pytest.mark.parametrize("h", _HURSTS)
+    def test_mfbm_lag_cov_r(self, h):
+        for m in _LAGS:
+            got = msfbm.mfbm_lag_cov_r(ProcessSpec([1.0], [h]), m)
+            assert got == pytest.approx(_HALF_SECOND_DIFF[h, m], rel=2e-10, abs=0.0)
+
+    def test_brownian_lags_are_zero(self):
+        gamma = _fgn_autocov(max(_LAGS), 1.0, 1.0)
+        assert gamma[0] == 1.0
+        for m in _LAGS:
+            assert abs(gamma[m]) <= 1e-15
+            assert abs(msfbm.mfbm_lag_cov_r(ProcessSpec([1.0], [0.5]), m)) <= 1e-15
 
 
 class TestStationarityGap:

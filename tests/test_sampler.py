@@ -413,13 +413,14 @@ def _reference_fgn_draw(sqrt_eig, seed):
 
 
 def _three_power_autocov(length, step, two_h):
-    """fGn autocovariance at lags 0..length from three separate power tables."""
-    lags = np.arange(length + 1, dtype=float)
-    return 0.5 * _p2h_array(np.full(1, step), two_h)[0] * (
-        _p2h_array(lags + 1.0, two_h)
-        - 2.0 * _p2h_array(lags, two_h)
-        + _p2h_array(np.abs(lags - 1.0), two_h)
-    )
+    """fGn autocovariance at lags 0..length: step^2H / 2 times 2 at lag 0 and
+    the three-power second difference (m+1)^2H - 2 m^2H + (m-1)^2H at lags
+    m >= 1, written m^2H * ((1+1/m)^2H + (1-1/m)^2H - 2) through expm1/log1p."""
+    m = np.arange(1.0, length + 1.0)
+    with np.errstate(divide="ignore"):
+        bracket = np.expm1(two_h * np.log1p(1.0 / m)) + np.expm1(two_h * np.log1p(-1.0 / m))
+    return 0.5 * _p2h_array(np.full(1, step), two_h)[0] * np.concatenate(
+        [[2.0], _p2h_array(m, two_h) * bracket])
 
 
 def _reference_sqrt_spectrum(spec, grid):

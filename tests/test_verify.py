@@ -129,7 +129,8 @@ def test_report_skeleton_is_unchanged(seed, tmp_path):
                 assert c["measured"] < 1e-14, (suite["suite"], c)
 
 
-def test_lag_closed_form_disagreement_exits_3():
+def test_lag_window_form_disagreement_fails_its_check():
+    # A wrong window form is caught by the check against lag_cov_series.
     code = textwrap.dedent("""
         import sys
         from msfbm import cli, kernels
@@ -139,11 +140,11 @@ def test_lag_closed_form_disagreement_exits_3():
     """)
     cp = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                         env=package_env())
-    assert cp.returncode == cli.EXIT_NUMERICAL, cp.stderr
-    assert "Traceback" not in cp.stderr
-    assert cp.stderr.startswith("numerical failure: lag_cov_c(")
-    assert len(cp.stderr.splitlines()) == 1
-    assert cp.stdout == ""
+    assert cp.returncode == cli.EXIT_VERIFY_FAILED, cp.stderr
+    assert cp.stderr == ""
+    (suite,) = json.loads(cp.stdout)["suites"]
+    passed = {c["name"]: c["passed"] for c in suite["checks"]}
+    assert passed["lag_closed_vs_window"] is False
 
 
 def test_underflowing_lag_covariances_are_a_numerical_failure():
