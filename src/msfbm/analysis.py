@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -323,6 +323,50 @@ def graph_box_dimension(ens: Ensemble) -> list[DimensionEstimate]:
             for v in ens.values]
 
 
+class _LevelSet:
+    """Level-x crossing sets of paths on one grid over [eps, T], one path at a time.
+
+    The inputs are checked, and the mask of times >= eps and the box levels
+    built, once; ``estimate`` then reads one path and ``crossed`` gathers the
+    estimates (see ``level_set_box_dimension``).
+    """
+
+    def __init__(self, grid: TimeGrid, x: float, eps: float):
+        self.eps, self.x = float(eps), float(x)
+        self.horizon = grid.horizon
+        if not (0.0 < self.eps < self.horizon):
+            raise ValueError("eps must lie strictly inside (0, T)")
+        if not math.isfinite(self.x):
+            raise ValueError(f"level x must be finite, got {self.x!r}")
+        self.mask = grid.times >= self.eps
+        self.times = grid.times[self.mask]
+        if self.times.size < 2:
+            raise InsufficientResolution("no grid points beyond eps")
+        self.levels = _box_levels(2, int(math.log2(self.times.size)) - 4)
+
+    def estimate(self, v: np.ndarray) -> Optional[DimensionEstimate]:
+        """The estimate of the path ``v``, or None where it does not cross the level."""
+        times = self.times
+        d = v[self.mask] - self.x
+        inner = (d[:-1] == 0.0) | (np.sign(d[:-1]) * np.sign(d[1:]) < 0.0)
+        cross_times = np.where(d[:-1] == 0.0, times[:-1], 0.5 * (times[:-1] + times[1:]))[inner]
+        if d[-1] == 0.0:
+            cross_times = np.append(cross_times, times[-1])
+        if not cross_times.size:
+            return None
+        counts = _occupied_boxes((cross_times - self.eps) / (self.horizon - self.eps),
+                                 self.levels)
+        return _box_fit(self.levels, counts, BoxCountMethod.LEVEL_SET_BOX_COUNT)
+
+    def crossed(self, estimates: Iterable[Optional[DimensionEstimate]]) -> list[DimensionEstimate]:
+        """The estimates of the paths that cross, in order; LevelNotCrossed where none does."""
+        found = [e for e in estimates if e is not None]
+        if not found:
+            raise LevelNotCrossed(
+                f"no replica crossed level {self.x} on [{self.eps}, {self.horizon}]")
+        return found
+
+
 def level_set_box_dimension(ens: Ensemble, x: float, eps: float) -> list[DimensionEstimate]:
     """Box-counting dimension of each replica's level-x crossing set on [eps, T].
 
@@ -333,32 +377,8 @@ def level_set_box_dimension(ens: Ensemble, x: float, eps: float) -> list[Dimensi
     theorem is a positive-probability statement, so single-path estimates
     are expected to scatter; aggregate with a median across replicas.
     """
-    eps, x = float(eps), float(x)
-    horizon = ens.grid.horizon
-    if not (0.0 < eps < horizon):
-        raise ValueError("eps must lie strictly inside (0, T)")
-    if not math.isfinite(x):
-        raise ValueError(f"level x must be finite, got {x!r}")
-    mask = ens.grid.times >= eps
-    times = ens.grid.times[mask]
-    if times.size < 2:
-        raise InsufficientResolution("no grid points beyond eps")
-    levels = _box_levels(2, int(math.log2(times.size)) - 4)
-
-    span = horizon - eps
-    estimates = []
-    for v in ens.values:
-        d = v[mask] - x
-        inner = (d[:-1] == 0.0) | (np.sign(d[:-1]) * np.sign(d[1:]) < 0.0)
-        cross_times = np.where(d[:-1] == 0.0, times[:-1], 0.5 * (times[:-1] + times[1:]))[inner]
-        if d[-1] == 0.0:
-            cross_times = np.append(cross_times, times[-1])
-        if cross_times.size:
-            counts = _occupied_boxes((cross_times - eps) / span, levels)
-            estimates.append(_box_fit(levels, counts, BoxCountMethod.LEVEL_SET_BOX_COUNT))
-    if not estimates:
-        raise LevelNotCrossed(f"no replica crossed level {x} on [{eps}, {horizon}]")
-    return estimates
+    level_set = _LevelSet(ens.grid, x, eps)
+    return level_set.crossed(map(level_set.estimate, ens.values))
 
 
 def range_dimension(ens: Ensemble) -> list[DimensionEstimate]:

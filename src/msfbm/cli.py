@@ -14,7 +14,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
@@ -22,7 +22,7 @@ import numpy as np
 from . import analysis, kernels, verify
 from .classify import increment_sign_predict, markov_verdict, semimartingale_classify
 from .process import IncrementWindow, ProcessSpec
-from .sampler import FactorizationFailure, TimeGrid, sample_ensemble
+from .sampler import FactorizationFailure, TimeGrid, _Draw, sample_ensemble
 from .seeds import derive_seed
 
 EXIT_OK = 0
@@ -30,7 +30,7 @@ EXIT_VERIFY_FAILED = 1
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 
-_MAX_THREADS = 64  # replica threads each hold draw buffers the memory budget does not count
+_MAX_THREADS = 64  # a draw starts fewer where their buffers would not fit (sampler._n_workers)
 
 # Options that take comma-separated floats; a config file may also give them as
 # a JSON list of numbers.
@@ -289,13 +289,20 @@ def _cmd_dims(args: argparse.Namespace) -> int:
     _at_least_one("--level-reps", level_reps)
     h_min = spec.h_min
 
-    # One ensemble, so one spectrum: row 0 is the graph path, rows 1.. the level-set paths.
-    ens = sample_ensemble(spec, grid, 1 + level_reps, derive_seed(seed, 1),
-                          n_threads=_n_threads())
-    graph_ens, level_ens = replace(ens, values=ens.values[:1]), replace(ens, values=ens.values[1:])
+    # One prepared draw, so one spectrum, read one block at a time: row 0 is the
+    # graph path, rows 1.. the level-set paths, one row per worker in each block.
+    draw = _Draw(spec, grid, 1 + level_reps, derive_seed(seed, 1), n_threads=_n_threads(),
+                 streamed=True)
+    graph_ens = draw.block(0, 1)
     (graph,) = analysis.graph_box_dimension(graph_ens)
     (range_est,) = analysis.range_dimension(graph_ens)
-    level_values = [e.value for e in analysis.level_set_box_dimension(level_ens, level, eps)]
+    del graph_ens
+    level_set = analysis._LevelSet(grid, level, eps)
+    found = []
+    for lo in range(1, 1 + level_reps, len(draw.fills)):
+        found += map(level_set.estimate,
+                     draw.block(lo, min(lo + len(draw.fills), 1 + level_reps)).values)
+    level_values = [e.value for e in level_set.crossed(found)]
     level_set = {"level": level, "eps": eps, "values": level_values,
                  "median": float(np.median(level_values)), "n_crossed": len(level_values),
                  "n_paths": level_reps, "target": 1.0 - h_min}

@@ -28,17 +28,20 @@ factored or drawn, so a spec padded with them draws its live spec's bytes.
 
 All paths are pure functions of (spec, grid, seed): replicas can be
 generated concurrently in any order without changing a single bit.  An
-ensemble is one read-only (n_reps, n_points) array.  The seeding of all its
-normal streams is computed at once before any draw, and each replica writes
-its path straight into its own row.  Each replica worker takes a contiguous
-block of rows and allocates its draw buffers once, for that block only.
+ensemble is one read-only (n_reps, n_points) array.  A draw is prepared
+once (``_Draw``): its route, unit spec, scale, factor or spectrum, jitter and
+the seeding of all its normal streams.  It then fills blocks of replica rows
+lo..hi-1, each a fresh array with the bytes of those rows of the whole
+ensemble, each replica writing its path straight into its own row;
+``sample_ensemble`` is one block of every row.  Each replica worker takes a
+contiguous part of a block, and its draw buffers are allocated once per
+draw, not once per block.
 """
 
 from __future__ import annotations
 
 import ctypes
 import math
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cache, partial
@@ -389,12 +392,17 @@ def _refuse_underflow(route: str, grid: TimeGrid, variances: np.ndarray) -> None
                               "underflow to 0")
 
 
-def _dense_rows(mat: np.ndarray, keys: np.ndarray, out: np.ndarray) -> None:
-    """Write M z into each row of ``out``, z the normal stream of the row's
+def _dense_rows(mat: np.ndarray) -> Callable[[np.ndarray, np.ndarray], None]:
+    """A row filler with its own normals buffer: ``fill(keys, out)`` writes
+    M z into each row of ``out``, z the normal stream of the row's
     ``stream_keys`` row and M a dense route's map (``_route_rows``)."""
     normals = np.empty(mat.shape[1])
-    for key, body in zip(keys, out):
-        np.matmul(mat, normal_stream(key, normals.size, out=normals), out=body)
+
+    def fill(keys: np.ndarray, out: np.ndarray) -> None:
+        for key, body in zip(keys, out):
+            np.matmul(mat, normal_stream(key, normals.size, out=normals), out=body)
+
+    return fill
 
 
 def _fbm_gram(spec: ProcessSpec, grid: TimeGrid) -> np.ndarray:
@@ -482,18 +490,23 @@ def _fgn_draw(sqrt_eig: np.ndarray, key: np.ndarray, z: np.ndarray) -> np.ndarra
     return np.fft.irfft(z, n=size, norm="ortho")[:half]
 
 
-def _fgn_rows(sqrt_eig: np.ndarray, keys: np.ndarray, out: np.ndarray) -> None:
-    """Fold W into each row of ``out``: one draw of its increments over
-    [-T, T] (``_fgn_draw``) from the row's ``stream_keys`` row, cumulated and
+def _fgn_rows(sqrt_eig: np.ndarray) -> Callable[[np.ndarray, np.ndarray], None]:
+    """A row filler with its own draw buffers: ``fill(keys, out)`` folds W
+    into each row of ``out``, from one draw of its increments over [-T, T]
+    (``_fgn_draw``) from the row's ``stream_keys`` row, cumulated and
     shifted so that W(0) = 0."""
     half = sqrt_eig.size - 1
     m = half // 2
     z, cum = np.empty(half + 1, dtype=complex), np.empty(half + 1)
-    for key, body in zip(keys, out):
-        cum[0] = 0.0
-        np.cumsum(_fgn_draw(sqrt_eig, key, z), out=cum[1:])
-        np.subtract(cum, cum[m], out=cum)
-        _fold(cum[m - 1::-1], cum[m + 1:], body)
+
+    def fill(keys: np.ndarray, out: np.ndarray) -> None:
+        for key, body in zip(keys, out):
+            cum[0] = 0.0
+            np.cumsum(_fgn_draw(sqrt_eig, key, z), out=cum[1:])
+            np.subtract(cum, cum[m], out=cum)
+            _fold(cum[m - 1::-1], cum[m + 1:], body)
+
+    return fill
 
 
 def _route_ops(route: str, m: int, n_reps: int) -> float:
@@ -508,30 +521,56 @@ def _route_ops(route: str, m: int, n_reps: int) -> float:
     return m ** 3 / 3.0 + 2.0 * n_reps * m * m
 
 
-def _route_bytes(route: str, m: int, n_reps: int) -> int:
-    """Estimated peak bytes of the route's arrays, the ensemble's values included.
+def _workspace(route: str, m: int) -> int:
+    """Doubles of one replica worker's draw buffers on ``m`` grid steps.
+
+    A dense route's worker holds the normals of one replica (m for exact,
+    2m for fbm).  The circulant route's worker holds the complex spectrum
+    of N/2 + 1 values the normals are drawn into, the real inverse
+    transform and its working copy, and the N/2 + 1 cumulative sums the
+    fold reads, N = 4m: six vectors of N + 1 doubles bound them all.
+    """
+    if route == "fgn":
+        return 6 * (4 * m + 1)
+    return m if route == "exact" else 2 * m
+
+
+def _route_bytes(route: str, m: int, n_rows: int) -> int:
+    """Estimated peak bytes of one replica worker's draw on the route, with
+    ``n_rows`` rows of paths held: the whole ensemble in ``sample_ensemble``,
+    one row in a streamed draw (``_Draw``).
 
     Dense routes factor their Gram in its own memory (``psd_factor``).  With
     LAPACK's ``dpotrf`` bound, that Gram is the only matrix of its size; the
     gufunc kernel of other platforms also holds LAPACK's working copy and the
     column-major factor it writes.  The estimate counts those three matrices
-    whichever kernel runs, so a refusal is a pure function of the request.
-    The circulant route of length N = 4m holds W's half spectrum of N/2 + 1
-    values, and one replica worker's workspace holds the complex spectrum
-    of N/2 + 1 values the normals are drawn into, the real inverse
-    transform and its working copy, and the N/2 + 1 cumulative sums the
-    fold reads: six vectors of N + 1 doubles bound them all.  None of these
-    depends on the number of components.  Each further replica thread
-    holds a workspace of its own; those are not counted, so a refusal
-    never depends on MSFBM_THREADS.
+    whichever kernel runs, so a refusal is a pure function of the request;
+    the worker's normals are drawn once those copies are freed, and fit in
+    them.  The circulant route of length N = 4m holds W's half spectrum of
+    N/2 + 1 values and one worker's ``_workspace``.  None of these depends
+    on the number of components.  Each further replica worker holds a
+    workspace of its own, and in a streamed draw a row of its own; those
+    are not counted here, so a refusal never depends on MSFBM_THREADS:
+    ``_n_workers`` starts a further worker only where they fit.
     """
     if route == "exact":
         held = 3 * m * m
     elif route == "fbm":
         held = 3 * (2 * m) ** 2
     else:
-        held = (2 * m + 1) + 6 * (4 * m + 1)
-    return 8 * (held + n_reps * (m + 1))
+        held = (2 * m + 1) + _workspace("fgn", m)
+    return 8 * (held + n_rows * (m + 1))
+
+
+def _n_workers(route: str, m: int, n_reps: int, n_threads: int, streamed: bool) -> int:
+    """Replica workers of a draw of ``n_reps`` replicas on ``m`` grid steps:
+    at most ``n_threads`` and one per replica.  The first worker is the one
+    ``_route_bytes`` counts; each further one starts only while its
+    ``_workspace``, and in a streamed draw its row, still fit the memory budget."""
+    n_rows = 1 if streamed else n_reps
+    further = 8 * (_workspace(route, m) + (m + 1 if streamed else 0))
+    room = (_MEMORY_BUDGET - _route_bytes(route, m, n_rows)) // further
+    return max(1, min(n_threads, n_reps, 1 + room))
 
 
 def _check_budget(what: str, need: int) -> None:
@@ -543,14 +582,15 @@ def _check_budget(what: str, need: int) -> None:
         )
 
 
-def _route(grid: TimeGrid, n_reps: int, sampler: str) -> str:
+def _route(grid: TimeGrid, n_reps: int, sampler: str, streamed: bool = False) -> str:
     """The route ("exact", "fbm" or "fgn") that draws ``n_reps`` replicas.
 
     "auto" takes circulant embedding ("fgn") on uniform grids where its
     estimated cost (``_route_ops``) is below that of the exact route, and
     "exact" otherwise; any other sampler names its route.
     Raises ValueError, before anything is allocated, when the route's arrays
-    would exceed the memory budget.
+    would exceed the memory budget: with every row held, or with one row
+    where the draw is ``streamed``.
     """
     m = grid.n_points - 1
     if sampler == "auto":
@@ -559,16 +599,19 @@ def _route(grid: TimeGrid, n_reps: int, sampler: str) -> str:
         sampler = "fgn" if cheaper else "exact"
     if sampler not in ("exact", "fbm", "fgn"):
         raise ValueError(f"unknown sampler {sampler!r}")
-    _check_budget(f"the {sampler} route for {n_reps} replica(s) on {grid.n_points} points",
-                  _route_bytes(sampler, m, n_reps))
+    held = ", one at a time," if streamed else ""
+    _check_budget(f"the {sampler} route for {n_reps} replica(s){held} on {grid.n_points} points",
+                  _route_bytes(sampler, m, 1 if streamed else n_reps))
     return sampler
 
 
 def _route_rows(route: str, spec: ProcessSpec, grid: TimeGrid) -> tuple[Callable, float]:
-    """The route's row filler ``rows(keys, out)``, which writes a block of replicas'
-    paths at t > 0 into ``out`` from their rows of ``stream_keys``, and the
-    jitter its factor took.  The fbm route's map is the fold of the factor L of
-    W's Gram, (L[m + k] + L[m - 1 - k]) / sqrt(2), written into L's last m rows."""
+    """The route's maker of row fillers and the jitter its factor took.  Each
+    call ``new_fill()`` allocates one worker's draw buffers and returns its
+    filler ``fill(keys, out)``, which writes a block of replicas' paths at
+    t > 0 into ``out`` from their rows of ``stream_keys``.  The fbm route's map
+    is the fold of the factor L of W's Gram, (L[m + k] + L[m - 1 - k]) / sqrt(2),
+    written into L's last m rows."""
     if route == "fgn":
         return partial(_fgn_rows, _fgn_spectrum(spec, grid)), 0.0
     gram = gram_matrix(spec, grid) if route == "exact" else _fbm_gram(spec, grid)
@@ -582,19 +625,23 @@ def _route_rows(route: str, spec: ProcessSpec, grid: TimeGrid) -> tuple[Callable
     return partial(_dense_rows, mat), factor.jitter
 
 
-def _replica_runner(rows: Callable, keys: np.ndarray, out: np.ndarray, n_threads: int) -> None:
-    """Call ``rows(keys[lo:hi], out[lo:hi])`` on contiguous blocks that cover
-    every replica, one block per worker thread, and at most one worker per replica."""
-    n_reps = len(out)
-    n_workers = max(1, min(n_threads, n_reps))
+def _replica_runner(fills: list, keys: np.ndarray, out: np.ndarray) -> None:
+    """Call ``fills[w](keys[lo:hi], out[lo:hi])`` on contiguous parts that cover
+    every row of ``out``, one part per worker thread w, and at most one worker
+    per row, so no two threads share a filler's buffers."""
+    n_rows = len(out)
+    n_workers = min(len(fills), n_rows)
     if n_workers == 1:
-        rows(keys, out)
+        fills[0](keys, out)
         return
-    bounds = [n_reps * w // n_workers for w in range(n_workers + 1)]
+    # Imported here, where a pool starts: at module level every command paid for it.
+    from concurrent.futures import ThreadPoolExecutor
+
+    bounds = [n_rows * w // n_workers for w in range(n_workers + 1)]
     with ThreadPoolExecutor(max_workers=n_workers) as pool:
-        futures = [pool.submit(rows, keys[lo:hi], out[lo:hi])
-                   for lo, hi in zip(bounds, bounds[1:])]
-    # Reading every result re-raises the first block's exception.
+        futures = [pool.submit(fill, keys[lo:hi], out[lo:hi])
+                   for fill, lo, hi in zip(fills, bounds, bounds[1:])]
+    # Reading every result re-raises the first part's exception.
     for future in futures:
         future.result()
 
@@ -607,6 +654,53 @@ def _refuse_overflow(what: str) -> Iterator[None]:
             yield
     except FloatingPointError as exc:
         raise ArithmeticError(f"{what} overflow a double ({exc})") from None
+
+
+class _Draw:
+    """A prepared draw of ``n_reps`` replicas, filled in blocks of rows.
+
+    Construction makes, once and in this order: the route (``_route``), the
+    unit spec and scale s (``ProcessSpec.unit``), the unit spec's factor or
+    spectrum with its jitter, every replica's stream key, and the fillers of
+    ``n_workers`` replica workers (``_n_workers``), each with the draw
+    buffers that every block reuses.  ``block(lo, hi)`` draws replicas
+    lo..hi-1 into a fresh array, so a block shares no memory with any other.
+    A ``streamed`` draw is checked against the memory budget with one row
+    held, for callers that read one block at a time and let it go.
+    """
+
+    def __init__(self, spec: ProcessSpec, grid: TimeGrid, n_reps: int, master_seed: int,
+                 sampler: str = "auto", n_threads: int = 1, streamed: bool = False):
+        if n_reps < 1:
+            raise ValueError("n_reps must be >= 1")
+        self.spec, self.grid, self.n_reps = spec, grid, n_reps
+        self.route = _route(grid, n_reps, sampler, streamed)
+        self.scale, unit = spec.unit()
+        with _refuse_overflow(f"the {self.route} route's covariances on [0, {grid.horizon!r}]"):
+            new_fill, self.jitter = _route_rows(self.route, unit, grid)
+        self.keys = stream_keys(replica_seeds(master_seed, n_reps))
+        self.master_seed = int(master_seed)
+        n_workers = _n_workers(self.route, grid.n_points - 1, n_reps, n_threads, streamed)
+        self.fills = [new_fill() for _ in range(n_workers)]
+
+    def block(self, lo: int, hi: int) -> Ensemble:
+        """Replicas lo..hi-1: the bytes of those rows of the whole ensemble.
+
+        Paths that overflow a double or underflow to 0 once scaled by s
+        raise ArithmeticError.
+        """
+        if not 0 <= lo < hi <= self.n_reps:
+            raise ValueError(f"block [{lo}, {hi}) is not a non-empty part of "
+                             f"[0, {self.n_reps})")
+        values = np.zeros((hi - lo, self.grid.n_points))
+        _replica_runner(self.fills, self.keys[lo:hi], values[:, 1:])
+        paths = f"the {self.route} route's paths on [0, {self.grid.horizon!r}]"
+        with _refuse_overflow(paths):
+            values *= self.scale
+        if not values.any():
+            raise ArithmeticError(f"{paths} underflow to 0")
+        return Ensemble(spec=self.spec, grid=self.grid, values=values,
+                        master_seed=self.master_seed, sampler=self.route, jitter=self.jitter)
 
 
 def sample_ensemble(
@@ -638,22 +732,9 @@ def sample_ensemble(
     ``derive_seed(master_seed, k)``.  All replica seeds are derived and
     hashed at once (``replica_seeds``, ``stream_keys``); a master seed
     outside [0, 2^64) raises ValueError.  Each replica writes its path into its own
-    row of a zeroed (n_reps, n_points) array, the t = 0 column left at 0.
-    Each of at most ``n_threads`` workers fills a contiguous block of rows
-    with the route's row filler, whose draw buffers live as long as the block.
+    row of a zeroed (n_reps, n_points) array, the t = 0 column left at 0:
+    the one block of every row of a prepared draw (``_Draw``).  Each of at
+    most ``n_threads`` workers, fewer where a further worker's draw buffers
+    would not fit the memory budget, fills a contiguous part of the rows.
     """
-    if n_reps < 1:
-        raise ValueError("n_reps must be >= 1")
-    route = _route(grid, n_reps, sampler)
-    scale, unit = spec.unit()
-    with _refuse_overflow(f"the {route} route's covariances on [0, {grid.horizon!r}]"):
-        rows, jitter = _route_rows(route, unit, grid)
-    values = np.zeros((n_reps, grid.n_points))
-    _replica_runner(rows, stream_keys(replica_seeds(master_seed, n_reps)), values[:, 1:],
-                    n_threads)
-    with _refuse_overflow(f"the {route} route's paths on [0, {grid.horizon!r}]"):
-        values *= scale
-    if not values.any():
-        raise ArithmeticError(f"the {route} route's paths on [0, {grid.horizon!r}] underflow to 0")
-    return Ensemble(spec=spec, grid=grid, values=values, master_seed=int(master_seed),
-                    sampler=route, jitter=jitter)
+    return _Draw(spec, grid, n_reps, master_seed, sampler, n_threads).block(0, n_reps)

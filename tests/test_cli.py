@@ -380,11 +380,59 @@ class TestDims:
         def no_draw(*args, **kwargs):
             raise AssertionError("dims drew paths for an input it refuses")
 
-        monkeypatch.setattr(cli, "sample_ensemble", no_draw)
+        monkeypatch.setattr(cli, "_Draw", no_draw)
         rc = cli.main(["dims", "--hurst", "0.5", "--grid-points", "16385", f"{flag}={value}"])
         out, err = capsys.readouterr()
         assert (rc, out) == (cli.EXIT_VALIDATION, "")
         assert err == f"invalid input: {diagnostic}\n"
+
+    SMALL = ["dims", "--hurst", "0.3,0.8", "--coeffs", "1,1", "--grid-points", str(2 ** 14 + 1)]
+
+    def test_peak_does_not_grow_with_level_reps(self, monkeypatch, tmp_path):
+        # The level-set paths are drawn and read one block at a time, so 38 more
+        # replicas may not hold 2 more rows at once.
+        monkeypatch.delenv("MSFBM_THREADS", raising=False)
+        # A first run leaves the one-time buffers of numpy's FFT outside the traces.
+        assert cli.main([*self.SMALL, "--level-reps", "1", "--out", str(tmp_path / "1.json")]) == 0
+        peaks = {}
+        for reps in (2, 40):
+            tracemalloc.start()
+            try:
+                rc = cli.main([*self.SMALL, "--level-reps", str(reps),
+                               "--out", str(tmp_path / f"{reps}.json")])
+                peaks[reps] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert rc == cli.EXIT_OK
+        assert abs(peaks[40] - peaks[2]) < 2 * 8 * (2 ** 14 + 1), peaks
+
+    def test_report_is_thread_invariant(self, monkeypatch, capsys):
+        # Four level-set rows: blocks of 2 at 2 threads, of 3 and 1 at 3 threads.
+        outs = set()
+        for threads in ("1", "2", "3"):
+            monkeypatch.setenv("MSFBM_THREADS", threads)
+            assert cli.main([*self.SMALL, "--level-reps", "4", "--seed", "7"]) == cli.EXIT_OK
+            outs.add(capsys.readouterr().out)
+        assert len(outs) == 1
+
+    def test_budget_counts_one_row_of_a_streamed_draw(self, monkeypatch, capsys):
+        # Four rows of the grid exceed the budget and one fits: dims reads one row
+        # at a time, simulate holds every row.
+        monkeypatch.delenv("MSFBM_THREADS", raising=False)
+        m = 2 ** 14
+        monkeypatch.setattr(sampler, "_MEMORY_BUDGET", (sampler._route_bytes("fgn", m, 1)
+                                                        + sampler._route_bytes("fgn", m, 4)) // 2)
+        assert cli.main([*self.SMALL, "--level-reps", "3"]) == cli.EXIT_OK
+        capsys.readouterr()
+        rc = cli.main(["simulate", "--hurst", "0.5", "--grid-points", str(m + 1), "--reps", "4"])
+        assert rc == cli.EXIT_VALIDATION
+        assert "memory budget" in capsys.readouterr().err
+
+    def test_level_no_replica_crosses_keeps_its_diagnostic(self, capsys):
+        rc = cli.main([*self.SMALL, "--level", "1e6", "--level-reps", "2"])
+        out, err = capsys.readouterr()
+        assert (rc, out) == (cli.EXIT_VALIDATION, "")
+        assert err == "invalid input: no replica crossed level 1000000.0 on [0.01, 1.0]\n"
 
 
 class TestClassify:
@@ -634,6 +682,7 @@ class TestSeedAndReps:
             raise AssertionError("worked on an input it refuses")
 
         monkeypatch.setattr(cli, "sample_ensemble", fail)
+        monkeypatch.setattr(cli, "_Draw", fail)
         monkeypatch.setattr(verify, "run_suites", fail)
 
     @pytest.mark.parametrize("command", [

@@ -768,6 +768,90 @@ class TestSampleEnsemble:
         assert np.all(ens.values[:, 0] == 0.0)
 
 
+class TestPreparedDraw:
+    """``_Draw``: one route, factor or spectrum and set of stream keys, drawn in blocks."""
+
+    SPEC = ProcessSpec([1.0, 0.0, -0.5], [0.3, 0.6, 0.8])
+    GRID = TimeGrid.uniform(12, 1.0)
+
+    @pytest.mark.parametrize("route", ("exact", "fbm", "fgn"))
+    def test_blocks_are_the_rows_of_the_whole_ensemble(self, route):
+        whole = msfbm.sample_ensemble(self.SPEC, self.GRID, 7, 5, sampler=route)
+        draw = sampler._Draw(self.SPEC, self.GRID, 7, 5, sampler=route, n_threads=2,
+                             streamed=True)
+        first = draw.block(0, 3)
+        before = first.values.tobytes()
+        later = [draw.block(3, 4), draw.block(4, 7)]
+        # A later block reuses the workers' draw buffers, never an earlier block's rows.
+        assert first.values.tobytes() == before
+        assert not any(np.shares_memory(first.values, b.values) for b in later)
+        got = np.concatenate([first.values] + [b.values for b in later])
+        assert got.tobytes() == whole.values.tobytes()
+        assert (first.sampler, first.jitter, first.master_seed) == (
+            whole.sampler, whole.jitter, whole.master_seed)
+
+    def test_one_spectrum_for_every_block(self, monkeypatch):
+        calls = []
+        real = sampler._fgn_spectrum
+        monkeypatch.setattr(sampler, "_fgn_spectrum",
+                            lambda *args: calls.append(1) or real(*args))
+        draw = sampler._Draw(self.SPEC, self.GRID, 4, 5, sampler="fgn", streamed=True)
+        for lo in range(4):
+            draw.block(lo, lo + 1)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("lo,hi", [(0, 0), (2, 1), (-1, 2), (3, 5)])
+    def test_block_outside_the_draw_is_refused(self, lo, hi):
+        draw = sampler._Draw(self.SPEC, self.GRID, 4, 5, sampler="fgn")
+        with pytest.raises(ValueError, match="is not a non-empty part of"):
+            draw.block(lo, hi)
+
+    def test_streamed_draw_counts_one_row(self, monkeypatch):
+        grid = TimeGrid.uniform(2 ** 14 + 1, 1.0)
+        m = grid.n_points - 1
+        budget = (_route_bytes("fgn", m, 1) + _route_bytes("fgn", m, 4)) // 2
+        monkeypatch.setattr(sampler, "_MEMORY_BUDGET", budget)
+        monkeypatch.setattr(sampler, "_fgn_spectrum", _fail_if_called)
+        with pytest.raises(ValueError, match=r"the fgn route for 4 replica\(s\) on 16385 points"):
+            sampler._Draw(self.SPEC, grid, 4, 5, sampler="fgn")
+        with pytest.raises(AssertionError, match="allocated"):
+            sampler._Draw(self.SPEC, grid, 4, 5, sampler="fgn", streamed=True)
+
+
+class TestWorkerCap:
+    """``_n_workers``: a further replica worker starts only where its buffers fit."""
+
+    M = 2 ** 14
+
+    def test_default_budget_caps_by_threads_and_replicas(self):
+        for route in ("exact", "fbm", "fgn"):
+            for streamed in (False, True):
+                assert sampler._n_workers(route, 256, 5, 4, streamed) == 4
+                assert sampler._n_workers(route, 256, 3, 64, streamed) == 3
+                assert sampler._n_workers(route, 256, 5, 1, streamed) == 1
+
+    @pytest.mark.parametrize("route", ("exact", "fbm", "fgn"))
+    @pytest.mark.parametrize("streamed", (False, True))
+    def test_further_workers_only_where_they_fit(self, monkeypatch, route, streamed):
+        m, n_reps = self.M, 40
+        base = _route_bytes(route, m, 1 if streamed else n_reps)
+        further = 8 * (sampler._workspace(route, m) + (m + 1 if streamed else 0))
+        for room, want in ((0, 1), (further - 1, 1), (further, 2), (3 * further - 1, 3),
+                           (3 * further, 4), (100 * further, 8)):
+            monkeypatch.setattr(sampler, "_MEMORY_BUDGET", base + room)
+            assert sampler._n_workers(route, m, n_reps, 8, streamed) == want
+
+    def test_capped_workers_draw_the_same_bytes(self, monkeypatch):
+        spec, grid = ProcessSpec([1.0, -0.5], [0.3, 0.8]), TimeGrid.uniform(2 ** 10 + 1, 1.0)
+        m = grid.n_points - 1
+        one = msfbm.sample_ensemble(spec, grid, 5, 3, sampler="fgn", n_threads=1)
+        monkeypatch.setattr(sampler, "_MEMORY_BUDGET",
+                            _route_bytes("fgn", m, 5) + 8 * sampler._workspace("fgn", m))
+        draw = sampler._Draw(spec, grid, 5, 3, sampler="fgn", n_threads=4)
+        assert len(draw.fills) == 2
+        assert draw.block(0, 5).values.tobytes() == one.values.tobytes()
+
+
 def _fail_if_called(*args, **kwargs):
     raise AssertionError("a refused route allocated its arrays")
 
@@ -868,7 +952,7 @@ def _linear_map(monkeypatch, route, spec, grid):
         return z
 
     monkeypatch.setattr(sampler, "normal_stream", unit)
-    rows, _ = _route_rows(route, spec, grid)
+    rows = _route_rows(route, spec, grid)[0]()
     m = grid.n_points - 1
     rows(np.zeros((1, 4), dtype=np.uint64), np.empty((1, m)))  # the stream's length
     keys = np.zeros((sizes[0], 4), dtype=np.uint64)
