@@ -5,7 +5,10 @@ three routes, all with the process's finite-dimensional law, and every
 route maps one i.i.d. normal stream per replica to its path:
 
 * "exact" factorizes the process Gram matrix on the grid and maps the
-  normals through the factor.
+  normals through the factor.  Where numpy's BLAS exports LAPACK's
+  ``dpftrf``, the Gram is built, factored and drawn from in rectangular
+  full packed storage, which holds its one triangle in n(n + 1)/2 doubles;
+  elsewhere the whole Gram is factored by ``psd_factor``.
 * "fbm" and "fgn" draw W = sum_i a_i B_i over the active components, the
   B_i independent fractional Brownian motions on the symmetric grid
   {-t_k, ..., t_k}, and one fold writes (W(t) + W(-t))/sqrt(2) into the
@@ -192,14 +195,23 @@ def _symmetric_gram(
     in its two points, so the result is exactly symmetric.
     """
     mat = np.empty((n, n))
-    space = np.empty((n_work, _GRAM_ROWS * n))
-    for lo in range(0, n, _GRAM_ROWS):
-        hi = min(lo + _GRAM_ROWS, n)
-        size = (hi - lo) * (n - lo)
-        work = [buf[:size].reshape(hi - lo, n - lo) for buf in space]
+    for lo, hi, work in _gram_blocks(n, n_work, (0, n)):
         fill_block(lo, hi, mat[lo:hi, lo:], work)
         mat[hi:, lo:hi] = mat[lo:hi, hi:].T
     return mat
+
+
+def _gram_blocks(n: int, n_work: int, *spans: tuple[int, int]) -> Iterator[tuple[int, int, list]]:
+    """(lo, hi, work) for the ``_GRAM_ROWS``-row blocks of the rows
+    start..stop-1 of an n x n matrix, for each (start, stop) of ``spans`` in
+    turn, ``work`` being ``n_work`` scratch arrays of the block's
+    (hi - lo, n - lo) shape: C-contiguous views of one workspace."""
+    space = np.empty((n_work, _GRAM_ROWS * n))
+    for start, stop in spans:
+        for lo in range(start, stop, _GRAM_ROWS):
+            hi = min(lo + _GRAM_ROWS, stop)
+            size = (hi - lo) * (n - lo)
+            yield lo, hi, [buf[:size].reshape(hi - lo, n - lo) for buf in space]
 
 
 def _log_abs_diff(rows: np.ndarray, cols: np.ndarray, out: np.ndarray) -> None:
@@ -220,8 +232,10 @@ def _pow_abs_diff(two_h: float, log_diff: np.ndarray, out: np.ndarray) -> None:
     np.fill_diagonal(out, 0.0)
 
 
-def gram_matrix(spec: ProcessSpec, grid: TimeGrid) -> np.ndarray:
-    """Process covariance at the positive grid times (t = 0 row excluded)."""
+def _gram_fill(spec: ProcessSpec, grid: TimeGrid) -> tuple[int, int, Callable]:
+    """The process Gram's size n at the positive grid times, and the count of
+    scratch arrays and block filler that ``_symmetric_gram`` or ``_rfp_gram``
+    builds it from."""
     t = grid.times[1:]
     two_hs = [2.0 * h for _, h in spec.active()]
     powers = [_p2h_array(t, two_h) for two_h in two_hs]
@@ -249,7 +263,12 @@ def gram_matrix(spec: ProcessSpec, grid: TimeGrid) -> np.ndarray:
             np.multiply(w, term, out=term)
             np.add(g, term, out=g)
 
-    return _symmetric_gram(t.size, 5, fill_block)
+    return t.size, 5, fill_block
+
+
+def gram_matrix(spec: ProcessSpec, grid: TimeGrid) -> np.ndarray:
+    """Process covariance at the positive grid times (t = 0 row excluded)."""
+    return _symmetric_gram(*_gram_fill(spec, grid))
 
 
 def _tiles(n: int) -> Iterator[tuple[slice, slice]]:
@@ -405,6 +424,129 @@ def _dense_rows(mat: np.ndarray) -> Callable[[np.ndarray, np.ndarray], None]:
     return fill
 
 
+# LAPACK's rectangular full packed (RFP) storage with TRANSR = 'N' and
+# UPLO = 'L' (Gustavson, Wasniewski, Dongarra & Langou, ACM TOMS 37(2), 2010)
+# holds a symmetric n x n matrix G in the n(n + 1)/2 doubles of one C-order
+# (k, w) array R, with k = ceil(n/2), e = n mod 2 and w = n + 1 - e:
+#
+#   R[j, j + 1 - e:] = G[j, j:]                  for j < k,      G's leading upper rows;
+#   R[j + e, :j + 1] = G[k + j, k:k + j + 1]     for j < n - k,  its trailing lower triangle.
+#
+# LAPACK reads R as a column-major (w, k) array.  ``dpftrf`` overwrites it
+# with the Cholesky factor L = [[L11, 0], [L21, L22]] of G, k leading rows:
+# L11 is lower triangular at R + 1 - e, L21 at R + k + 1 - e and L22's
+# transpose upper triangular at R + e*w, each with leading dimension w.
+
+
+def _rfp_shape(n: int) -> tuple[int, int, int]:
+    """k, e and w of the RFP array of an n x n matrix."""
+    return (n + 1) // 2, n % 2, n + 1 - n % 2
+
+
+@cache
+def _rfp() -> tuple[Callable, Callable, Callable] | None:
+    """LAPACK's ``dpftrf`` and BLAS's ``dtrmv`` and ``dgemv`` in numpy's own
+    BLAS, looked up as ``_dpotrf`` looks up its routine, or None where that
+    library lacks any of them.  Every argument is passed as a ctypes object:
+    a byte string for a character, a pointer for anything else."""
+    try:
+        lib = ctypes.CDLL(_umath_linalg.__file__)
+        fns = (lib.scipy_dpftrf_64_, lib.scipy_dtrmv_64_, lib.scipy_dgemv_64_)
+    except (OSError, AttributeError):
+        return None
+    for fn in fns:
+        fn.restype = None
+    return fns
+
+
+def _rfp_gram(n: int, n_work: int, fill_block: Callable, rfp: np.ndarray | None = None
+              ) -> np.ndarray:
+    """The matrix ``_symmetric_gram`` builds from the same ``fill_block``, in
+    RFP storage, with the same bits in every entry; written into ``rfp`` when
+    given.
+
+    The trailing rows go in first, each transposed down a column of R:
+    R[j + e:, j] = G[k + j, k + j:].  The lower half of such a block's
+    diagonal square lands on leading cells, which the leading rows, written
+    next, overwrite.  A leading block's square would in turn overwrite
+    trailing cells with its lower half, so those cells are kept and put back.
+    """
+    k, e, w = _rfp_shape(n)
+    if rfp is None:
+        rfp = np.empty((k, w))
+    for lo, hi, work in _gram_blocks(n, n_work, (k, n), (0, k)):
+        if lo >= k:
+            fill_block(lo, hi, rfp[lo - k + e:, lo - k:hi - k].T, work)
+            continue
+        dest = rfp[lo:hi, lo + 1 - e:]
+        square, below = dest[:, :hi - lo], np.tri(hi - lo, hi - lo, -1, dtype=bool)
+        kept = square[below]
+        fill_block(lo, hi, dest, work)
+        square[below] = kept
+    return rfp
+
+
+def _rfp_factor(spec: ProcessSpec, grid: TimeGrid) -> tuple[np.ndarray, float]:
+    """The exact route's factor in RFP storage, made in place by ``dpftrf``,
+    and its jitter eps: L L^T = G + eps*I, G the process Gram with
+    ``gram_matrix``'s bits.
+
+    eps climbs ``JITTER_LADDER`` times G's largest diagonal value, as in
+    ``psd_factor``.  A failed ``dpftrf`` has overwritten R, so each further
+    rung builds G into R again and adds eps on its diagonal cells.
+    """
+    n, n_work, fill_block = _gram_fill(spec, grid)
+    k, e, w = _rfp_shape(n)
+    rfp = _rfp_gram(n, n_work, fill_block)
+    flat = rfp.reshape(-1)
+    # G[j, j] is R[j, j + 1 - e] for j < k and R[j - k + e, j - k] beyond.
+    cells = np.concatenate([np.arange(k) * (w + 1) + 1 - e, np.arange(n - k) * (w + 1) + e * w])
+    diag = flat[cells]
+    _refuse_underflow("exact", grid, diag)
+    max_diag = float(np.max(diag))
+    for rung, level in enumerate(JITTER_LADDER):
+        eps = level * max_diag
+        if rung:
+            _rfp_gram(n, n_work, fill_block, rfp)
+            flat[cells] = diag + eps
+        info = ctypes.c_int64(0)
+        _rfp()[0](b"N", b"L", ctypes.byref(ctypes.c_int64(n)), ctypes.c_void_p(rfp.ctypes.data),
+                  ctypes.byref(info))
+        if info.value == 0:
+            return rfp, eps
+    raise FactorizationFailure(
+        f"cholesky failed at all jitter levels {JITTER_LADDER}"
+    )
+
+
+def _rfp_rows(rfp: np.ndarray, n: int) -> Callable[[np.ndarray, np.ndarray], None]:
+    """A row filler for ``_rfp_factor``'s L, with no buffer of its own:
+    ``fill(keys, out)`` draws the normal stream z of each row's
+    ``stream_keys`` row straight into that row of ``out``, whose rows are
+    C-contiguous, and overwrites it with L z in place.  With z1 and z2 its
+    first k and last n - k values: z2 <- L22 z2, then z2 += L21 z1, which
+    reads z1 before z1 <- L11 z1."""
+    _, trmv, gemv = _rfp()
+    k, e, w = _rfp_shape(n)
+    n1, n2, lda, inc = (ctypes.byref(ctypes.c_int64(v)) for v in (k, n - k, w, 1))
+    one = ctypes.byref(ctypes.c_double(1.0))
+
+    def fill(keys: np.ndarray, out: np.ndarray) -> None:
+        l22, l21, l11 = (ctypes.c_void_p(rfp.ctypes.data + 8 * at)
+                         for at in (e * w, k + 1 - e, 1 - e))
+        row, step = out.ctypes.data, out.strides[0]
+        z1, z2 = ctypes.c_void_p(), ctypes.c_void_p()
+        for key, body in zip(keys, out):
+            normal_stream(key, n, out=body)
+            z1.value, z2.value = row, row + 8 * k
+            trmv(b"U", b"T", b"N", n2, l22, lda, z2, inc)
+            gemv(b"N", n2, n1, one, l21, lda, z1, inc, one, z2, inc)
+            trmv(b"L", b"N", b"N", n1, l11, lda, z1, inc)
+            row += step
+
+    return fill
+
+
 def _fbm_gram(spec: ProcessSpec, grid: TimeGrid) -> np.ndarray:
     """Gram of W = sum_i a_i B_i on {-t_k ... -t_1, t_1 ... t_k}."""
     pos = grid.times[1:]
@@ -525,7 +667,9 @@ def _workspace(route: str, m: int) -> int:
     """Doubles of one replica worker's draw buffers on ``m`` grid steps.
 
     A dense route's worker holds the normals of one replica (m for exact,
-    2m for fbm).  The circulant route's worker holds the complex spectrum
+    2m for fbm); the exact route's RFP filler draws them into the path's
+    own row instead, and the count is kept so that it never depends on
+    which kernel the platform has.  The circulant route's worker holds the complex spectrum
     of N/2 + 1 values the normals are drawn into, the real inverse
     transform and its working copy, and the N/2 + 1 cumulative sums the
     fold reads, N = 4m: six vectors of N + 1 doubles bound them all.
@@ -540,7 +684,10 @@ def _route_bytes(route: str, m: int, n_rows: int) -> int:
     ``n_rows`` rows of paths held: the whole ensemble in ``sample_ensemble``,
     one row in a streamed draw (``_Draw``).
 
-    Dense routes factor their Gram in its own memory (``psd_factor``).  With
+    Dense routes factor their Gram in its own memory.  Where ``_rfp``
+    binds, the exact route holds the Gram's one triangle, n(n + 1)/2
+    doubles in RFP storage (``_rfp_factor``).  Otherwise it factors the
+    whole Gram with ``psd_factor``, as the fbm route always does: with
     LAPACK's ``dpotrf`` bound, that Gram is the only matrix of its size; the
     gufunc kernel of other platforms also holds LAPACK's working copy and the
     column-major factor it writes.  The estimate counts those three matrices
@@ -609,11 +756,16 @@ def _route_rows(route: str, spec: ProcessSpec, grid: TimeGrid) -> tuple[Callable
     """The route's maker of row fillers and the jitter its factor took.  Each
     call ``new_fill()`` allocates one worker's draw buffers and returns its
     filler ``fill(keys, out)``, which writes a block of replicas' paths at
-    t > 0 into ``out`` from their rows of ``stream_keys``.  The fbm route's map
-    is the fold of the factor L of W's Gram, (L[m + k] + L[m - 1 - k]) / sqrt(2),
+    t > 0 into ``out`` from their rows of ``stream_keys``.  The exact route
+    draws from its factor in RFP storage (``_rfp_factor``) where ``_rfp``
+    binds, and from ``psd_factor``'s otherwise.  The fbm route's map is the
+    fold of the factor L of W's Gram, (L[m + k] + L[m - 1 - k]) / sqrt(2),
     written into L's last m rows."""
     if route == "fgn":
         return partial(_fgn_rows, _fgn_spectrum(spec, grid)), 0.0
+    if route == "exact" and _rfp():
+        rfp, jitter = _rfp_factor(spec, grid)
+        return partial(_rfp_rows, rfp, grid.n_points - 1), jitter
     gram = gram_matrix(spec, grid) if route == "exact" else _fbm_gram(spec, grid)
     _refuse_underflow(route, grid, gram.diagonal())
     factor = psd_factor(gram)

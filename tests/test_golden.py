@@ -7,6 +7,8 @@ from pathlib import Path
 
 import pytest
 
+from msfbm import sampler
+
 _SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "golden.py"
 _spec = importlib.util.spec_from_file_location("golden", _SCRIPT)
 golden = importlib.util.module_from_spec(_spec)
@@ -45,3 +47,18 @@ def test_check_labels_new_and_moved_commands(tmp_path, monkeypatch, capsys):
     assert golden.main([]) == 1
     assert capsys.readouterr().out.splitlines() == [
         "moved: help: msfbm --help", "new: cov-help: msfbm cov --help"]
+
+
+# simulate-exact-csv's stdout where numpy's BLAS lacks the RFP routines, so the
+# exact route factors the whole Gram with psd_factor and draws with L @ z: the
+# bytes it printed before the exact route moved to RFP storage.
+_WITHOUT_RFP = {"2.4": "fe2d4dc1cac7b8916d1e6f1d179fa09dc081de72195410ae5685f5bbcd30368e"}
+
+
+@pytest.mark.parametrize("threads", ("1", "4"))
+def test_exact_route_without_rfp_prints_the_dense_factor_bytes(threads, monkeypatch):
+    if golden.numpy_key() not in _WITHOUT_RFP:
+        pytest.skip(f"no digest recorded for numpy {golden.numpy_key()}")
+    monkeypatch.setattr(sampler, "_rfp", lambda: None)
+    got = golden.digest(golden.COMMANDS["simulate-exact-csv"], threads)
+    assert got == {"exit": 0, "stdout_sha256": _WITHOUT_RFP[golden.numpy_key()], "stderr": ""}

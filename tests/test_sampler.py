@@ -16,6 +16,7 @@ from msfbm.kernels import _p2h_array
 from msfbm.sampler import (
     _GRAM_ROWS,
     _SYM_TILE,
+    JITTER_LADDER,
     FactorizationFailure,
     _fbm_gram,
     _fgn_autocov,
@@ -596,7 +597,10 @@ class TestSampleViaFbm:
     # ru_maxrss also carries the forking parent's RSS over the exec, so under
     # a large test process it would not move.  A draw on a quarter-size grid
     # first puts the one-time buffers of the interpreter and of BLAS into the
-    # baseline.
+    # baseline.  The child runs one BLAS thread: each further OpenBLAS thread
+    # touches more of a buffer of its own the larger the factor (2.8 MiB more
+    # at two threads and m = 1500 on a 2-vCPU Xeon, OpenBLAS core SkylakeX),
+    # which no smaller draw puts in the baseline.
     _RSS_SCRIPT = """
 import numpy as np, msfbm
 def peak_bytes():
@@ -614,14 +618,16 @@ print(peak_bytes() - before)
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"),
                         reason="VmHWM is read from Linux's /proc/self/status")
-    @pytest.mark.skipif(sampler._dpotrf() is None,
-                        reason="the gufunc kernel holds LAPACK's copy and its output too")
+    @pytest.mark.skipif(sampler._rfp() is None,
+                        reason="without dpftrf the exact route holds the whole Gram")
     def test_exact_draw_holds_one_gram(self):
+        # The Gram's one triangle in RFP storage is half a matrix of m x m doubles.
         m = 1500
         proc = subprocess.run([sys.executable, "-c", self._RSS_SCRIPT.format(m=m)],
-                              capture_output=True, text=True, env=package_env())
+                              capture_output=True, text=True,
+                              env=dict(package_env(), OPENBLAS_NUM_THREADS="1"))
         assert proc.returncode == 0, proc.stderr
-        assert int(proc.stdout) < 1.5 * 8 * m * m
+        assert int(proc.stdout) < 0.75 * 8 * m * m
 
     @pytest.mark.parametrize("length", (4, 512, 4096, 2 ** 17))
     @pytest.mark.parametrize("h", (0.2, 0.5, 0.9))
@@ -994,6 +1000,135 @@ class TestLaw:
         for coeffs in ([weight, 1.0], [1.0, -weight]):
             ens = msfbm.sample_ensemble(ProcessSpec(coeffs, [0.3, 0.8]), grid, 3, 4, sampler=route)
             assert np.max(np.abs(ens.values)) > 0.0
+
+
+def _rfp_reference(g):
+    """G in RFP storage (TRANSR = 'N', UPLO = 'L'), mapped entry by entry from
+    the layout's definition: G[i, j], i <= j, sits in R[i, j + 1 - e] for
+    i < k and in R[j - k + e, i - k] for i >= k; k = ceil(n/2), e = n mod 2.
+    Also counts how often each cell is written."""
+    n = g.shape[0]
+    k, e = (n + 1) // 2, n % 2
+    ref = np.full((k, n + 1 - e), np.nan)
+    writes = np.zeros(ref.shape, dtype=int)
+    for i in range(n):
+        for j in range(i, n):
+            cell = (i, j + 1 - e) if i < k else (j - k + e, i - k)
+            ref[cell] = g[i, j]
+            writes[cell] += 1
+    return ref, writes
+
+
+@pytest.mark.skipif(sampler._rfp() is None,
+                    reason="numpy's BLAS does not export dpftrf, dtrmv and dgemv")
+class TestRfpFactor:
+    """The exact route's Gram, factor and draw in rectangular full packed storage."""
+
+    @pytest.mark.parametrize("n", (1, 2, 7, 8, 31, 32, 33, 64, 65, 301))
+    @pytest.mark.parametrize("n_components", (1, 2, 3))
+    @pytest.mark.parametrize("uniform", (True, False), ids=("uniform", "non-uniform"))
+    def test_fill_bit_equal_to_gram_matrix(self, n, n_components, uniform):
+        rng = np.random.default_rng(1000 * n + 10 * n_components + uniform)
+        spec = ProcessSpec(rng.uniform(-2.0, 2.0, n_components),
+                           rng.uniform(0.05, 0.95, n_components))
+        times = (np.linspace(0.0, 2.0, n + 1) if uniform
+                 else np.concatenate([[0.0], np.cumsum(rng.uniform(0.5, 1.5, n))]))
+        grid = TimeGrid(times)
+        assert grid.is_uniform() == uniform or n == 1  # two points are always uniform
+        ref, writes = _rfp_reference(gram_matrix(spec, grid))
+        assert np.all(writes == 1)
+        got = sampler._rfp_gram(*sampler._gram_fill(spec, grid))
+        assert got.tobytes() == ref.tobytes()
+
+    def test_failed_rung_is_refilled_and_jittered_as_psd_factor(self, monkeypatch):
+        # test_near_singular_dense_grid's coincident pair: dpftrf fails at
+        # jitter 0, and the rung that succeeds is psd_factor's.
+        spec, grid = ProcessSpec([1.0], [0.9]), TimeGrid(_COINCIDENT_PAIR)
+        builds = []
+        real = sampler._rfp_gram
+        monkeypatch.setattr(sampler, "_rfp_gram", lambda *args: builds.append(1) or real(*args))
+        ens = msfbm.sample_ensemble(spec, grid, 3, 7, sampler="exact")
+        g = gram_matrix(spec, grid)
+        assert ens.jitter > 0.0
+        assert ens.jitter == msfbm.psd_factor(g.copy()).jitter
+        # One build per rung tried, the last the one that succeeded.
+        assert ens.jitter == JITTER_LADDER[len(builds) - 1] * np.max(np.diag(g))
+        a = _linear_map(monkeypatch, "exact", spec, grid)
+        assert np.max(np.abs(a @ a.T - g)) <= 1e-12 * np.max(np.abs(g))
+
+    def test_indefinite_gram_fails_on_every_rung(self, monkeypatch):
+        bad = np.array([[1.0, 2.0], [2.0, 1.0]])
+        builds = []
+
+        def fill_block(lo, hi, dest, work):
+            builds.append(lo)
+            dest[...] = bad[lo:hi, lo:]
+
+        monkeypatch.setattr(sampler, "_gram_fill", lambda spec, grid: (2, 0, fill_block))
+        with pytest.raises(FactorizationFailure, match="all jitter levels"):
+            sampler._rfp_factor(ProcessSpec([1.0], [0.5]), TimeGrid.uniform(3, 1.0))
+        # Two blocks of one row, built again on every rung.
+        assert builds == [1, 0] * len(JITTER_LADDER)
+
+
+class _WithoutRfp:
+    """Runs its class's tests with the RFP binding patched away, so the exact
+    route takes the ``gram_matrix``, ``psd_factor`` and ``_dense_rows`` path
+    of platforms whose BLAS lacks it."""
+
+    @pytest.fixture(autouse=True)
+    def _without_rfp(self, monkeypatch):
+        monkeypatch.setattr(sampler, "_rfp", lambda: None)
+
+
+class TestLawWithoutRfp(_WithoutRfp, TestLaw):
+    pass
+
+
+class TestPreparedDrawWithoutRfp(_WithoutRfp, TestPreparedDraw):
+    pass
+
+
+class TestWorkerCapWithoutRfp(_WithoutRfp, TestWorkerCap):
+    pass
+
+
+class TestBlasThreads:
+    """The dense routes' bytes at one and two BLAS threads, in child processes,
+    since OpenBLAS reads its thread count once, when it loads."""
+
+    # Grids made as the benchmark's simulate-nonuniform grid is: gaps uniform
+    # in [0.5, 1.5), scaled to [0, 1] and warped by t^1.5.
+    _SCRIPT = """
+import numpy as np, msfbm
+spec = msfbm.ProcessSpec([1.0, 1.0], [0.4, 0.8])
+for n_points in (65, 301):
+    steps = np.random.default_rng(3).uniform(0.5, 1.5, n_points - 1)
+    cum = np.concatenate([[0.0], np.cumsum(steps)])
+    times = (cum / cum[-1]) ** 1.5
+    for route in ("exact", "fbm"):
+        values = msfbm.sample_ensemble(spec, msfbm.TimeGrid(times), 4, 3, sampler=route).values
+        print(n_points, route, values.tobytes().hex())
+"""
+
+    @staticmethod
+    def _paths(blas_threads):
+        proc = subprocess.run([sys.executable, "-c", TestBlasThreads._SCRIPT],
+                              capture_output=True, text=True,
+                              env=dict(package_env(), OPENBLAS_NUM_THREADS=blas_threads))
+        assert proc.returncode == 0, proc.stderr
+        return {(int(n), route): np.frombuffer(bytes.fromhex(hexed))
+                for n, route, hexed in map(str.split, proc.stdout.splitlines())}
+
+    def test_paths_agree_to_rounding_and_small_exact_grids_to_the_bit(self):
+        one, two = self._paths("1"), self._paths("2")
+        assert one.keys() == two.keys() == {(n, r) for n in (65, 301) for r in ("exact", "fbm")}
+        for key in one:
+            scale = np.max(np.abs(one[key]))
+            assert np.max(np.abs(one[key] - two[key])) <= 1e-12 * scale, key
+        # On a 2-vCPU Xeon (OpenBLAS core SkylakeX) exact bytes first differed
+        # at 100 points, fbm's at 68 (README, "Determinism").
+        assert one[65, "exact"].tobytes() == two[65, "exact"].tobytes()
 
 
 class TestOverflow:
