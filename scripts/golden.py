@@ -5,8 +5,8 @@
 SHA-256 of its stdout, its exit code and its stderr.  The digests are keyed
 by numpy major.minor, because every realization depends on numpy's normal
 draws.  They also depend on the CPU, which the key does not name: numpy's
-SIMD loops for exp, log and power, and the OpenBLAS core for dgemv and
-dpotrf, move results at ulp level (README, "Determinism").
+SIMD loops for exp, log and power, and the OpenBLAS core for dpftrf, dtrmv
+and dgemv, move results at ulp level (README, "Determinism").
 ``tests/test_golden.py`` recomputes them in-process.
 
 A change that moves a digest regenerates it in the same change and says

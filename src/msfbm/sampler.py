@@ -5,22 +5,23 @@ three routes, all with the process's finite-dimensional law, and every
 route maps one i.i.d. normal stream per replica to its path:
 
 * "exact" factorizes the process Gram matrix on the grid and maps the
-  normals through the factor.  Where numpy's BLAS exports LAPACK's
-  ``dpftrf``, the Gram is built, factored and drawn from in rectangular
-  full packed storage, which holds its one triangle in n(n + 1)/2 doubles;
-  elsewhere the whole Gram is factored by ``psd_factor``.
+  normals through the factor.
 * "fbm" and "fgn" draw W = sum_i a_i B_i over the active components, the
   B_i independent fractional Brownian motions on the symmetric grid
   {-t_k, ..., t_k}, and one fold writes (W(t) + W(-t))/sqrt(2) into the
   path.  W is one centred Gaussian vector with covariance sum_i a_i^2 K_i,
   K_i the fBm kernel of H_i, and is drawn from that covariance at once.
-* "fbm" maps the normals through the factor of W's dense Gram, its rows
-  folded in place.
+* "fbm" maps the normals through the factor of W's dense Gram.
 * "fgn" draws W's increments on uniform grids through circulant embedding
   (Davies-Harte; Wood & Chan 1994), which is still exact and scales to
   2^16-point paths.  The embedding's circulant row, W's weighted sum of
   the components' increment autocovariances, is real and symmetric, so
   only its N/2 + 1 distinct eigenvalues are kept.
+
+Both dense routes factor their Gram with one kernel and one jitter loop
+(``_ladder``): in rectangular full packed storage, one triangle in
+n(n + 1)/2 doubles, where numpy's BLAS exports LAPACK's ``dpftrf``
+(``_rfp_factor``), and with ``np.linalg.cholesky`` elsewhere.
 
 Every route draws the unit spec, whose weights are a_i / s with
 s = max |a_i| (``ProcessSpec.unit``), and the ensemble is scaled by s once,
@@ -89,8 +90,7 @@ _MEMORY_BUDGET = 2 * 2 ** 30
 _GRAM_ROWS = 32
 
 # Edge of the square tiles in which ``psd_factor`` compares a matrix with its
-# transpose, and moves a triangle into its mirror one: a tile and its mirror
-# tile fit in cache together.
+# transpose: a tile and its mirror tile fit in cache together.
 _SYM_TILE = 64
 
 
@@ -271,136 +271,64 @@ def gram_matrix(spec: ProcessSpec, grid: TimeGrid) -> np.ndarray:
     return _symmetric_gram(*_gram_fill(spec, grid))
 
 
-def _tiles(n: int) -> Iterator[tuple[slice, slice]]:
-    """(rows, cols) slices of the ``_SYM_TILE`` tiles on and below the
-    diagonal of an n x n matrix, each row of tiles ending on the diagonal."""
-    for lo in range(0, n, _SYM_TILE):
-        for col in range(0, lo + 1, _SYM_TILE):
-            yield slice(lo, lo + _SYM_TILE), slice(col, col + _SYM_TILE)
-
-
 def _is_symmetric(g: np.ndarray) -> bool:
     """Whether the square ``g`` equals its transpose in every entry (NaN never
-    does), compared tile against mirror tile so both stay in cache."""
+    does), each tile on and below the diagonal against its mirror tile."""
+    tiles = [slice(lo, lo + _SYM_TILE) for lo in range(0, g.shape[0], _SYM_TILE)]
     return all(np.array_equal(g[rows, cols], g[cols, rows].T)
-               for rows, cols in _tiles(g.shape[0]))
+               for i, rows in enumerate(tiles) for cols in tiles[:i + 1])
 
 
-def _not_positive_definite(err: str, flag: int) -> None:
-    raise np.linalg.LinAlgError("matrix is not positive definite")
+def _ladder(gram: np.ndarray, cells: np.ndarray, check: Callable, kernel: Callable,
+            refill: Callable | None = None) -> tuple[np.ndarray, float]:
+    """The factor L that ``kernel`` makes of G + eps*I, and eps: the first rung
+    of ``JITTER_LADDER`` times G's largest diagonal value on which it succeeds.
 
-
-@cache
-def _dpotrf() -> Callable | None:
-    """LAPACK's ``dpotrf`` in numpy's own LAPACK, the routine the gufunc behind
-    ``np.linalg.cholesky`` calls, or None where that library does not export
-    it as ``scipy_dpotrf_64_`` (64-bit integers), as in numpy 1.x wheels and
-    Accelerate or MKL builds.  The symbol is looked up through the handle of
-    numpy's linalg extension, which also searches the libraries it links, on
-    the first dense factor and not at import.
+    ``gram`` holds the symmetric G, the caller's to overwrite, and ``cells``
+    the flat indices of G's diagonal in it, whose values ``check`` sees
+    first.  ``kernel(gram)`` returns L or, as ``np.linalg.cholesky`` does in
+    any floating-point state, raises LinAlgError.  Each further rung writes
+    G's diagonal plus eps into those cells, after ``refill(gram)`` builds G
+    again where the kernel overwrites its input.
     """
-    try:
-        fn = ctypes.CDLL(_umath_linalg.__file__).scipy_dpotrf_64_
-    except (OSError, AttributeError):
-        return None
-    int_ptr = ctypes.POINTER(ctypes.c_int64)
-    fn.argtypes = [ctypes.c_char_p, int_ptr, ctypes.c_void_p, int_ptr, int_ptr]
-    fn.restype = None
-    return fn
+    flat = gram.reshape(-1)
+    diag = flat[cells]
+    check(diag)
+    max_diag = float(np.max(diag)) if diag.size else 0.0
+    for rung, level in enumerate(JITTER_LADDER):
+        eps = level * max_diag
+        if rung:
+            if refill:
+                refill(gram)
+            flat[cells] = diag + eps
+        try:
+            return kernel(gram), eps
+        except np.linalg.LinAlgError:
+            pass
+    raise FactorizationFailure(f"cholesky failed at all jitter levels {JITTER_LADDER}")
 
 
-def _dpotrf_lower(a: np.ndarray) -> bool:
-    """Whether ``dpotrf('L')`` factors the C-contiguous symmetric ``a`` in place.
-
-    The column-major reading of ``a`` is ``a`` itself, so LAPACK reads the
-    lower triangle of that reading, ``a``'s upper one, and on success leaves
-    the factor there.  It never writes ``a``'s strict lower triangle.
-    """
-    n = a.shape[0]
-    info = ctypes.c_int64(0)
-    _dpotrf()(b"L", ctypes.byref(ctypes.c_int64(n)), a.ctypes.data,
-              ctypes.byref(ctypes.c_int64(max(n, 1))), ctypes.byref(info))
-    return info.value == 0
-
-
-def _gufunc_lower(a: np.ndarray) -> bool:
-    """``_dpotrf_lower`` through the gufunc ``np.linalg.cholesky`` calls, with
-    the same LAPACK call on the same column-major reading of ``a``.
-
-    The gufunc factors a working copy into a column-major output, which is
-    copied into ``a`` on success; a failure leaves ``a`` untouched.  It fails
-    through the gufunc's invalid flag, as in ``np.linalg.cholesky``, whatever
-    floating-point error state surrounds the call.
-    """
-    col_major = np.empty(a.shape, order="F")
-    try:
-        with np.errstate(call=_not_positive_definite, invalid="call",
-                         over="ignore", divide="ignore", under="ignore"):
-            _umath_linalg.cholesky_lo(a.T, out=col_major, signature="d->d")
-    except np.linalg.LinAlgError:
-        return False
-    np.copyto(a.T, col_major)
-    return True
-
-
-def _lower_from_upper(a: np.ndarray) -> None:
-    """Move the transpose of ``a``'s upper triangle into its lower one and zero
-    the strict upper one, tile against mirror tile so both stay in cache."""
-    for rows, cols in _tiles(a.shape[0]):
-        if rows == cols:
-            a[rows, cols] = np.tril(a[cols, rows].T)
-        else:
-            a[rows, cols] = a[cols, rows].T
-            a[cols, rows] = 0.0
-
-
-def _restore_jittered(a: np.ndarray, diag: np.ndarray, eps: float) -> None:
-    """Rewrite ``a`` as g + eps*I from g's strict lower triangle, which
-    ``_dpotrf_lower`` and ``_gufunc_lower`` leave untouched, and g's saved
-    diagonal ``diag``: off the diagonal the bits of g + 0.0, as in
-    ``g + eps * np.eye(n)``."""
-    for rows, cols in _tiles(a.shape[0]):
-        if rows == cols:
-            strict = np.tril(a[rows, cols], -1)
-            np.add(strict, strict.T, out=a[rows, cols])
-        else:
-            np.add(a[rows, cols].T, 0.0, out=a[cols, rows])
-    np.fill_diagonal(a, diag + eps)
+def _finite_diagonal(diag: np.ndarray) -> None:
+    if not np.all(np.isfinite(diag)):
+        raise ValueError("gram matrix diagonal must be finite")
 
 
 def psd_factor(g: np.ndarray) -> FactorResult:
     """Cholesky factor of g + eps*I, escalating eps until factorization succeeds.
 
-    The factor is made in place and consumes ``g``: a C- or F-contiguous
-    float64 ``g`` is overwritten, whether or not the factorization succeeds,
-    and the returned ``lower`` shares its memory.  Any other ``g`` is
-    factored in a C-order copy and left untouched.  The factor is C-ordered:
-    the per-replica ``L @ z`` of the dense routes keeps its bits only on a
-    C-order factor.  It has the bits of ``np.linalg.cholesky(g + eps*I)``.
-    A non-finite diagonal raises ValueError before ``g`` is written.
+    ``g`` must be square and symmetric with a finite diagonal (ValueError).
+    It is factored in a private copy and never written.  The factor is
+    ``np.linalg.cholesky``'s of g with eps added on its diagonal, C-ordered:
+    the dense routes' per-replica ``L @ z`` keeps its bits only in C order.
     """
     g = np.asarray(g, dtype=float)
     if g.ndim != 2 or g.shape[0] != g.shape[1]:
         raise ValueError("gram matrix must be square")
     if not _is_symmetric(g):
         raise ValueError("gram matrix must be symmetric")
-    # A symmetric g equals g.T, which is C-contiguous where g is F-contiguous.
-    a = np.require(g.T if g.flags.f_contiguous else g, requirements=["C", "A", "W"])
-    diag = a.diagonal().copy()
-    if not np.all(np.isfinite(diag)):
-        raise ValueError("gram matrix diagonal must be finite")
-    max_diag = float(np.max(diag)) if diag.size else 0.0
-    factor = _dpotrf_lower if _dpotrf() else _gufunc_lower
-    for rung, level in enumerate(JITTER_LADDER):
-        eps = level * max_diag
-        if rung:
-            _restore_jittered(a, diag, eps)
-        if factor(a):
-            _lower_from_upper(a)
-            return FactorResult(lower=a, jitter=eps)
-    raise FactorizationFailure(
-        f"cholesky failed at all jitter levels {JITTER_LADDER}"
-    )
+    n = g.shape[0]
+    return FactorResult(*_ladder(np.array(g, order="C"), np.arange(n) * (n + 1),
+                                 _finite_diagonal, np.linalg.cholesky))
 
 
 def _refuse_underflow(route: str, grid: TimeGrid, variances: np.ndarray) -> None:
@@ -446,9 +374,11 @@ def _rfp_shape(n: int) -> tuple[int, int, int]:
 @cache
 def _rfp() -> tuple[Callable, Callable, Callable] | None:
     """LAPACK's ``dpftrf`` and BLAS's ``dtrmv`` and ``dgemv`` in numpy's own
-    BLAS, looked up as ``_dpotrf`` looks up its routine, or None where that
-    library lacks any of them.  Every argument is passed as a ctypes object:
-    a byte string for a character, a pointer for anything else."""
+    BLAS as ``scipy_dpftrf_64_`` and so on (64-bit integers), looked up on
+    first use through the handle of numpy's linalg extension, or None where
+    that library lacks any of them (numpy 1.x wheels, Accelerate or MKL
+    builds).  Every argument is passed as a ctypes object: a byte string for
+    a character, a pointer for anything else."""
     try:
         lib = ctypes.CDLL(_umath_linalg.__file__)
         fns = (lib.scipy_dpftrf_64_, lib.scipy_dtrmv_64_, lib.scipy_dgemv_64_)
@@ -486,69 +416,77 @@ def _rfp_gram(n: int, n_work: int, fill_block: Callable, rfp: np.ndarray | None 
     return rfp
 
 
-def _rfp_factor(spec: ProcessSpec, grid: TimeGrid) -> tuple[np.ndarray, float]:
-    """The exact route's factor in RFP storage, made in place by ``dpftrf``,
-    and its jitter eps: L L^T = G + eps*I, G the process Gram with
-    ``gram_matrix``'s bits.
-
-    eps climbs ``JITTER_LADDER`` times G's largest diagonal value, as in
-    ``psd_factor``.  A failed ``dpftrf`` has overwritten R, so each further
-    rung builds G into R again and adds eps on its diagonal cells.
-    """
-    n, n_work, fill_block = _gram_fill(spec, grid)
+def _rfp_factor(n: int, n_work: int, fill_block: Callable,
+                check: Callable[[np.ndarray], None]) -> tuple[np.ndarray, float]:
+    """``_ladder``'s factor of the Gram G that ``_rfp_gram`` builds from
+    ``_gram_fill``'s or ``_fbm_fill``'s triple, made in RFP storage by
+    ``dpftrf``, and its jitter.  A failed ``dpftrf`` has overwritten R, so
+    each further rung builds G into R again."""
     k, e, w = _rfp_shape(n)
-    rfp = _rfp_gram(n, n_work, fill_block)
-    flat = rfp.reshape(-1)
     # G[j, j] is R[j, j + 1 - e] for j < k and R[j - k + e, j - k] beyond.
     cells = np.concatenate([np.arange(k) * (w + 1) + 1 - e, np.arange(n - k) * (w + 1) + e * w])
-    diag = flat[cells]
-    _refuse_underflow("exact", grid, diag)
-    max_diag = float(np.max(diag))
-    for rung, level in enumerate(JITTER_LADDER):
-        eps = level * max_diag
-        if rung:
-            _rfp_gram(n, n_work, fill_block, rfp)
-            flat[cells] = diag + eps
-        info = ctypes.c_int64(0)
+    info = ctypes.c_int64(0)
+
+    def dpftrf(rfp: np.ndarray) -> np.ndarray:
         _rfp()[0](b"N", b"L", ctypes.byref(ctypes.c_int64(n)), ctypes.c_void_p(rfp.ctypes.data),
                   ctypes.byref(info))
-        if info.value == 0:
-            return rfp, eps
-    raise FactorizationFailure(
-        f"cholesky failed at all jitter levels {JITTER_LADDER}"
-    )
+        if info.value:
+            raise np.linalg.LinAlgError("matrix is not positive definite")
+        return rfp
+
+    return _ladder(_rfp_gram(n, n_work, fill_block), cells, check, dpftrf,
+                   partial(_rfp_gram, n, n_work, fill_block))
 
 
-def _rfp_rows(rfp: np.ndarray, n: int) -> Callable[[np.ndarray, np.ndarray], None]:
-    """A row filler for ``_rfp_factor``'s L, with no buffer of its own:
-    ``fill(keys, out)`` draws the normal stream z of each row's
-    ``stream_keys`` row straight into that row of ``out``, whose rows are
-    C-contiguous, and overwrites it with L z in place.  With z1 and z2 its
-    first k and last n - k values: z2 <- L22 z2, then z2 += L21 z1, which
-    reads z1 before z1 <- L11 z1."""
+def _rfp_rows(rfp: np.ndarray, n: int, fold: bool) -> Callable[[np.ndarray, np.ndarray], None]:
+    """A row filler for ``_rfp_factor``'s L: ``fill(keys, out)`` overwrites the
+    normal stream z of each row's ``stream_keys`` row with L z in place, z1
+    and z2 its first k and last n - k values: z2 <- L22 z2, then
+    z2 += L21 z1, which reads z1 before z1 <- L11 z1.  The exact route draws
+    z into its C-contiguous row of ``out``; the fbm route (``fold``) into one
+    worker buffer, and ``_fold``s L z, W on the symmetric grid, into the row."""
     _, trmv, gemv = _rfp()
     k, e, w = _rfp_shape(n)
     n1, n2, lda, inc = (ctypes.byref(ctypes.c_int64(v)) for v in (k, n - k, w, 1))
     one = ctypes.byref(ctypes.c_double(1.0))
+    # Pointers from ``data_as`` keep the factor alive as long as the filler.
+    l22, l21, l11 = (rfp.reshape(-1)[at:].ctypes.data_as(ctypes.c_void_p)
+                     for at in (e * w, k + 1 - e, 1 - e))
+    z1, z2 = ctypes.c_void_p(), ctypes.c_void_p()
+
+    def times_factor(at: int) -> None:
+        """Overwrite the n doubles at address ``at`` with L times them."""
+        z1.value, z2.value = at, at + 8 * k
+        trmv(b"U", b"T", b"N", n2, l22, lda, z2, inc)
+        gemv(b"N", n2, n1, one, l21, lda, z1, inc, one, z2, inc)
+        trmv(b"L", b"N", b"N", n1, l11, lda, z1, inc)
+
+    if fold:
+        m, buf = n // 2, np.empty(n)
+        at, neg, pos = buf.ctypes.data, buf[m - 1::-1], buf[m:]
+
+        def fill(keys: np.ndarray, out: np.ndarray) -> None:
+            for key, body in zip(keys, out):
+                normal_stream(key, n, out=buf)
+                times_factor(at)
+                _fold(neg, pos, body)
+
+        return fill
 
     def fill(keys: np.ndarray, out: np.ndarray) -> None:
-        l22, l21, l11 = (ctypes.c_void_p(rfp.ctypes.data + 8 * at)
-                         for at in (e * w, k + 1 - e, 1 - e))
         row, step = out.ctypes.data, out.strides[0]
-        z1, z2 = ctypes.c_void_p(), ctypes.c_void_p()
         for key, body in zip(keys, out):
             normal_stream(key, n, out=body)
-            z1.value, z2.value = row, row + 8 * k
-            trmv(b"U", b"T", b"N", n2, l22, lda, z2, inc)
-            gemv(b"N", n2, n1, one, l21, lda, z1, inc, one, z2, inc)
-            trmv(b"L", b"N", b"N", n1, l11, lda, z1, inc)
+            times_factor(row)
             row += step
 
     return fill
 
 
-def _fbm_gram(spec: ProcessSpec, grid: TimeGrid) -> np.ndarray:
-    """Gram of W = sum_i a_i B_i on {-t_k ... -t_1, t_1 ... t_k}."""
+def _fbm_fill(spec: ProcessSpec, grid: TimeGrid) -> tuple[int, int, Callable]:
+    """The size of the Gram of W = sum_i a_i B_i on {-t_k ... -t_1, t_1 ... t_k},
+    and the count of scratch arrays and block filler that ``_symmetric_gram``
+    or ``_rfp_gram`` builds it from."""
     pos = grid.times[1:]
     sym = np.concatenate([-pos[::-1], pos])
     two_hs = [2.0 * h for _, h in spec.active()]
@@ -567,7 +505,7 @@ def _fbm_gram(spec: ProcessSpec, grid: TimeGrid) -> np.ndarray:
             np.multiply(half_w, term, out=term)
             np.add(g, term, out=g)
 
-    return _symmetric_gram(sym.size, 3, fill_block)
+    return sym.size, 3, fill_block
 
 
 def _fold(neg: np.ndarray, pos: np.ndarray, body: np.ndarray) -> None:
@@ -684,17 +622,17 @@ def _route_bytes(route: str, m: int, n_rows: int) -> int:
     ``n_rows`` rows of paths held: the whole ensemble in ``sample_ensemble``,
     one row in a streamed draw (``_Draw``).
 
-    Dense routes factor their Gram in its own memory.  Where ``_rfp``
-    binds, the exact route holds the Gram's one triangle, n(n + 1)/2
-    doubles in RFP storage (``_rfp_factor``).  Otherwise it factors the
-    whole Gram with ``psd_factor``, as the fbm route always does: with
-    LAPACK's ``dpotrf`` bound, that Gram is the only matrix of its size; the
-    gufunc kernel of other platforms also holds LAPACK's working copy and the
-    column-major factor it writes.  The estimate counts those three matrices
-    whichever kernel runs, so a refusal is a pure function of the request;
-    the worker's normals are drawn once those copies are freed, and fit in
-    them.  The circulant route of length N = 4m holds W's half spectrum of
-    N/2 + 1 values and one worker's ``_workspace``.  None of these depends
+    A dense route's Gram is n x n, n = m for exact and 2m for fbm.  The
+    estimate counts three such matrices, what the fallback kernel holds: the
+    Gram, whose diagonal ``_ladder`` jitters in place, and the working copy
+    and factor of ``np.linalg.cholesky`` (at n = 3000 and one BLAS thread,
+    ``cholesky(g)`` raised the peak about 2.1 n^2 doubles over its input and
+    ``cholesky(g + eps*I)`` 3.1 n^2).  The RFP kernel holds n(n + 1)/2
+    doubles, but counting it would make a refusal depend on the platform's
+    BLAS (exact draws up to about 23,000 points, not 9,460, on some
+    platforms only).  The worker's normals fit in the freed copies.  The
+    circulant route of length N = 4m holds W's half spectrum of N/2 + 1
+    values and one worker's ``_workspace``.  None of these depends
     on the number of components.  Each further replica worker holds a
     workspace of its own, and in a streamed draw a row of its own; those
     are not counted here, so a refusal never depends on MSFBM_THREADS:
@@ -756,25 +694,25 @@ def _route_rows(route: str, spec: ProcessSpec, grid: TimeGrid) -> tuple[Callable
     """The route's maker of row fillers and the jitter its factor took.  Each
     call ``new_fill()`` allocates one worker's draw buffers and returns its
     filler ``fill(keys, out)``, which writes a block of replicas' paths at
-    t > 0 into ``out`` from their rows of ``stream_keys``.  The exact route
-    draws from its factor in RFP storage (``_rfp_factor``) where ``_rfp``
-    binds, and from ``psd_factor``'s otherwise.  The fbm route's map is the
-    fold of the factor L of W's Gram, (L[m + k] + L[m - 1 - k]) / sqrt(2),
-    written into L's last m rows."""
+    t > 0 into ``out`` from their rows of ``stream_keys``.  A dense route
+    draws from its Gram's factor in RFP storage (``_rfp_factor``) where
+    ``_rfp`` binds, and otherwise from ``np.linalg.cholesky``'s, the fbm
+    route's map then the fold (L[m + k] + L[m - 1 - k]) / sqrt(2) written
+    into the factor's last m rows."""
     if route == "fgn":
         return partial(_fgn_rows, _fgn_spectrum(spec, grid)), 0.0
-    if route == "exact" and _rfp():
-        rfp, jitter = _rfp_factor(spec, grid)
-        return partial(_rfp_rows, rfp, grid.n_points - 1), jitter
-    gram = gram_matrix(spec, grid) if route == "exact" else _fbm_gram(spec, grid)
-    _refuse_underflow(route, grid, gram.diagonal())
-    factor = psd_factor(gram)
-    mat = factor.lower
+    n, n_work, fill_block = (_gram_fill if route == "exact" else _fbm_fill)(spec, grid)
+    check = partial(_refuse_underflow, route, grid)
+    if _rfp():
+        rfp, jitter = _rfp_factor(n, n_work, fill_block, check)
+        return partial(_rfp_rows, rfp, n, route == "fbm"), jitter
+    mat, jitter = _ladder(_symmetric_gram(n, n_work, fill_block), np.arange(n) * (n + 1), check,
+                          np.linalg.cholesky)
     if route == "fbm":
-        m = mat.shape[0] // 2
+        m = n // 2
         _fold(mat[m - 1::-1], mat[m:], mat[m:])
         mat = mat[m:]
-    return partial(_dense_rows, mat), factor.jitter
+    return partial(_dense_rows, mat), jitter
 
 
 def _replica_runner(fills: list, keys: np.ndarray, out: np.ndarray) -> None:

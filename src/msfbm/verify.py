@@ -203,8 +203,7 @@ def run_sampler_suite(
     eig_min = float(np.linalg.eigvalsh(g).min())
     max_diag = float(np.max(np.diag(g)))
 
-    # psd_factor consumes its argument; g is read again below.
-    factor = psd_factor(g.copy())
+    factor = psd_factor(g)
     fidelity = float(
         np.max(np.abs(factor.lower @ factor.lower.T - (g + factor.jitter * np.eye(g.shape[0]))))
     )

@@ -18,7 +18,7 @@ from msfbm.sampler import (
     _SYM_TILE,
     JITTER_LADDER,
     FactorizationFailure,
-    _fbm_gram,
+    _fbm_fill,
     _fgn_autocov,
     _fgn_draw,
     _fgn_spectrum,
@@ -147,6 +147,11 @@ def _reference_gram(spec, grid):
         g += (a * a) * (pt[:, None] + pt[None, :]
                         - 0.5 * (_p2h_array(ts, two_h) + _p2h_array(td, two_h)))
     return 0.5 * (g + g.T)
+
+
+def _fbm_gram(spec, grid):
+    """The fbm route's blocked Gram of W on the symmetric grid, whole."""
+    return sampler._symmetric_gram(*_fbm_fill(spec, grid))
 
 
 def _reference_fbm_gram(spec, grid):
@@ -316,10 +321,18 @@ class TestPsdFactor:
         assert ens.jitter == msfbm.psd_factor(msfbm.gram_matrix(spec, grid)).jitter
         assert (ens.jitter > 0.0) == needs_jitter
 
-    def test_factor_is_made_in_contiguous_input(self):
+    def test_input_is_left_unchanged(self):
+        # A Gram that factors at jitter 0, and all ones, which fails rung 0 and
+        # factors only on a nonzero rung.
         spec, grid = ProcessSpec([1.0, 0.5], [0.3, 0.8]), TimeGrid.uniform(2 * _SYM_TILE, 2.0)
-        for x in self._layouts(msfbm.gram_matrix(spec, grid))[:2]:
-            assert np.shares_memory(msfbm.psd_factor(x).lower, x)
+        gram, ones = msfbm.gram_matrix(spec, grid), np.ones((2 * _SYM_TILE, 2 * _SYM_TILE))
+        for g in (gram, ones):
+            for x in self._layouts(g):
+                before = x.copy()
+                fr = msfbm.psd_factor(x)
+                assert (fr.jitter > 0.0) == (g is ones)
+                assert not np.shares_memory(fr.lower, x)
+                assert x.tobytes() == before.tobytes()
 
     def test_strided_input_is_left_untouched(self):
         spec, grid = ProcessSpec([1.0, 0.5], [0.3, 0.8]), TimeGrid.uniform(2 * _SYM_TILE, 2.0)
@@ -347,15 +360,6 @@ class TestPsdFactor:
         fr = msfbm.psd_factor(g0.copy())
         assert fr.jitter > 0.0
         assert np.array_equal(fr.lower, np.linalg.cholesky(g0 + fr.jitter * np.eye(n)))
-
-
-class TestPsdFactorGufuncKernel(TestPsdFactor):
-    """Every ``TestPsdFactor`` test with the ``dpotrf`` binding patched away, so
-    the factor is made by the gufunc kernel of platforms that lack it."""
-
-    @pytest.fixture(autouse=True)
-    def _without_dpotrf(self, monkeypatch):
-        monkeypatch.setattr(sampler, "_dpotrf", lambda: None)
 
 
 class TestSampleExact:
@@ -577,9 +581,9 @@ class TestSampleViaFbm:
 
     @pytest.mark.parametrize("route", ("exact", "fbm"))
     def test_dense_peak_within_route_estimate(self, route):
-        # The estimate counts the three matrices of the gufunc kernel, whose
-        # LAPACK working copy is malloc'd outside tracemalloc's view; the
-        # dpotrf kernel factors the Gram in place.
+        # The estimate counts the three matrices of the fallback kernel,
+        # np.linalg.cholesky, whose LAPACK working copy is malloc'd outside
+        # tracemalloc's view; the RFP kernel holds one triangle of the Gram.
         spec = ProcessSpec([1.5, -0.7], [0.3, 0.8])
         times = np.cumsum(np.concatenate([[0.0], np.random.default_rng(5).uniform(0.5, 1.5, 300)]))
         grid = TimeGrid(times)
@@ -592,7 +596,7 @@ class TestSampleViaFbm:
             tracemalloc.stop()
         assert peak <= _route_bytes(route, grid.n_points - 1, 4)
 
-    # Prints how far an exact draw on m points raises a child interpreter's
+    # Prints how far a draw on m points raises a child interpreter's
     # peak RSS.  That is VmHWM, the peak of the process's own address space:
     # ru_maxrss also carries the forking parent's RSS over the exec, so under
     # a large test process it would not move.  A draw on a quarter-size grid
@@ -610,24 +614,27 @@ def grid(m):
     steps = np.random.default_rng(5).uniform(0.5, 1.5, m)
     return msfbm.TimeGrid(np.concatenate([[0.0], np.cumsum(steps)]))
 spec = msfbm.ProcessSpec([1.5, -0.7], [0.3, 0.8])
-msfbm.sample_ensemble(spec, grid({m} // 4), 4, 3, sampler="exact")
+msfbm.sample_ensemble(spec, grid({m} // 4), 4, 3, sampler="{route}")
 before = peak_bytes()
-msfbm.sample_ensemble(spec, grid({m}), 4, 3, sampler="exact")
+msfbm.sample_ensemble(spec, grid({m}), 4, 3, sampler="{route}")
 print(peak_bytes() - before)
 """
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"),
                         reason="VmHWM is read from Linux's /proc/self/status")
     @pytest.mark.skipif(sampler._rfp() is None,
-                        reason="without dpftrf the exact route holds the whole Gram")
-    def test_exact_draw_holds_one_gram(self):
-        # The Gram's one triangle in RFP storage is half a matrix of m x m doubles.
-        m = 1500
-        proc = subprocess.run([sys.executable, "-c", self._RSS_SCRIPT.format(m=m)],
+                        reason="without dpftrf a dense route holds the whole Gram")
+    @pytest.mark.parametrize("route", ("exact", "fbm"))
+    def test_dense_draw_holds_one_gram_triangle(self, route):
+        # The Gram's one triangle in RFP storage is half a matrix of n x n
+        # doubles, n = 1500 on both routes: m for exact, 2m for fbm.
+        n = 1500
+        m = n if route == "exact" else n // 2
+        proc = subprocess.run([sys.executable, "-c", self._RSS_SCRIPT.format(m=m, route=route)],
                               capture_output=True, text=True,
                               env=dict(package_env(), OPENBLAS_NUM_THREADS="1"))
         assert proc.returncode == 0, proc.stderr
-        assert int(proc.stdout) < 0.75 * 8 * m * m
+        assert int(proc.stdout) < 0.75 * 8 * n * n
 
     @pytest.mark.parametrize("length", (4, 512, 4096, 2 ** 17))
     @pytest.mark.parametrize("h", (0.2, 0.5, 0.9))
@@ -897,7 +904,7 @@ class TestRoute:
             _route(grid, 1, "dense")
 
     def test_fbm_route_over_budget_is_refused_before_allocating(self, monkeypatch):
-        monkeypatch.setattr(sampler, "_fbm_gram", _fail_if_called)
+        monkeypatch.setattr(sampler, "_fbm_fill", _fail_if_called)
         grid = TimeGrid.uniform(20_000, 1.0)
         with pytest.raises(ValueError, match="the fbm route .* memory budget"):
             msfbm.sample_ensemble(self.SPEC, grid, 1, 0, sampler="fbm")
@@ -909,8 +916,13 @@ class TestInertComponents:
     LIVE = ProcessSpec([1.0], [0.5])
     PADDED = ProcessSpec([1.0, 0.0], [0.5, 0.99])
 
-    @pytest.mark.parametrize("route,builder", [("fbm", "_fbm_gram"), ("fgn", "_fgn_spectrum")])
-    def test_padded_spec_draws_the_live_spec(self, monkeypatch, route, builder):
+    # The fbm builder returns the Gram's size, scratch count and block filler;
+    # what it builds is the Gram they make.
+    @pytest.mark.parametrize("route,builder,built_array", [
+        ("fbm", "_fbm_fill", lambda fill: sampler._symmetric_gram(*fill)),
+        ("fgn", "_fgn_spectrum", np.asarray),
+    ], ids=["fbm-_fbm_fill", "fgn-_fgn_spectrum"])
+    def test_padded_spec_draws_the_live_spec(self, monkeypatch, route, builder, built_array):
         grid = TimeGrid.uniform(65, 1.0)
         live = msfbm.sample_ensemble(self.LIVE, grid, 5, 11, sampler=route)
         built = []
@@ -918,12 +930,12 @@ class TestInertComponents:
 
         def counted(spec, grid):
             out = original(spec, grid)
-            built.append(np.asarray(out).tobytes())
+            built.append(built_array(out).tobytes())
             return out
 
         monkeypatch.setattr(sampler, builder, counted)
         padded = msfbm.sample_ensemble(self.PADDED, grid, 5, 11, sampler=route)
-        assert built == [np.asarray(original(self.LIVE, grid)).tobytes()]
+        assert built == [built_array(original(self.LIVE, grid)).tobytes()]
         assert padded.values.tobytes() == live.values.tobytes()
         assert padded.jitter == live.jitter
 
@@ -1022,7 +1034,7 @@ def _rfp_reference(g):
 @pytest.mark.skipif(sampler._rfp() is None,
                     reason="numpy's BLAS does not export dpftrf, dtrmv and dgemv")
 class TestRfpFactor:
-    """The exact route's Gram, factor and draw in rectangular full packed storage."""
+    """The dense routes' Gram, factor and draw in rectangular full packed storage."""
 
     @pytest.mark.parametrize("n", (1, 2, 7, 8, 31, 32, 33, 64, 65, 301))
     @pytest.mark.parametrize("n_components", (1, 2, 3))
@@ -1035,10 +1047,12 @@ class TestRfpFactor:
                  else np.concatenate([[0.0], np.cumsum(rng.uniform(0.5, 1.5, n))]))
         grid = TimeGrid(times)
         assert grid.is_uniform() == uniform or n == 1  # two points are always uniform
-        ref, writes = _rfp_reference(gram_matrix(spec, grid))
-        assert np.all(writes == 1)
-        got = sampler._rfp_gram(*sampler._gram_fill(spec, grid))
-        assert got.tobytes() == ref.tobytes()
+        # The process Gram, and the fbm route's Gram of W on the symmetric grid.
+        for fill, gram in ((sampler._gram_fill, gram_matrix), (_fbm_fill, _fbm_gram)):
+            ref, writes = _rfp_reference(gram(spec, grid))
+            assert np.all(writes == 1)
+            got = sampler._rfp_gram(*fill(spec, grid))
+            assert got.tobytes() == ref.tobytes()
 
     def test_failed_rung_is_refilled_and_jittered_as_psd_factor(self, monkeypatch):
         # test_near_singular_dense_grid's coincident pair: dpftrf fails at
@@ -1056,7 +1070,7 @@ class TestRfpFactor:
         a = _linear_map(monkeypatch, "exact", spec, grid)
         assert np.max(np.abs(a @ a.T - g)) <= 1e-12 * np.max(np.abs(g))
 
-    def test_indefinite_gram_fails_on_every_rung(self, monkeypatch):
+    def test_indefinite_gram_fails_on_every_rung(self):
         bad = np.array([[1.0, 2.0], [2.0, 1.0]])
         builds = []
 
@@ -1064,17 +1078,16 @@ class TestRfpFactor:
             builds.append(lo)
             dest[...] = bad[lo:hi, lo:]
 
-        monkeypatch.setattr(sampler, "_gram_fill", lambda spec, grid: (2, 0, fill_block))
         with pytest.raises(FactorizationFailure, match="all jitter levels"):
-            sampler._rfp_factor(ProcessSpec([1.0], [0.5]), TimeGrid.uniform(3, 1.0))
+            sampler._rfp_factor(2, 0, fill_block, lambda diag: None)
         # Two blocks of one row, built again on every rung.
         assert builds == [1, 0] * len(JITTER_LADDER)
 
 
 class _WithoutRfp:
-    """Runs its class's tests with the RFP binding patched away, so the exact
-    route takes the ``gram_matrix``, ``psd_factor`` and ``_dense_rows`` path
-    of platforms whose BLAS lacks it."""
+    """Runs its class's tests with the RFP binding patched away, so the dense
+    routes take the whole Gram, ``np.linalg.cholesky`` and ``_dense_rows``
+    path of platforms whose BLAS lacks it."""
 
     @pytest.fixture(autouse=True)
     def _without_rfp(self, monkeypatch):
@@ -1127,7 +1140,7 @@ for n_points in (65, 301):
             scale = np.max(np.abs(one[key]))
             assert np.max(np.abs(one[key] - two[key])) <= 1e-12 * scale, key
         # On a 2-vCPU Xeon (OpenBLAS core SkylakeX) exact bytes first differed
-        # at 100 points, fbm's at 68 (README, "Determinism").
+        # at 100 points, fbm's at 52 (README, "Determinism").
         assert one[65, "exact"].tobytes() == two[65, "exact"].tobytes()
 
 
