@@ -1,20 +1,21 @@
-"""verify's identity suites: draw order, report skeleton, and numerical failures."""
+"""verify's suites: the law of their random cases, report skeleton, and numerical failures."""
 
 import json
+import math
 import subprocess
 import sys
 import textwrap
+from statistics import NormalDist
 
 import numpy as np
 import pytest
 
-from msfbm import IncrementWindow, ProcessSpec, cli, verify
-from msfbm.seeds import derive_seed
+from msfbm import IncrementWindow, ProcessSpec, cli, kernels, verify
 
 from conftest import package_env
 
-# (suite, [(check, tolerance, target, passed)]) of `msfbm verify` at seeds 0, 5 and 123,
-# as reported when every identity draw was evaluated one scalar call at a time.
+# (suite, [(check, tolerance, target, passed)]) of `msfbm verify` at seeds 0, 5 and 123.
+# The srd target is the fitted slope of H = 0.75's asymptotic term, 2H - 3 to rounding.
 REPORT_SKELETON = [
     ("kernels", [
         ("bilinear_expansion_identity", 1e-12, 0.0, True),
@@ -38,7 +39,8 @@ REPORT_SKELETON = [
         ("paths_start_at_zero", 1.0, 1.0, True),
     ]),
     ("srd", [
-        ("tail_loglog_slope", 0.1, -1.5, True),
+        ("tail_loglog_slope", 0.1, -1.4999999999999996, True),
+        ("tail_matches_asymptotic", 0.01, 0.0, True),
         ("partial_sums_cauchy", 0.04743416490252569, 0.0, True),
     ]),
     ("markov", [
@@ -59,6 +61,8 @@ IDENTITY_CHECKS = {
 }
 
 
+# The law of verify's random cases, drawn one ProcessSpec and window at a time: the
+# oracle that its array drawers verify._draw_specs and verify._draw_windows must match.
 def reference_spec(rng):
     n = int(rng.integers(1, 5))
     coeffs = rng.uniform(-10.0, 10.0, n)
@@ -76,43 +80,98 @@ def reference_window(rng):
             return IncrementWindow(*pts)
 
 
-def reference_kernel_draws(rng, n_draws):
-    """The kernels suite's identity draws, made one ProcessSpec and window at a time."""
-    out = []
-    for _ in range(n_draws):
-        spec = reference_spec(rng)
-        w = reference_window(rng)
-        s, t = sorted(rng.uniform(0.0, 10.0, 2))
-        out.append((spec, (w.u, w.v, w.s, w.t, s, t, rng.uniform(0.1, 4.0))))
-    return out
+# Each statistic of a drawer with the reference law leaves its gate with probability
+# _TAIL (two-sided, normal approximation of a two-sample z statistic at 10^4 draws).
+_TAIL = 1e-6
+_Z = NormalDist().inv_cdf(1.0 - _TAIL / 2.0)  # 4.89
+_N_LAW = 10 ** 4
+# (h_lo, h_hi, a_max) of every spec law the kernels and selfsim suites draw from.
+_SPEC_LAWS = [(0.05, 0.95, 10.0), (0.51, 0.95, 10.0), (0.05, 0.49, 10.0), (0.05, 0.95, 3.0)]
 
 
-def reference_selfsim_draws(rng, n_draws):
-    out = []
-    for _ in range(n_draws):
-        spec = reference_spec(rng)
-        factor = rng.uniform(0.05, 8.0)
-        s, t = np.sort(rng.uniform(0.0, 10.0, 2))
-        out.append((spec, (factor, s, t)))
-    return out
+def _statistics(coeffs, hurst, counts, windows):
+    """Samples, by name, whose means a draw law fixes."""
+    live = np.arange(verify._PAD) < counts[:, None]
+    a, h = coeffs[live], hurst[live]
+    u, v, s, t = windows.T
+    return {**{f"share of count {k}": counts == k for k in range(1, verify._PAD + 1)},
+            "a": a, "a^2": a * a, "H": h, "H^2": h * h,
+            "u": u, "v - u": v - u, "s - v": s - v, "t - s": t - s, "share of s = v": s == v}
 
 
-@pytest.mark.parametrize("row,reference,stream", [
-    (verify._kernel_row, reference_kernel_draws, 101),
-    (verify._selfsim_row, reference_selfsim_draws, 401),
-])
+def _reference_draws(rng, n):
+    specs = [reference_spec(rng) for _ in range(n)]
+    coeffs, hurst = np.zeros((n, verify._PAD)), np.full((n, verify._PAD), 0.5)
+    for i, spec in enumerate(specs):
+        coeffs[i, :spec.n], hurst[i, :spec.n] = spec.coeffs, spec.hurst
+    counts = np.array([spec.n for spec in specs])
+    windows = np.array([[w.u, w.v, w.s, w.t] for w in (reference_window(rng) for _ in range(n))])
+    return coeffs, hurst, counts, windows
+
+
+def assert_drawers_keep_the_law(draw_specs, draw_windows, seed):
+    """Invariants of every spec law, then agreement with the reference drawers."""
+    for h_lo, h_hi, a_max in _SPEC_LAWS:
+        coeffs, hurst, counts = draw_specs(np.random.default_rng(seed), 2000, h_lo, h_hi, a_max)
+        live = np.arange(verify._PAD) < counts[:, None]
+        assert counts.min() >= 1 and counts.max() <= verify._PAD, "counts"
+        assert np.all(coeffs[~live] == 0.0) and np.all(hurst[~live] == 0.5), "padding"
+        assert np.all(np.abs(coeffs[live]) <= a_max), "coefficient range"
+        assert np.all((h_lo <= hurst[live]) & (hurst[live] < h_hi)), "H range"
+        assert np.all(coeffs.any(axis=1)), "all-zero row"
+    windows = draw_windows(np.random.default_rng(seed), 2000)
+    for row in windows:
+        IncrementWindow(*row)
+    assert np.all(np.diff(windows, axis=1) >= 0.0), "sorted windows"
+
+    rng = np.random.default_rng(seed)
+    bulk = _statistics(*draw_specs(rng, _N_LAW), draw_windows(rng, _N_LAW))
+    ref = _statistics(*_reference_draws(np.random.default_rng(seed + 1), _N_LAW))
+    off = []
+    for name, x in bulk.items():
+        x, y = np.asarray(x, dtype=float), np.asarray(ref[name], dtype=float)
+        se = math.sqrt(x.var(ddof=1) / x.size + y.var(ddof=1) / y.size)
+        if not abs(x.mean() - y.mean()) <= _Z * se:
+            off.append(f"{name}: {x.mean()} against {y.mean()}")
+    assert off == [], "; ".join(off)
+
+
 @pytest.mark.parametrize("seed", [0, 5, 123])
-def test_draw_phase_keeps_generator_state_and_values(row, reference, stream, seed):
-    rng = np.random.default_rng(derive_seed(seed, stream))
-    mix, cols = verify._draws(rng, 2000, row)
-    ref_rng = np.random.default_rng(derive_seed(seed, stream))
-    ref = reference(ref_rng, 2000)
-    assert rng.bit_generator.state == ref_rng.bit_generator.state
-    for i, (spec, values) in enumerate(ref):
-        assert mix.coeffs[i, :spec.n].tolist() == list(spec.coeffs)
-        assert mix.hurst[i, :spec.n].tolist() == list(spec.hurst)
-        assert np.all(mix.coeffs[i, spec.n:] == 0.0) and np.all(mix.hurst[i, spec.n:] == 0.5)
-        assert [float(c[i, 0]) for c in cols] == [float(v) for v in values]
+def test_array_draws_keep_the_reference_law(seed):
+    assert_drawers_keep_the_law(verify._draw_specs, verify._draw_windows, seed)
+
+
+def test_an_all_zero_row_gets_weight_one():
+    coeffs, _, _ = verify._draw_specs(np.random.default_rng(0), 100, a_max=0.0)
+    assert np.all(coeffs[:, 0] == 1.0) and np.all(coeffs[:, 1:] == 0.0)
+
+
+def _unmasked_specs(rng, n, h_lo=0.05, h_hi=0.95, a_max=10.0):
+    counts = rng.integers(1, verify._PAD + 1, n)
+    return (rng.uniform(-a_max, a_max, (n, verify._PAD)),
+            rng.uniform(h_lo, h_hi, (n, verify._PAD)), counts)
+
+
+def _half_tied_windows(rng, n, tmax=10.0):
+    pts = np.sort(rng.uniform(0.0, tmax, (n, 4)), axis=1)
+    at_v = rng.random(n) < 0.5
+    pts[at_v, 2] = pts[at_v, 1]
+    return pts
+
+
+@pytest.mark.parametrize("draw_specs,draw_windows,fault", [
+    (_unmasked_specs, verify._draw_windows, "padding"),
+    (verify._draw_specs, _half_tied_windows, "share of s = v"),
+])
+def test_law_check_fails_a_broken_drawer(draw_specs, draw_windows, fault):
+    with pytest.raises(AssertionError, match=fault):
+        assert_drawers_keep_the_law(draw_specs, draw_windows, 0)
+
+
+def test_identity_suites_pass_at_seeds_0_to_39():
+    failed = [s for s in range(40)
+              if not verify.run_suites(("kernels", "selfsim"), seed=s)["all_passed"]]
+    assert failed == []
 
 
 @pytest.mark.parametrize("seed", [0, 5, 123])
@@ -145,6 +204,26 @@ def test_lag_window_form_disagreement_fails_its_check():
     (suite,) = json.loads(cp.stdout)["suites"]
     passed = {c["name"]: c["passed"] for c in suite["checks"]}
     assert passed["lag_closed_vs_window"] is False
+
+
+# Specs where a component other than the largest H != 1/2 still shapes the tail at
+# lags 1e3..1e5, so 2H* - 3 is not the slope there; the last one's lesser H has the
+# larger weight.
+@pytest.mark.parametrize("argv", [
+    ["--hurst", "0.7,0.55", "--coeffs", "0.1,1"],
+    ["--hurst", "0.3,0.49", "--coeffs", "1,0.1"],
+    ["--hurst", "0.01,0.18724409285650429", "--coeffs", "2.0,0.18724409285650429"],
+], ids=" ".join)
+def test_srd_suite_passes_where_a_lesser_term_shapes_the_tail(argv, tmp_path):
+    out = tmp_path / "verify.json"
+    assert cli.main(["verify", "--suite", "srd", *argv, "--out", str(out)]) == cli.EXIT_OK
+
+
+def test_srd_tail_off_its_asymptotic_sum_fails_its_check(monkeypatch):
+    honest = kernels.lag_cov_series
+    monkeypatch.setattr(kernels, "lag_cov_series", lambda *args: 1.02 * honest(*args))
+    passed = {c["name"]: c["passed"] for c in verify.run_srd_suite()["checks"]}
+    assert passed["tail_matches_asymptotic"] is False and passed["tail_loglog_slope"]
 
 
 def test_underflowing_lag_covariances_are_a_numerical_failure():
