@@ -1,4 +1,5 @@
-"""verify's suites: the law of their random cases, report skeleton, and numerical failures."""
+"""verify's suites: the law and draw order of their random cases, report skeleton, and
+numerical failures."""
 
 import json
 import math
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 from msfbm import IncrementWindow, ProcessSpec, cli, kernels, verify
+from msfbm.seeds import derive_seed
 
 from conftest import package_env
 
@@ -166,6 +168,107 @@ def _half_tied_windows(rng, n, tmax=10.0):
 def test_law_check_fails_a_broken_drawer(draw_specs, draw_windows, fault):
     with pytest.raises(AssertionError, match=fault):
         assert_drawers_keep_the_law(draw_specs, draw_windows, 0)
+
+
+class _DrawSpy:
+    """Records, while a suite runs, the Generator it draws specs from, its first window
+    batch, and the spec arrays and (factor, s, t) of its first rescaling, with the
+    Generator's state at that rescaling: the end of the kernels and selfsim suites'
+    identity draws."""
+
+    def __init__(self, monkeypatch):
+        self.rng = self.windows = self.rescaling = None
+        draw_specs, draw_windows = verify._draw_specs, verify._draw_windows
+        mixtures = verify._Mixtures
+        spy = self
+
+        def specs(rng, *args, **kwargs):
+            spy.rng = spy.rng or rng
+            return draw_specs(rng, *args, **kwargs)
+
+        def windows(rng, *args, **kwargs):
+            out = draw_windows(rng, *args, **kwargs)
+            spy.windows = out.copy() if spy.windows is None else spy.windows
+            return out
+
+        class Mixtures(mixtures):
+            def rescaling_dev(self, factor, s, t):
+                if spy.rescaling is None:
+                    spy.rescaling = tuple(np.ravel(x).copy() for x in (factor, s, t))
+                    spy.coeffs, spy.hurst = self.coeffs.copy(), self.hurst.copy()
+                    spy.state = spy.rng.bit_generator.state
+                return super().rescaling_dev(factor, s, t)
+
+        monkeypatch.setattr(verify, "_draw_specs", specs)
+        monkeypatch.setattr(verify, "_draw_windows", windows)
+        monkeypatch.setattr(verify, "_Mixtures", Mixtures)
+
+
+def _kernel_row(spy, seed):
+    """The kernels suite's case columns past its specs: window, (s, t), rescaling factor."""
+    verify.run_kernels_suite(seed=seed)
+    factor, s, t = spy.rescaling
+    return (*spy.windows.T, s, t, factor)
+
+
+def _selfsim_row(spy, seed):
+    verify.run_selfsim_suite(seed=seed)
+    return spy.rescaling
+
+
+# The suites' identity draws replayed as raw Generator calls in the order the array
+# drawers make them, with the padding, the all-zero fix, the tie redraws and s = v set
+# row by row.
+def _replayed_specs(rng, n):
+    counts = rng.integers(1, 5, n)
+    a, h = rng.uniform(-10.0, 10.0, (n, 4)), rng.uniform(0.05, 0.95, (n, 4))
+    coeffs, hurst = np.zeros((n, 4)), np.full((n, 4), 0.5)
+    for i, k in enumerate(counts):
+        coeffs[i, :k], hurst[i, :k] = a[i, :k], h[i, :k]
+        if not coeffs[i].any():
+            coeffs[i, 0] = 1.0
+    return coeffs, hurst
+
+
+def _replayed_windows(rng, n):
+    pts = np.sort(rng.uniform(0.0, 10.0, (n, 4)), axis=1)
+    while tied := [i for i, p in enumerate(pts) if not (p[0] < p[1] and p[2] < p[3])]:
+        pts[tied] = np.sort(rng.uniform(0.0, 10.0, (len(tied), 4)), axis=1)
+    for i, at_v in enumerate(rng.random(n) < 0.2):
+        if at_v:
+            pts[i, 2] = pts[i, 1]
+    return pts
+
+
+def reference_kernel_draws(rng, n_draws):
+    coeffs, hurst = _replayed_specs(rng, n_draws)
+    u, v, ws, wt = _replayed_windows(rng, n_draws).T
+    s, t = np.sort(rng.uniform(0.0, 10.0, (n_draws, 2)), axis=1).T
+    return coeffs, hurst, (u, v, ws, wt, s, t, rng.uniform(0.1, 4.0, n_draws))
+
+
+def reference_selfsim_draws(rng, n_draws):
+    coeffs, hurst = _replayed_specs(rng, n_draws)
+    factor = rng.uniform(0.05, 8.0, n_draws)
+    s, t = np.sort(rng.uniform(0.0, 10.0, (n_draws, 2)), axis=1).T
+    return coeffs, hurst, (factor, s, t)
+
+
+@pytest.mark.parametrize("row,reference,stream", [
+    (_kernel_row, reference_kernel_draws, 101),
+    (_selfsim_row, reference_selfsim_draws, 401),
+])
+@pytest.mark.parametrize("seed", [0, 5, 123])
+def test_draw_phase_keeps_generator_state_and_values(row, reference, stream, seed, monkeypatch):
+    spy = _DrawSpy(monkeypatch)
+    cols = row(spy, seed)
+    ref_rng = np.random.default_rng(derive_seed(seed, stream))
+    coeffs, hurst, ref_cols = reference(ref_rng, 2000)
+    assert spy.state == ref_rng.bit_generator.state
+    assert np.array_equal(spy.coeffs, coeffs) and np.array_equal(spy.hurst, hurst)
+    assert len(cols) == len(ref_cols)
+    for col, ref_col in zip(cols, ref_cols):
+        assert np.array_equal(col, ref_col)
 
 
 def test_identity_suites_pass_at_seeds_0_to_39():
