@@ -154,11 +154,12 @@ def test_every_flag_and_config_value_ends_in_an_answer_or_one_line(
     assert rc in (cli.EXIT_OK, cli.EXIT_VERIFY_FAILED, cli.EXIT_VALIDATION,
                   cli.EXIT_NUMERICAL), (rc, err)
     if rc in (cli.EXIT_OK, cli.EXIT_VERIFY_FAILED):
-        # Exit 1 is verify's verdict, with its report.  A drawn spec can fail the
-        # Markov suite's proof triple when the departure from H = 1/2 has a small
-        # weight (--hurst 0.5,0.51 --coeffs 1,0.001); the srd suite passes every
-        # valid spec.
-        assert err == "" and (rc == cli.EXIT_OK or argv[-1] == "--suite=markov")
+        # Exit 1 is verify's verdict, with its report.  Drawn specs can fail a
+        # check: the Markov suite's proof triple when the departure from H = 1/2
+        # has a small weight (--hurst 0.5,0.51 --coeffs 1,0.001), and the srd
+        # suite's slope when H lies within about 1e-7 of 1/2, where rounding
+        # swamps the lag covariances at lag 1e5 (--hurst 0.5000001).
+        assert err == "" and (rc == cli.EXIT_OK or command == "verify")
     else:
         assert out == ""
         lines = err.splitlines()
