@@ -266,8 +266,9 @@ def lag_cov_c(spec: ProcessSpec, x: float, n: int) -> float:
     return increment_cov(spec, _lag_window(x, n))
 
 
-def _second_diff(m, two_h: float):
-    """The second difference (m+1)^2h - 2 m^2h + (m-1)^2h for m >= 1, as
+def _second_diff(m, two_h):
+    """The second difference (m+1)^2h - 2 m^2h + (m-1)^2h for m >= 1 (2h a
+    float, or a column of them that broadcasts against m), as
     m^2h * ((1+1/m)^2h + (1-1/m)^2h - 2) expanded through expm1/log1p;
     exact at m = 1.  The two expm1 terms, each about +-2h/m, cancel to
     2h(2h-1)/m^2, so the relative error grows like eps * m / |2h - 1|."""
@@ -277,11 +278,19 @@ def _second_diff(m, two_h: float):
     return _p2h_array(m, two_h) * bracket
 
 
+# Lags per pass of ``lag_cov_series``: its (components, 2 * block) float
+# temporaries hold at most 256 KiB each, whatever the number of lags.
+_LAG_BLOCK = 4096
+
+
 def lag_cov_series(spec: ProcessSpec, p: int, ns: Sequence[int]) -> np.ndarray:
     """C(p, n) over many integer lags, evaluated for large-lag tails.
 
     Writes C(p, n) = (D(n) - D(n + 2p + 1)) / 2 with D the second
-    difference ``_second_diff``.  The two D cancel by a further factor of
+    difference ``_second_diff``, evaluated in one pass for every active
+    component (a row each) at n and n + 2p + 1, then summed component by
+    component; lags go ``_LAG_BLOCK`` at a time, so the temporaries stay
+    small however many there are.  The two D cancel by a further factor of
     about n / (2p + 1), so at p = 0 the relative error grows like eps * n^2:
     1e-8 to 2e-7 at n = 1e4 and up to 7e-5 at n = 1e5 (README, "Numerical
     notes"); the raw eight-term sum would have lost every digit there.
@@ -294,12 +303,16 @@ def lag_cov_series(spec: ProcessSpec, p: int, ns: Sequence[int]) -> np.ndarray:
     if ns.size and ns.min() < 1:
         raise ValueError("lag n must be >= 1 (n = 0 overlaps the base window)")
 
-    out = np.zeros_like(ns)
-    far = ns + (2 * p + 1)
+    out = np.zeros(ns.shape)
+    active = spec.active()
+    two_h = np.array([[2.0 * h] for _, h in active])
+    lags, sums = ns.ravel(), out.reshape(-1)
     with np.errstate(over="ignore", invalid="ignore"):
-        for a, h in spec.active():
-            two_h = 2.0 * h
-            out += (a * a / 2.0) * (_second_diff(ns, two_h) - _second_diff(far, two_h))
+        for lo in range(0, lags.size, _LAG_BLOCK):
+            block = lags[lo:lo + _LAG_BLOCK]
+            near_far = _second_diff(np.concatenate([block, block + (2 * p + 1)]), two_h)
+            for (a, _), (near, far) in zip(active, near_far.reshape(len(active), 2, -1)):
+                sums[lo:lo + _LAG_BLOCK] += (a * a / 2.0) * (near - far)
     if not np.all(np.isfinite(out)):
         raise ArithmeticError(f"lag_cov_series(p = {p}) holds values that are not finite doubles")
     return out

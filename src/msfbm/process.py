@@ -16,7 +16,7 @@ HURST_RANGE_MSG = "hurst out of open interval (0,1)"
 
 
 def _as_floats(values: Iterable[float]) -> tuple[float, ...]:
-    return tuple(float(v) for v in values)
+    return tuple([float(v) for v in values])
 
 
 @dataclass(frozen=True)

@@ -3,11 +3,12 @@ tests/golden.json records for this numpy, at one replica thread and at four."""
 
 import importlib.util
 import json
+import threading
 from pathlib import Path
 
 import pytest
 
-from msfbm import sampler
+from msfbm import sampler, seeds
 
 _SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "golden.py"
 _spec = importlib.util.spec_from_file_location("golden", _SCRIPT)
@@ -62,3 +63,19 @@ def test_exact_route_without_rfp_prints_the_dense_factor_bytes(threads, monkeypa
     monkeypatch.setattr(sampler, "_rfp", lambda: None)
     got = golden.digest(golden.COMMANDS["simulate-exact-csv"], threads)
     assert got == {"exit": 0, "stdout_sha256": _WITHOUT_RFP[golden.numpy_key()], "stderr": ""}
+
+
+@pytest.mark.parametrize("threads", ("1", "4"))
+@pytest.mark.parametrize("name", ("verify-seed0", "simulate-fbm-csv"))
+def test_streams_through_the_state_setter_print_the_same_bytes(name, threads, recorded,
+                                                                monkeypatch):
+    # Where PCG64 keeps its state in another layout, every thread binds no view
+    # and each draw sets its key through PCG64's public state setter.
+    set_through_setter = []
+    set_state = seeds._set_state
+    monkeypatch.setattr(seeds, "_local", threading.local())
+    monkeypatch.setattr(seeds, "_state_words", lambda bitgen: None)
+    monkeypatch.setattr(seeds, "_set_state",
+                        lambda bitgen, key: set_through_setter.append(1) or set_state(bitgen, key))
+    assert golden.digest(golden.COMMANDS[name], threads) == recorded[name]
+    assert set_through_setter

@@ -434,6 +434,46 @@ class TestLagCovSeries:
                 wv = msfbm.lag_cov_c(spec, float(p), n)
                 assert scaled_close(sv, wv, scale, rtol=1e-9)
 
+    @staticmethod
+    def _per_component(spec, p, ns):
+        """lag_cov_series as one loop over the components, each its own pass."""
+        ns = np.asarray(ns, dtype=float)
+        out = np.zeros_like(ns)
+        far = ns + (2 * p + 1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for a, h in spec.active():
+                two_h = 2.0 * h
+                out += (a * a / 2.0) * (kernels._second_diff(ns, two_h)
+                                        - kernels._second_diff(far, two_h))
+        return out
+
+    def test_bit_equal_to_the_per_component_loop(self):
+        rng = np.random.default_rng(29)
+        for _ in range(3000):
+            k = int(rng.integers(1, 5))
+            coeffs = rng.uniform(-10.0, 10.0, k)
+            coeffs[rng.random(k) < 0.1] = 0.0
+            if not coeffs.any():
+                coeffs[0] = 1.0
+            hurst = rng.uniform(0.01, 0.99, k)
+            hurst[rng.random(k) < 0.2] = 0.5
+            spec = ProcessSpec(coeffs, hurst)
+            p = int(rng.integers(0, 11))
+            size = int(rng.choice([1, rng.integers(2, 40), rng.integers(40, 400)]))
+            ns = np.floor(10.0 ** rng.uniform(0.0, 6.0, size))
+            ns[rng.random(size) < 0.05] = 1e6
+            if size % 2 == 0 and rng.random() < 0.1:
+                ns = ns.reshape(2, -1)
+            got = msfbm.lag_cov_series(spec, p, ns)
+            want = self._per_component(spec, p, ns)
+            assert got.shape == ns.shape
+            assert got.tobytes() == want.tobytes(), (spec, p, ns)
+        # Lags past one block of the pass.
+        spec = ProcessSpec([3.0, -0.5, 0.0, 7.0], [0.3, 0.5, 0.2, 0.95])
+        ns = np.arange(1, 2 * kernels._LAG_BLOCK + 100)[::-1]
+        assert msfbm.lag_cov_series(spec, 2, ns).tobytes() == \
+            self._per_component(spec, 2, ns).tobytes()
+
     def test_overflowing_weight_is_an_arithmetic_error(self):
         # a^2 overflows to inf, and inf * 0 from the Brownian component is NaN.
         spec = ProcessSpec([-1e300, -1e300], [0.4, 0.5])

@@ -3,6 +3,7 @@
 import math
 import subprocess
 import sys
+import threading
 import tracemalloc
 import warnings
 
@@ -27,9 +28,16 @@ from msfbm.sampler import (
     _route_rows,
     gram_matrix,
 )
-from msfbm.seeds import _pcg64_state, derive_seed, normal_stream, replica_seeds, stream_keys
+from msfbm.seeds import _state_words, derive_seed, normal_stream, replica_seeds, stream_keys
 
 from conftest import package_env, rand_spec
+
+
+def pcg64_words(seed):
+    """``PCG64(seed)``'s state and inc as (low, high, low, high) 64-bit words."""
+    state = PCG64(seed).state["state"]
+    return [state["state"] & 2 ** 64 - 1, state["state"] >> 64,
+            state["inc"] & 2 ** 64 - 1, state["inc"] >> 64]
 
 
 class TestTimeGrid:
@@ -97,8 +105,7 @@ class TestSeeds:
         keys = stream_keys(seeds)
         assert keys.shape == (len(seeds), 4) and keys.dtype == np.uint64
         for seed, key in zip(seeds, keys):
-            want = np.random.SeedSequence(seed).generate_state(4, np.uint64)
-            assert key.tobytes() == want.tobytes(), seed
+            assert key.tolist() == pcg64_words(seed), seed
 
     def test_keys_keep_the_shape_of_their_seeds(self):
         seeds = replica_seeds(9, 6).reshape(3, 2)
@@ -652,7 +659,7 @@ print(peak_bytes() - before)
 
 
 class TestBulkSeeding:
-    """``stream_keys`` and ``_pcg64_state`` against numpy's own seeding, the oracle."""
+    """``stream_keys`` and ``normal_stream`` against numpy's own seeding, the oracle."""
 
     @staticmethod
     def _seeds():
@@ -671,8 +678,7 @@ class TestBulkSeeding:
         seeds = self._seeds()
         assert len(seeds) >= 100_000
         for seed, key in zip(seeds, stream_keys(seeds)):
-            state, inc = _pcg64_state(key)
-            assert PCG64(seed).state["state"] == {"state": state, "inc": inc}, seed
+            assert key.tolist() == pcg64_words(seed), seed
 
     def test_streams_equal_pcg64_streams(self):
         seeds = self._seeds()[::400]
@@ -687,6 +693,58 @@ class TestBulkSeeding:
                 buf = np.full(size, np.nan)
                 assert normal_stream(key, size, out=buf) is buf
                 assert buf.tobytes() == normal_stream(key, size).tobytes()
+
+    def test_stream_after_another_equals_a_fresh_stream(self):
+        # Streams of other sizes leave the thread's generator at other states;
+        # none of that may reach the next stream.
+        seeds = self._seeds()[::2000]
+        keys = stream_keys(seeds)
+        for (seed, key), size in zip(zip(seeds, keys), (1, 9, 16, 257, 3)):
+            normal_stream(keys[-1], 1001)
+            assert normal_stream(key, size).tobytes() == \
+                Generator(PCG64(seed)).standard_normal(size).tobytes()
+
+    def test_interleaved_threads_draw_their_own_streams(self):
+        # More threads than cores, switching often, each drawing every fourth
+        # stream in lockstep with the others; a draw this long releases the GIL
+        # while it runs, so a generator or state view shared between threads
+        # would hand one thread another's state.
+        n_threads = 4
+        seeds = self._seeds()[::1000][:100]
+        keys = stream_keys(seeds)
+        want = [Generator(PCG64(seed)).standard_normal(4096).tobytes() for seed in seeds]
+        turn = threading.Barrier(n_threads, timeout=60)
+        got = [[] for _ in range(n_threads)]
+
+        def draw(first):
+            for k in range(first, len(keys), n_threads):
+                turn.wait()
+                got[first].append(normal_stream(keys[k], 4096).tobytes())
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=draw, args=(first,)) for first in range(n_threads)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for first in range(n_threads):
+            assert got[first] == want[first::n_threads]
+
+    def test_bound_view_writes_what_the_setter_reads(self):
+        bitgen = PCG64(0)
+        words = _state_words(bitgen)
+        if words is None:
+            pytest.skip("PCG64 keeps (state, inc) in another layout here; draws use the setter")
+        key = stream_keys([2 ** 64 - 1])[0]
+        words[:] = key
+        state = bitgen.state["state"]
+        assert [state["state"], state["inc"]] == [
+            int(key[1]) << 64 | int(key[0]), int(key[3]) << 64 | int(key[2])]
 
     @pytest.mark.parametrize("seed", (-1, 2 ** 64))
     def test_seed_outside_64_bits_is_refused(self, seed):
