@@ -349,7 +349,10 @@ class _LevelSet:
         times = self.times
         d = v[self.mask] - self.x
         inner = (d[:-1] == 0.0) | (np.sign(d[:-1]) * np.sign(d[1:]) < 0.0)
-        cross_times = np.where(d[:-1] == 0.0, times[:-1], 0.5 * (times[:-1] + times[1:]))[inner]
+        # Halving each time before the sum keeps a horizon near the largest
+        # double finite; outside subnormals it is the same bits as halving the sum.
+        cross_times = np.where(d[:-1] == 0.0, times[:-1],
+                               0.5 * times[:-1] + 0.5 * times[1:])[inner]
         if d[-1] == 0.0:
             cross_times = np.append(cross_times, times[-1])
         if not cross_times.size:

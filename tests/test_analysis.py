@@ -8,6 +8,7 @@ hand-checkable fixtures, edge cases, and reduced-scale simulations.
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -269,6 +270,16 @@ class TestLevelSetDimension:
         uncrossed = r"no replica crossed level 0\.5 on \[0\.01, 1\.0\]"
         with pytest.raises(LevelNotCrossed, match=uncrossed):
             level_set_box_dimension(fixture(grid, flat, flat), 0.5, 0.01)
+
+    def test_horizon_near_the_largest_double_crosses_without_overflow(self):
+        # Midpoints of crossing intervals near T = 1e308 would overflow as a sum.
+        grid, unit = TimeGrid.uniform(2 ** 14 + 1, 1e308), TimeGrid.uniform(2 ** 14 + 1, 1.0)
+        steps = np.where(np.arange(unit.n_points) % 2 == 0, 1.0, -1.0)
+        steps[0] = 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            wide = level_set_box_dimension(fixture(grid, steps), 0.0, 1e306)
+        assert wide == level_set_box_dimension(fixture(unit, steps), 0.0, 0.01)
 
     def test_eps_validation(self):
         with pytest.raises(ValueError):
