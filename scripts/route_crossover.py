@@ -35,7 +35,7 @@ import time
 import numpy as np
 
 from msfbm import ProcessSpec, TimeGrid, sample_ensemble
-from msfbm.sampler import _FGN_DRAW_OPS, _route, _route_ops
+from msfbm.sampler import _FGN_DRAW_OPS, _plan, _route_ops
 
 NEAR = 3.0
 # Fewest grid steps of a row that enters the fit of F0: the rows the F0 in use
@@ -86,7 +86,7 @@ def main() -> int:
             for k, spec in SPECS.items():
                 exact = _best_cpu_s(spec, grid, reps, "exact", args.repeat)
                 fgn = _best_cpu_s(spec, grid, reps, "fgn", args.repeat)
-                pick = _route(grid, reps, "auto")
+                pick = _plan(grid, reps, "auto").route
                 slower = (pick == "fgn") != (fgn < exact)
                 print(f"| {n_points} | {reps} | {k} | {exact * 1e3:.1f} | {fgn * 1e3:.1f} "
                       f"| {pick} | {'slower' if slower else ''} |", flush=True)

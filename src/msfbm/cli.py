@@ -30,7 +30,7 @@ EXIT_VERIFY_FAILED = 1
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 
-_MAX_THREADS = 64  # a draw starts fewer where their buffers would not fit (sampler._n_workers)
+_MAX_THREADS = 64  # a draw's plan starts fewer where their buffers would not fit (sampler._plan)
 
 # Options that take comma-separated floats; a config file may also give them as
 # a JSON list of numbers.
@@ -299,9 +299,9 @@ def _cmd_dims(args: argparse.Namespace) -> int:
     del graph_ens
     level_set = analysis._LevelSet(grid, level, eps)
     found = []
-    for lo in range(1, 1 + level_reps, len(draw.fills)):
-        found += map(level_set.estimate,
-                     draw.block(lo, min(lo + len(draw.fills), 1 + level_reps)).values)
+    step = draw.plan.n_workers
+    for lo in range(1, 1 + level_reps, step):
+        found += map(level_set.estimate, draw.block(lo, min(lo + step, 1 + level_reps)).values)
     level_values = [e.value for e in level_set.crossed(found)]
     level_set = {"level": level, "eps": eps, "values": level_values,
                  "median": float(np.median(level_values)), "n_crossed": len(level_values),

@@ -1,8 +1,10 @@
 """Exact Gaussian samplers for mixed sub-fractional paths on finite grids.
 
-``sample_ensemble`` is the only way to draw paths.  Its router takes one of
-three routes, all with the process's finite-dimensional law, and every
-route maps one i.i.d. normal stream per replica to its path:
+``sample_ensemble`` is the only way to draw paths.  Its plan (``_plan``)
+decides, before anything is allocated, the route, the replica workers and
+whether the draw fits the memory budget.  Each of the three routes has the
+process's finite-dimensional law, and maps one i.i.d. normal stream per
+replica to its path:
 
 * "exact" factorizes the process Gram matrix on the grid and maps the
   normals through the factor.
@@ -33,7 +35,7 @@ factored or drawn, so a spec padded with them draws its live spec's bytes.
 All paths are pure functions of (spec, grid, seed): replicas can be
 generated concurrently in any order without changing a single bit.  An
 ensemble is one read-only (n_reps, n_points) array.  A draw is prepared
-once (``_Draw``): its route, unit spec, scale, factor or spectrum, jitter and
+once (``_Draw``): its plan, unit spec, scale, factor or spectrum, jitter and
 the seeding of all its normal streams.  It then fills blocks of replica rows
 lo..hi-1, each a fresh array with the bytes of those rows of the whole
 ensemble, each replica writing its path straight into its own row;
@@ -601,63 +603,6 @@ def _route_ops(route: str, m: int, n_reps: int) -> float:
     return m ** 3 / 3.0 + 2.0 * n_reps * m * m
 
 
-def _workspace(route: str, m: int) -> int:
-    """Doubles of one replica worker's draw buffers on ``m`` grid steps.
-
-    A dense route's worker holds the normals of one replica (m for exact,
-    2m for fbm); the exact route's RFP filler draws them into the path's
-    own row instead, and the count is kept so that it never depends on
-    which kernel the platform has.  The circulant route's worker holds the complex spectrum
-    of N/2 + 1 values the normals are drawn into, the real inverse
-    transform and its working copy, and the N/2 + 1 cumulative sums the
-    fold reads, N = 4m: six vectors of N + 1 doubles bound them all.
-    """
-    if route == "fgn":
-        return 6 * (4 * m + 1)
-    return m if route == "exact" else 2 * m
-
-
-def _route_bytes(route: str, m: int, n_rows: int) -> int:
-    """Estimated peak bytes of one replica worker's draw on the route, with
-    ``n_rows`` rows of paths held: the whole ensemble in ``sample_ensemble``,
-    one row in a streamed draw (``_Draw``).
-
-    A dense route's Gram is n x n, n = m for exact and 2m for fbm.  The
-    estimate counts three such matrices, what the fallback kernel holds: the
-    Gram, whose diagonal ``_ladder`` jitters in place, and the working copy
-    and factor of ``np.linalg.cholesky`` (at n = 3000 and one BLAS thread,
-    ``cholesky(g)`` raised the peak about 2.1 n^2 doubles over its input and
-    ``cholesky(g + eps*I)`` 3.1 n^2).  The RFP kernel holds n(n + 1)/2
-    doubles, but counting it would make a refusal depend on the platform's
-    BLAS (exact draws up to about 23,000 points, not 9,460, on some
-    platforms only).  The worker's normals fit in the freed copies.  The
-    circulant route of length N = 4m holds W's half spectrum of N/2 + 1
-    values and one worker's ``_workspace``.  None of these depends
-    on the number of components.  Each further replica worker holds a
-    workspace of its own, and in a streamed draw a row of its own; those
-    are not counted here, so a refusal never depends on MSFBM_THREADS:
-    ``_n_workers`` starts a further worker only where they fit.
-    """
-    if route == "exact":
-        held = 3 * m * m
-    elif route == "fbm":
-        held = 3 * (2 * m) ** 2
-    else:
-        held = (2 * m + 1) + _workspace("fgn", m)
-    return 8 * (held + n_rows * (m + 1))
-
-
-def _n_workers(route: str, m: int, n_reps: int, n_threads: int, streamed: bool) -> int:
-    """Replica workers of a draw of ``n_reps`` replicas on ``m`` grid steps:
-    at most ``n_threads`` and one per replica.  The first worker is the one
-    ``_route_bytes`` counts; each further one starts only while its
-    ``_workspace``, and in a streamed draw its row, still fit the memory budget."""
-    n_rows = 1 if streamed else n_reps
-    further = 8 * (_workspace(route, m) + (m + 1 if streamed else 0))
-    room = (_MEMORY_BUDGET - _route_bytes(route, m, n_rows)) // further
-    return max(1, min(n_threads, n_reps, 1 + room))
-
-
 def _check_budget(what: str, need: int) -> None:
     """Raise ValueError naming ``what`` when its ``need`` bytes exceed the memory budget."""
     if need > _MEMORY_BUDGET:
@@ -667,27 +612,79 @@ def _check_budget(what: str, need: int) -> None:
         )
 
 
-def _route(grid: TimeGrid, n_reps: int, sampler: str, streamed: bool = False) -> str:
-    """The route ("exact", "fbm" or "fgn") that draws ``n_reps`` replicas.
+@dataclass(frozen=True)
+class _Plan:
+    """What a draw decided before anything is allocated: its route ("exact",
+    "fbm" or "fgn"), its replica workers, the estimated peak bytes ``need``
+    of the draw with its first worker, and the bytes ``further`` that each
+    further worker adds."""
 
-    "auto" takes circulant embedding ("fgn") on uniform grids where its
-    estimated cost (``_route_ops``) is below that of the exact route, and
-    "exact" otherwise; any other sampler names its route.
-    Raises ValueError, before anything is allocated, when the route's arrays
-    would exceed the memory budget: with every row held, or with one row
-    where the draw is ``streamed``.
+    route: str
+    n_workers: int
+    need: int
+    further: int
+
+
+def _plan(grid: TimeGrid, n_reps: int, sampler: str, n_threads: int = 1,
+          streamed: bool = False) -> _Plan:
+    """The plan of a draw of ``n_reps`` replicas on ``grid``: a pure function
+    of its arguments.
+
+    **Route.**  "auto" takes circulant embedding ("fgn") on uniform grids
+    where its estimated cost (``_route_ops``) is below that of the exact
+    route, and "exact" otherwise; any other sampler names its route.
+
+    **Bytes.**  ``need`` counts the route's arrays with every row of paths
+    held, or one row where the draw is ``streamed`` (``_Draw``), and one
+    replica worker's draw buffers.  A dense route's Gram is n x n, n = m for
+    exact and 2m for fbm, m the grid's steps.  The estimate counts three
+    such matrices, what the fallback kernel holds: the Gram, whose diagonal
+    ``_ladder`` jitters in place, and the working copy and factor of
+    ``np.linalg.cholesky`` (at n = 3000 and one BLAS thread, ``cholesky(g)``
+    raised the peak about 2.1 n^2 doubles over its input and
+    ``cholesky(g + eps*I)`` 3.1 n^2).  The RFP kernel holds n(n + 1)/2
+    doubles, but counting it would make a refusal depend on the platform's
+    BLAS (exact draws up to about 23,000 points, not 9,460, on some
+    platforms only).  A dense worker holds the normals of one replica, n
+    doubles, which fit in the freed copies; the exact route's RFP filler
+    draws them into the path's own row instead, and the count is kept so
+    that it never depends on which kernel the platform has.  The circulant
+    route of length N = 4m holds W's half spectrum of N/2 + 1 values, and
+    its worker the complex spectrum of N/2 + 1 values the normals are drawn
+    into, the real inverse transform and its working copy, and the N/2 + 1
+    cumulative sums the fold reads: six vectors of N + 1 doubles bound them
+    all.  None of these depends on the number of components.
+
+    **Workers.**  At most ``n_threads`` and one per replica.  Each further
+    worker holds a workspace of its own, and in a streamed draw a row of its
+    own: ``further`` bytes, which are not in ``need``, so a refusal never
+    depends on ``n_threads``.  A further worker starts only while its bytes
+    still fit the memory budget.
+
+    Raises ValueError on an unknown sampler, and, before anything is
+    allocated, when ``need`` exceeds the memory budget.
     """
     m = grid.n_points - 1
     if sampler == "auto":
         cheaper = (grid.is_uniform()
                    and _route_ops("fgn", m, n_reps) < _route_ops("exact", m, n_reps))
         sampler = "fgn" if cheaper else "exact"
-    if sampler not in ("exact", "fbm", "fgn"):
+    if sampler == "fgn":
+        workspace = 6 * (4 * m + 1)
+        held = (2 * m + 1) + workspace
+    elif sampler in ("exact", "fbm"):
+        n = m if sampler == "exact" else 2 * m
+        workspace, held = n, 3 * n * n
+    else:
         raise ValueError(f"unknown sampler {sampler!r}")
-    held = ", one at a time," if streamed else ""
-    _check_budget(f"the {sampler} route for {n_reps} replica(s){held} on {grid.n_points} points",
-                  _route_bytes(sampler, m, 1 if streamed else n_reps))
-    return sampler
+    row = m + 1
+    need = 8 * (held + (1 if streamed else n_reps) * row)
+    further = 8 * (workspace + (row if streamed else 0))
+    held_rows = ", one at a time," if streamed else ""
+    _check_budget(f"the {sampler} route for {n_reps} replica(s){held_rows} on {grid.n_points} "
+                  "points", need)
+    n_workers = max(1, min(n_threads, n_reps, 1 + (_MEMORY_BUDGET - need) // further))
+    return _Plan(sampler, n_workers, need, further)
 
 
 def _route_rows(route: str, spec: ProcessSpec, grid: TimeGrid) -> tuple[Callable, float]:
@@ -749,14 +746,15 @@ def _refuse_overflow(what: str) -> Iterator[None]:
 class _Draw:
     """A prepared draw of ``n_reps`` replicas, filled in blocks of rows.
 
-    Construction makes, once and in this order: the route (``_route``), the
-    unit spec and scale s (``ProcessSpec.unit``), the unit spec's factor or
-    spectrum with its jitter, every replica's stream key, and the fillers of
-    ``n_workers`` replica workers (``_n_workers``), each with the draw
-    buffers that every block reuses.  ``block(lo, hi)`` draws replicas
-    lo..hi-1 into a fresh array, so a block shares no memory with any other.
-    A ``streamed`` draw is checked against the memory budget with one row
-    held, for callers that read one block at a time and let it go.
+    Construction makes, once and in this order: the plan (``_plan``: route,
+    replica workers and the memory budget check, with one row held where
+    the draw is ``streamed``, for callers that read one block at a time and
+    let it go), the unit spec and scale s (``ProcessSpec.unit``), the unit
+    spec's factor or spectrum with its jitter, every replica's stream key,
+    and the fillers of the plan's ``n_workers`` replica workers, each with
+    the draw buffers that every block reuses.  ``block(lo, hi)`` draws
+    replicas lo..hi-1 into a fresh array, so a block shares no memory with
+    any other.
     """
 
     def __init__(self, spec: ProcessSpec, grid: TimeGrid, n_reps: int, master_seed: int,
@@ -764,14 +762,14 @@ class _Draw:
         if n_reps < 1:
             raise ValueError("n_reps must be >= 1")
         self.spec, self.grid, self.n_reps = spec, grid, n_reps
-        self.route = _route(grid, n_reps, sampler, streamed)
+        self.plan = _plan(grid, n_reps, sampler, n_threads, streamed)
         self.scale, unit = spec.unit()
-        with _refuse_overflow(f"the {self.route} route's covariances on [0, {grid.horizon!r}]"):
-            new_fill, self.jitter = _route_rows(self.route, unit, grid)
+        with _refuse_overflow(f"the {self.plan.route} route's covariances on "
+                              f"[0, {grid.horizon!r}]"):
+            new_fill, self.jitter = _route_rows(self.plan.route, unit, grid)
         self.keys = stream_keys(replica_seeds(master_seed, n_reps))
         self.master_seed = int(master_seed)
-        n_workers = _n_workers(self.route, grid.n_points - 1, n_reps, n_threads, streamed)
-        self.fills = [new_fill() for _ in range(n_workers)]
+        self.fills = [new_fill() for _ in range(self.plan.n_workers)]
 
     def block(self, lo: int, hi: int) -> Ensemble:
         """Replicas lo..hi-1: the bytes of those rows of the whole ensemble.
@@ -784,13 +782,13 @@ class _Draw:
                              f"[0, {self.n_reps})")
         values = np.zeros((hi - lo, self.grid.n_points))
         _replica_runner(self.fills, self.keys[lo:hi], values[:, 1:])
-        paths = f"the {self.route} route's paths on [0, {self.grid.horizon!r}]"
+        paths = f"the {self.plan.route} route's paths on [0, {self.grid.horizon!r}]"
         with _refuse_overflow(paths):
             values *= self.scale
         if not values.any():
             raise ArithmeticError(f"{paths} underflow to 0")
         return Ensemble(spec=self.spec, grid=self.grid, values=values,
-                        master_seed=self.master_seed, sampler=self.route, jitter=self.jitter)
+                        master_seed=self.master_seed, sampler=self.plan.route, jitter=self.jitter)
 
 
 def sample_ensemble(
@@ -805,11 +803,10 @@ def sample_ensemble(
 
     ``sampler`` is "exact" (factored process Gram), "fbm" (folded mixed fBm
     from its symmetric-grid Gram), "fgn" (folded mixed fBm from circulant
-    embedding, uniform grids only) or "auto", which takes "fgn" on uniform grids where its
-    estimated cost (``_route_ops``) is below the exact route's, and "exact"
-    otherwise; every route is distribution-exact.
-    Every route is checked against a fixed memory budget first: a request
-    over it raises ValueError before anything is allocated.  The route
+    embedding, uniform grids only) or "auto"; every route is
+    distribution-exact.  The route, the replica workers (at most
+    ``n_threads``) and the memory budget check that raises ValueError before
+    anything is allocated are the draw's plan (``_plan``).  The route
     draws the unit spec (``ProcessSpec.unit``), and the ensemble is then
     scaled by s = max |a_i|; the ensemble's jitter is that of the unit
     spec's factor.  Covariances that overflow a double or underflow to 0,
@@ -823,8 +820,7 @@ def sample_ensemble(
     hashed at once (``replica_seeds``, ``stream_keys``); a master seed
     outside [0, 2^64) raises ValueError.  Each replica writes its path into its own
     row of a zeroed (n_reps, n_points) array, the t = 0 column left at 0:
-    the one block of every row of a prepared draw (``_Draw``).  Each of at
-    most ``n_threads`` workers, fewer where a further worker's draw buffers
-    would not fit the memory budget, fills a contiguous part of the rows.
+    the one block of every row of a prepared draw (``_Draw``).  Each of the
+    plan's workers fills a contiguous part of the rows.
     """
     return _Draw(spec, grid, n_reps, master_seed, sampler, n_threads).block(0, n_reps)

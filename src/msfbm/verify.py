@@ -242,12 +242,16 @@ def run_srd_suite(spec: Optional[ProcessSpec] = None) -> dict:
     fitted slope of their sum on the same lags (2H - 3 for one component),
     and the tail itself to that sum, beyond ``lag_cov_series``'s rounding;
     an all-Brownian spec has identically zero lag covariances instead.
+    These two tail checks are scale-free and read the unit spec, s times
+    smaller (``ProcessSpec.unit``), so weights far from 1 do not underflow
+    them; the partial sums read the spec as given, their bound times s^2.
     """
     spec = spec or ProcessSpec((1.0,), (0.75,))
-    non_half = [(a, h) for a, h in spec.active() if h != 0.5]
+    scale, unit = spec.unit()
+    non_half = [(a, h) for a, h in unit.active() if h != 0.5]
     ns = np.round(np.logspace(3, 5, 40)).astype(int)  # sorted; drop adjacent repeats
     ns = ns[np.concatenate(([True], ns[1:] != ns[:-1]))]
-    terms = kernels.lag_cov_series(spec, 0, ns)
+    terms = kernels.lag_cov_series(unit, 0, ns)
     # Each H != 1/2 component's asymptotic term at lag 10^3; its power n^(2H-3)
     # carries it to the other lags.
     at_1e3 = np.array([kernels.lag_cov_c_asymptotic(ProcessSpec((a,), (h,)), 0, 10 ** 3)
@@ -258,8 +262,9 @@ def run_srd_suite(spec: Optional[ProcessSpec] = None) -> dict:
         by_component = at_1e3[:, None] * (ns / 1e3) ** (2.0 * hs - 3.0)
         asymptotic = by_component.sum(axis=0)
         if not (np.all(terms) and np.all(asymptotic)):
-            raise ArithmeticError("the lag covariances underflow to 0, so their tail slope "
-                                  "cannot be fitted")
+            raise ArithmeticError("the lag covariances are 0 in doubles, by underflow or by "
+                                  "cancellation near H = 1/2, so their tail slope cannot be "
+                                  "fitted")
         slope, _ = _loglog_fit(ns, np.abs(terms))
         target, _ = _loglog_fit(ns, np.abs(asymptotic))
         # lag_cov_series rounds each active component by up to about eps 2H a^2 n^(2H-1)
@@ -268,7 +273,7 @@ def run_srd_suite(spec: Optional[ProcessSpec] = None) -> dict:
         # H = 1/2 or 1.  Only the gap beyond four times it is held, relative to the
         # terms' summed magnitudes: |sum| unless their signs differ.
         rounding = 4.0 * np.finfo(float).eps * sum(a * a * 2.0 * h * ns ** (2.0 * h - 1.0)
-                                                   for a, h in spec.active())
+                                                   for a, h in unit.active())
         excess = np.maximum(np.abs(terms - asymptotic) - rounding, 0.0)
         checks += [
             _check("tail_loglog_slope", slope, 0.1, target, abs(slope - target) <= 0.1),
@@ -283,7 +288,8 @@ def run_srd_suite(spec: Optional[ProcessSpec] = None) -> dict:
     width = float(last.max() - last.min())
     # Every component's tail bound from lag 10^3 on, |term(10^3)| 10^3 / (2 - 2H),
     # summed, so that it bounds the sum of the tails whatever their signs.
-    bound = sum(abs(c) * 1e3 / max(2.0 - 2.0 * h, 0.05) for c, (_, h) in zip(at_1e3, non_half))
+    bound = scale * (scale * sum(abs(c) * 1e3 / max(2.0 - 2.0 * h, 0.05)
+                                 for c, (_, h) in zip(at_1e3, non_half)))
     gate = max(1e-6, 4.0 * bound)
     checks.append(_at_most("partial_sums_cauchy", width, gate))
     return _suite_report("srd", checks)

@@ -421,8 +421,10 @@ class TestDims:
         # at a time, simulate holds every row.
         monkeypatch.delenv("MSFBM_THREADS", raising=False)
         m = 2 ** 14
-        monkeypatch.setattr(sampler, "_MEMORY_BUDGET", (sampler._route_bytes("fgn", m, 1)
-                                                        + sampler._route_bytes("fgn", m, 4)) // 2)
+        grid = sampler.TimeGrid.uniform(m + 1, 1.0)
+        one_row, every_row = (sampler._plan(grid, 4, "fgn", streamed=streamed).need
+                              for streamed in (True, False))
+        monkeypatch.setattr(sampler, "_MEMORY_BUDGET", (one_row + every_row) // 2)
         assert cli.main([*self.SMALL, "--level-reps", "3"]) == cli.EXIT_OK
         capsys.readouterr()
         rc = cli.main(["simulate", "--hurst", "0.5", "--grid-points", str(m + 1), "--reps", "4"])

@@ -6,6 +6,7 @@ import sys
 import threading
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,8 +24,7 @@ from msfbm.sampler import (
     _fgn_autocov,
     _fgn_draw,
     _fgn_spectrum,
-    _route,
-    _route_bytes,
+    _plan,
     _route_rows,
     gram_matrix,
 )
@@ -584,7 +584,7 @@ class TestSampleViaFbm:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= _route_bytes("fgn", grid.n_points - 1, 4)
+        assert peak <= _plan(grid, 4, "fgn").need
 
     @pytest.mark.parametrize("route", ("exact", "fbm"))
     def test_dense_peak_within_route_estimate(self, route):
@@ -601,7 +601,7 @@ class TestSampleViaFbm:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= _route_bytes(route, grid.n_points - 1, 4)
+        assert peak <= _plan(grid, 4, route).need
 
     # Prints how far a draw on m points raises a child interpreter's
     # peak RSS.  That is VmHWM, the peak of the process's own address space:
@@ -879,8 +879,7 @@ class TestPreparedDraw:
 
     def test_streamed_draw_counts_one_row(self, monkeypatch):
         grid = TimeGrid.uniform(2 ** 14 + 1, 1.0)
-        m = grid.n_points - 1
-        budget = (_route_bytes("fgn", m, 1) + _route_bytes("fgn", m, 4)) // 2
+        budget = (_plan(grid, 4, "fgn", streamed=True).need + _plan(grid, 4, "fgn").need) // 2
         monkeypatch.setattr(sampler, "_MEMORY_BUDGET", budget)
         monkeypatch.setattr(sampler, "_fgn_spectrum", _fail_if_called)
         with pytest.raises(ValueError, match=r"the fgn route for 4 replica\(s\) on 16385 points"):
@@ -890,36 +889,87 @@ class TestPreparedDraw:
 
 
 class TestWorkerCap:
-    """``_n_workers``: a further replica worker starts only where its buffers fit."""
+    """``_plan``'s workers: a further replica worker starts only where its buffers fit."""
 
     M = 2 ** 14
 
     def test_default_budget_caps_by_threads_and_replicas(self):
+        grid = TimeGrid.uniform(257, 1.0)
         for route in ("exact", "fbm", "fgn"):
             for streamed in (False, True):
-                assert sampler._n_workers(route, 256, 5, 4, streamed) == 4
-                assert sampler._n_workers(route, 256, 3, 64, streamed) == 3
-                assert sampler._n_workers(route, 256, 5, 1, streamed) == 1
+                assert _plan(grid, 5, route, 4, streamed).n_workers == 4
+                assert _plan(grid, 3, route, 64, streamed).n_workers == 3
+                assert _plan(grid, 5, route, 1, streamed).n_workers == 1
 
     @pytest.mark.parametrize("route", ("exact", "fbm", "fgn"))
     @pytest.mark.parametrize("streamed", (False, True))
     def test_further_workers_only_where_they_fit(self, monkeypatch, route, streamed):
-        m, n_reps = self.M, 40
-        base = _route_bytes(route, m, 1 if streamed else n_reps)
-        further = 8 * (sampler._workspace(route, m) + (m + 1 if streamed else 0))
+        grid, n_reps = TimeGrid.uniform(self.M + 1, 1.0), 40
+        # The estimates do not depend on the budget; a large one lets them be read.
+        monkeypatch.setattr(sampler, "_MEMORY_BUDGET", 2 ** 62)
+        plan = _plan(grid, n_reps, route, 8, streamed)
+        base, further = plan.need, plan.further
         for room, want in ((0, 1), (further - 1, 1), (further, 2), (3 * further - 1, 3),
                            (3 * further, 4), (100 * further, 8)):
             monkeypatch.setattr(sampler, "_MEMORY_BUDGET", base + room)
-            assert sampler._n_workers(route, m, n_reps, 8, streamed) == want
+            assert _plan(grid, n_reps, route, 8, streamed).n_workers == want
+
+    def test_estimates_are_the_documented_counts(self):
+        # Doubles: three n x n Grams (n = m for exact, 2m for fbm), or fgn's
+        # half spectrum and one workspace of six vectors of 4m + 1, plus the
+        # rows held; a further worker holds its workspace and, streamed, a row.
+        m = 256
+        grid = TimeGrid.uniform(m + 1, 1.0)
+        for route, held, workspace in (("exact", 3 * m * m, m), ("fbm", 12 * m * m, 2 * m),
+                                       ("fgn", 2 * m + 1 + 6 * (4 * m + 1), 6 * (4 * m + 1))):
+            for streamed, rows in ((False, 5), (True, 1)):
+                plan = _plan(grid, 5, route, streamed=streamed)
+                assert plan.need == 8 * (held + rows * (m + 1))
+                assert plan.further == 8 * (workspace + (m + 1 if streamed else 0))
+
+    def test_plan_is_a_pure_function_of_the_request(self):
+        grid = TimeGrid.uniform(257, 1.0)
+        for route in ("exact", "fbm", "fgn"):
+            for streamed in (False, True):
+                plans = [_plan(grid, 100, route, n, streamed) for n in (1, 2, 4, 64)]
+                assert [p.n_workers for p in plans] == [1, 2, 4, 64]
+                assert {replace(p, n_workers=1) for p in plans} == {plans[0]}
+        # 10^5 rows of 4097 points are 3.1 GiB on every route.
+        grid = TimeGrid.uniform(4097, 1.0)
+        for route in ("exact", "fbm", "fgn"):
+            refusals = set()
+            for n in (1, 2, 4, 64):
+                with pytest.raises(ValueError, match="memory budget") as refused:
+                    _plan(grid, 10 ** 5, route, n)
+                refusals.add(str(refused.value))
+            assert len(refusals) == 1
+
+    @pytest.mark.parametrize("route,grid", [
+        ("fgn", TimeGrid.uniform(2 ** 14 + 1, 1.0)),
+        ("exact", TimeGrid(np.cumsum(np.concatenate(
+            [[0.0], np.random.default_rng(5).uniform(0.5, 1.5, 300)])))),
+    ], ids=("fgn", "exact"))
+    def test_further_workers_peak_within_plan_estimate(self, route, grid):
+        # The draw buffers of four workers, all live at once, against the
+        # estimate with every further worker counted.
+        spec = ProcessSpec([1.5, -0.7], [0.3, 0.8])
+        plan = _plan(grid, 4, route, 4)
+        assert plan.n_workers == 4
+        tracemalloc.start()
+        try:
+            msfbm.sample_ensemble(spec, grid, 4, 3, sampler=route, n_threads=4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= plan.need + (plan.n_workers - 1) * plan.further
 
     def test_capped_workers_draw_the_same_bytes(self, monkeypatch):
         spec, grid = ProcessSpec([1.0, -0.5], [0.3, 0.8]), TimeGrid.uniform(2 ** 10 + 1, 1.0)
-        m = grid.n_points - 1
         one = msfbm.sample_ensemble(spec, grid, 5, 3, sampler="fgn", n_threads=1)
-        monkeypatch.setattr(sampler, "_MEMORY_BUDGET",
-                            _route_bytes("fgn", m, 5) + 8 * sampler._workspace("fgn", m))
+        plan = _plan(grid, 5, "fgn")
+        monkeypatch.setattr(sampler, "_MEMORY_BUDGET", plan.need + plan.further)
         draw = sampler._Draw(spec, grid, 5, 3, sampler="fgn", n_threads=4)
-        assert len(draw.fills) == 2
+        assert draw.plan.n_workers == len(draw.fills) == 2
         assert draw.block(0, 5).values.tobytes() == one.values.tobytes()
 
 
@@ -932,7 +982,7 @@ class TestRoute:
 
     def test_auto_takes_circulant_where_cheaper(self):
         grid = TimeGrid.uniform(2049, 1.0)
-        assert _route(grid, 64, "auto") == "fgn"
+        assert _plan(grid, 64, "auto").route == "fgn"
         auto = msfbm.sample_ensemble(self.SPEC, grid, 64, 3)
         fgn = msfbm.sample_ensemble(self.SPEC, grid, 64, 3, sampler="fgn")
         assert auto.sampler == "fgn"
@@ -940,26 +990,26 @@ class TestRoute:
 
     def test_non_uniform_grid_stays_exact(self):
         grid = TimeGrid(np.linspace(0.0, 1.0, 2049) ** 1.5)
-        assert _route(grid, 64, "auto") == "exact"
+        assert _plan(grid, 64, "auto").route == "exact"
 
     def test_auto_follows_the_cost_estimate_alone(self):
         # The README's crossover table at 129 points: fgn measured faster for one
         # replica and exact for 64, with one active component and with two; the
         # router reads no spec.
         grid = TimeGrid.uniform(129, 1.0)
-        assert _route(grid, 1, "auto") == "fgn"
-        assert _route(grid, 64, "auto") == "exact"
+        assert _plan(grid, 1, "auto").route == "fgn"
+        assert _plan(grid, 64, "auto").route == "exact"
 
     def test_many_replicas_on_short_grid_stay_exact(self):
         # The exact route measured about five times faster here (README, "Sampler routing").
-        assert _route(TimeGrid.uniform(257, 1.0), 3000, "auto") == "exact"
+        assert _plan(TimeGrid.uniform(257, 1.0), 3000, "auto").route == "exact"
 
     def test_explicit_sampler_is_kept(self):
         grid = TimeGrid.uniform(2049, 1.0)
         for name in ("exact", "fbm", "fgn"):
-            assert _route(grid, 1, name) == name
+            assert _plan(grid, 1, name).route == name
         with pytest.raises(ValueError, match="unknown sampler"):
-            _route(grid, 1, "dense")
+            _plan(grid, 1, "dense")
 
     def test_fbm_route_over_budget_is_refused_before_allocating(self, monkeypatch):
         monkeypatch.setattr(sampler, "_fbm_fill", _fail_if_called)

@@ -347,9 +347,34 @@ def test_srd_tail_off_its_asymptotic_sum_fails_its_check(monkeypatch):
 
 
 def test_underflowing_lag_covariances_are_a_numerical_failure():
-    # a^2 = 1.25e-606 underflows, so every lag covariance is 0 and has no log.
+    # The unit spec keeps weight 1e-200 on the only H != 1/2 component, whose
+    # a^2 = 1e-400 underflows, so every lag covariance is 0 and has no log.
     with pytest.raises(ArithmeticError, match="underflow"):
-        verify.run_srd_suite(ProcessSpec([1.1182970176725395e-303], [0.25]))
+        verify.run_srd_suite(ProcessSpec([1.0, 1e-200], [0.5, 0.7]))
+
+
+def test_lag_covariances_cancelling_to_zero_are_named_as_such(capsys):
+    # Within rounding of H = 1/2 the two second differences of every term
+    # cancel exactly: nothing underflows, and the diagnostic says either may.
+    rc = cli.main(["verify", "--suite", "srd", "--hurst", "0.5000000000000001"])
+    assert rc == cli.EXIT_NUMERICAL
+    assert "are 0 in doubles, by underflow or by cancellation near H = 1/2" in (
+        capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("weight", (1e-160, 1e-3, 1e3, 1e150))
+def test_srd_tail_checks_read_the_unit_spec(weight):
+    # The slope and tail checks are scale-free: a spec s times the unit spec
+    # measures the unit spec's values, where its own terms would underflow.
+    def measured(spec):
+        report = verify.run_srd_suite(spec)
+        assert report["all_passed"]
+        return {c["name"]: c["measured"] for c in report["checks"]}
+
+    unit = measured(ProcessSpec([1.0, -0.4], [0.7, 0.6]))
+    scaled = measured(ProcessSpec([weight, -0.4 * weight], [0.7, 0.6]))
+    for name in ("tail_loglog_slope", "tail_matches_asymptotic"):
+        assert scaled[name] == unit[name]
 
 
 # Markov and non-Markov specs whose weights span many scales.  The last one
