@@ -8,6 +8,9 @@ residual used by the Markov test.
 
 Spec-level sums run over the active components: a zero-weight component
 is never evaluated (``bound_constants`` and ``rescale_coeffs`` map all).
+A spec-level value that is not a finite double, say where a weight squared
+overflows, raises ArithmeticError (``_finite``) rather than return inf or
+NaN.
 
 Powers x^(2H) are evaluated as exp(2H*log(x)) with an explicit x = 0
 branch.  Differences of nearly equal large powers are grouped pairwise
@@ -15,7 +18,9 @@ before summation; at large times the pairing, not the raw eight-term sum,
 is what keeps the increment covariances meaningful.  The second difference
 of unit lags, (m+1)^(2H) - 2 m^(2H) + (m-1)^(2H), has one evaluator,
 ``_second_diff``, which ``lag_cov_series``, ``mfbm_lag_cov_r`` and the fgn
-sampler's autocovariance share.
+sampler's autocovariance share.  At H = 1/2 it is exactly 0, so those two
+lag series skip Brownian components (``_correlated``) rather than sum their
+rounding.
 
 Each per-component closed form is written once, as a private ``_*_term``
 helper generic in its power function: the scalar API passes ``_p2h``
@@ -165,13 +170,14 @@ def msfbm_cov(spec: ProcessSpec, s: float, t: float) -> float:
 def msfbm_var(spec: ProcessSpec, t: float) -> float:
     """Variance sum(a_i^2 * (2 - 2^(2H_i - 1)) * t^(2H_i)) at time t >= 0."""
     (t,) = _times(t)
-    return sum(_var_term(_p2h, a * a, 2.0 * h, t) for a, h in spec.active())
+    return _finite(sum(_var_term(_p2h, a * a, 2.0 * h, t) for a, h in spec.active()),
+                   "msfbm_var", t)
 
 
 def mfbm_cov(spec: ProcessSpec, s: float, t: float) -> float:
     """Mixed fractional (stationary-increment comparator) covariance."""
     s, t = _times(s, t)
-    return sum(a * a * fbm_cov(h, s, t) for a, h in spec.active())
+    return _finite(sum(a * a * fbm_cov(h, s, t) for a, h in spec.active()), "mfbm_cov", s, t)
 
 
 def _check_increment_times(s: float, t: float) -> tuple[float, float]:
@@ -188,15 +194,15 @@ def increment_second_moment(spec: ProcessSpec, s: float, t: float) -> float:
     surface as a negative variance.
     """
     s, t = _check_increment_times(s, t)
-    return max(sum(_moment_term(_p2h, a * a, 2.0 * h, s, t)
-                   for a, h in spec.active()), 0.0)
+    value = sum(_moment_term(_p2h, a * a, 2.0 * h, s, t) for a, h in spec.active())
+    return max(_finite(value, "increment_second_moment", s, t), 0.0)
 
 
 def increment_bounds(spec: ProcessSpec, s: float, t: float) -> tuple[float, float]:
     """Two-sided envelope (lower, upper) for the increment second moment."""
     s, t = _check_increment_times(s, t)
     terms = [_envelope_terms(_p2h, a * a, 2.0 * h, t - s) for a, h in spec.active()]
-    return sum(lo for lo, _ in terms), sum(hi for _, hi in terms)
+    return tuple(_finite(sum(side), "increment_bounds", s, t) for side in zip(*terms))
 
 
 def bound_constants(spec: ProcessSpec) -> IncrementBoundConstants:
@@ -226,7 +232,8 @@ def kernel_scale(spec: ProcessSpec, tmax: float) -> float:
     this scale, not to the (possibly vanishing) result.
     """
     (tmax,) = _times(abs(float(tmax)))
-    return sum(_scale_term(_p2h, a * a, 2.0 * h, tmax) for a, h in spec.active())
+    return _finite(sum(_scale_term(_p2h, a * a, 2.0 * h, tmax) for a, h in spec.active()),
+                   "kernel_scale", tmax)
 
 
 def _lag_window(x: float, n: int) -> IncrementWindow:
@@ -278,6 +285,13 @@ def _second_diff(m, two_h):
     return _p2h_array(m, two_h) * bracket
 
 
+def _correlated(spec: ProcessSpec) -> list[tuple[float, float]]:
+    """The active components whose unit increments are correlated across
+    lags: H != 1/2.  A Brownian component's second difference is exactly 0,
+    and its weight squared may overflow a double."""
+    return [(a, h) for a, h in spec.active() if h != 0.5]
+
+
 # Lags per pass of ``lag_cov_series``: its (components, 2 * block) float
 # temporaries hold at most 256 KiB each, whatever the number of lags.
 _LAG_BLOCK = 4096
@@ -288,12 +302,13 @@ def lag_cov_series(spec: ProcessSpec, p: int, ns: Sequence[int]) -> np.ndarray:
 
     Writes C(p, n) = (D(n) - D(n + 2p + 1)) / 2 with D the second
     difference ``_second_diff``, evaluated in one pass for every active
-    component (a row each) at n and n + 2p + 1, then summed component by
-    component; lags go ``_LAG_BLOCK`` at a time, so the temporaries stay
-    small however many there are.  The two D cancel by a further factor of
-    about n / (2p + 1), so at p = 0 the relative error grows like eps * n^2:
-    1e-8 to 2e-7 at n = 1e4 and up to 7e-5 at n = 1e5 (README, "Numerical
-    notes"); the raw eight-term sum would have lost every digit there.
+    component but the Brownian ones (``_correlated``), a row each, at n and
+    n + 2p + 1, then summed component by component; lags go ``_LAG_BLOCK``
+    at a time, so the temporaries stay small however many there are.  The
+    two D cancel by a further factor of about n / (2p + 1), so at p = 0 the
+    relative error grows like eps * n^2: 1e-8 to 2e-7 at n = 1e4 and up to
+    7e-5 at n = 1e5 (README, "Numerical notes"); the raw eight-term sum
+    would have lost every digit there.
     """
     p = _check_offset(p)
     ns = np.asarray(ns, dtype=float)
@@ -304,14 +319,14 @@ def lag_cov_series(spec: ProcessSpec, p: int, ns: Sequence[int]) -> np.ndarray:
         raise ValueError("lag n must be >= 1 (n = 0 overlaps the base window)")
 
     out = np.zeros(ns.shape)
-    active = spec.active()
-    two_h = np.array([[2.0 * h] for _, h in active])
+    active = _correlated(spec)
+    two_h = np.array([2.0 * h for _, h in active]).reshape(-1, 1)
     lags, sums = ns.ravel(), out.reshape(-1)
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, lags.size, _LAG_BLOCK):
             block = lags[lo:lo + _LAG_BLOCK]
             near_far = _second_diff(np.concatenate([block, block + (2 * p + 1)]), two_h)
-            for (a, _), (near, far) in zip(active, near_far.reshape(len(active), 2, -1)):
+            for (a, _), (near, far) in zip(active, near_far.reshape(len(active), 2, block.size)):
                 sums[lo:lo + _LAG_BLOCK] += (a * a / 2.0) * (near - far)
     if not np.all(np.isfinite(out)):
         raise ArithmeticError(f"lag_cov_series(p = {p}) holds values that are not finite doubles")
@@ -333,11 +348,11 @@ def lag_cov_c_asymptotic(spec: ProcessSpec, p: int, n: int) -> float:
 
 def mfbm_lag_cov_r(spec: ProcessSpec, n: int) -> float:
     """Stationary lag covariance R(0, n) of the mixed fractional comparator,
-    sum(a_i^2 / 2 * second difference of n^(2H_i))."""
+    sum(a_i^2 / 2 * second difference of n^(2H_i)) over ``_correlated``."""
     n = _check_lag(n)
     out = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
-        for a, h in spec.active():
+        for a, h in _correlated(spec):
             out += (a * a / 2.0) * float(_second_diff(float(n), 2.0 * h))
     return _finite(out, "mfbm_lag_cov_r", n)
 

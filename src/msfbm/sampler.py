@@ -341,17 +341,31 @@ def _refuse_underflow(route: str, grid: TimeGrid, variances: np.ndarray) -> None
                               "underflow to 0")
 
 
-def _dense_rows(mat: np.ndarray) -> Callable[[np.ndarray, np.ndarray], None]:
-    """A row filler with its own normals buffer: ``fill(keys, out)`` writes
-    M z into each row of ``out``, z the normal stream of the row's
-    ``stream_keys`` row and M a dense route's map (``_route_rows``)."""
-    normals = np.empty(mat.shape[1])
+# One replica worker's linear map A of a route (``_route_rows``): z, its
+# C-contiguous buffer of one replica's normals, and ``apply(body)``, which
+# writes A z into the path row ``body`` and may overwrite z.
+_Map = tuple[np.ndarray, Callable[[np.ndarray], None]]
+
+
+def _rows(new_map: Callable[[], _Map]) -> Callable[[np.ndarray, np.ndarray], None]:
+    """A row filler with one worker's map, ``new_map()``'s: ``fill(keys, out)``
+    draws the normal stream of each row's ``stream_keys`` row into z and
+    applies the map to it in the row of ``out``."""
+    z, apply = new_map()
 
     def fill(keys: np.ndarray, out: np.ndarray) -> None:
         for key, body in zip(keys, out):
-            np.matmul(mat, normal_stream(key, normals.size, out=normals), out=body)
+            normal_stream(key, z.size, out=z)
+            apply(body)
 
     return fill
+
+
+def _dense_map(mat: np.ndarray) -> _Map:
+    """One worker's map of the fallback kernel, M a dense route's matrix
+    (``_route_rows``): z and ``np.matmul(mat, z, body)``, M z into ``body``."""
+    z = np.empty(mat.shape[1])
+    return z, partial(np.matmul, mat, z)
 
 
 # LAPACK's rectangular full packed (RFP) storage with TRANSR = 'N' and
@@ -440,49 +454,34 @@ def _rfp_factor(n: int, n_work: int, fill_block: Callable,
                    partial(_rfp_gram, n, n_work, fill_block))
 
 
-def _rfp_rows(rfp: np.ndarray, n: int, fold: bool) -> Callable[[np.ndarray, np.ndarray], None]:
-    """A row filler for ``_rfp_factor``'s L: ``fill(keys, out)`` overwrites the
-    normal stream z of each row's ``stream_keys`` row with L z in place, z1
-    and z2 its first k and last n - k values: z2 <- L22 z2, then
-    z2 += L21 z1, which reads z1 before z1 <- L11 z1.  The exact route draws
-    z into its C-contiguous row of ``out``; the fbm route (``fold``) into one
-    worker buffer, and ``_fold``s L z, W on the symmetric grid, into the row."""
+def _rfp_map(rfp: np.ndarray, n: int, fold: bool) -> _Map:
+    """One worker's map of ``_rfp_factor``'s L: z, n doubles, and
+    ``apply(body)``, which overwrites z with L z in place, z1 and z2 its
+    first k and last n - k values: z2 <- L22 z2, then z2 += L21 z1, which
+    reads z1 before z1 <- L11 z1.  The exact route then copies L z into
+    ``body``; the fbm route (``fold``) ``_fold``s it, W on the symmetric
+    grid, into ``body``."""
     _, trmv, gemv = _rfp()
     k, e, w = _rfp_shape(n)
     n1, n2, lda, inc = (ctypes.byref(ctypes.c_int64(v)) for v in (k, n - k, w, 1))
     one = ctypes.byref(ctypes.c_double(1.0))
-    # Pointers from ``data_as`` keep the factor alive as long as the filler.
+    z = np.empty(n)
+    # Pointers from ``data_as`` keep the factor and z alive as long as the map.
     l22, l21, l11 = (rfp.reshape(-1)[at:].ctypes.data_as(ctypes.c_void_p)
                      for at in (e * w, k + 1 - e, 1 - e))
-    z1, z2 = ctypes.c_void_p(), ctypes.c_void_p()
+    z1, z2 = (z[at:].ctypes.data_as(ctypes.c_void_p) for at in (0, k))
+    neg, pos = z[n // 2 - 1::-1], z[n // 2:]
 
-    def times_factor(at: int) -> None:
-        """Overwrite the n doubles at address ``at`` with L times them."""
-        z1.value, z2.value = at, at + 8 * k
+    def apply(body: np.ndarray) -> None:
         trmv(b"U", b"T", b"N", n2, l22, lda, z2, inc)
         gemv(b"N", n2, n1, one, l21, lda, z1, inc, one, z2, inc)
         trmv(b"L", b"N", b"N", n1, l11, lda, z1, inc)
+        if fold:
+            _fold(neg, pos, body)
+        else:
+            body[...] = z
 
-    if fold:
-        m, buf = n // 2, np.empty(n)
-        at, neg, pos = buf.ctypes.data, buf[m - 1::-1], buf[m:]
-
-        def fill(keys: np.ndarray, out: np.ndarray) -> None:
-            for key, body in zip(keys, out):
-                normal_stream(key, n, out=buf)
-                times_factor(at)
-                _fold(neg, pos, body)
-
-        return fill
-
-    def fill(keys: np.ndarray, out: np.ndarray) -> None:
-        row, step = out.ctypes.data, out.strides[0]
-        for key, body in zip(keys, out):
-            normal_stream(key, n, out=body)
-            times_factor(row)
-            row += step
-
-    return fill
+    return z, apply
 
 
 def _fbm_fill(spec: ProcessSpec, grid: TimeGrid) -> tuple[int, int, Callable]:
@@ -530,7 +529,7 @@ def _fgn_spectrum(spec: ProcessSpec, grid: TimeGrid) -> np.ndarray:
     """Square roots of the N/2 + 1 distinct circulant-embedding eigenvalues of
     W's increments over [-T, T], W = sum_i a_i B_i, clipped at 0, and the
     interior bins 0 < k < N/2 also times 1/sqrt(2): the factor each bin's
-    normals take in ``_fgn_draw``.  The circulant row is W's increment
+    normals take in ``_fgn_increments``.  The circulant row is W's increment
     autocovariance, the components' weighted by a_i^2 and summed.
     """
     if not grid.is_uniform():
@@ -551,17 +550,13 @@ def _fgn_spectrum(spec: ProcessSpec, grid: TimeGrid) -> np.ndarray:
     return sqrt_eig
 
 
-def _fgn_draw(sqrt_eig: np.ndarray, key: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """One exact draw of W's N/2 increments over [-T, T].
-
-    ``sqrt_eig`` is ``_fgn_spectrum``'s half spectrum of N/2 + 1 values and
-    ``key`` a row of ``stream_keys``.  ``z`` (N/2 + 1 complex values) is the
-    caller's buffer, into which the N normals are drawn; it is overwritten.
-    """
+def _fgn_increments(sqrt_eig: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """W's N/2 increments over [-T, T] from ``_fgn_spectrum``'s half spectrum
+    of N/2 + 1 values and the N normals in the first N doubles of ``z``,
+    N/2 + 1 complex values, which it overwrites."""
     half = z.size - 1
     size = 2 * half
     v = z.view(np.float64)
-    normal_stream(key, size, out=v[:size])
     # Bin k, 0 < k < N/2, takes normals 2k and 2k+1 as (re, im); bins 0
     # and N/2 take normals 0 and 1 as real values.
     v[size], v[1], v[size + 1] = v[1], 0.0, 0.0
@@ -572,23 +567,22 @@ def _fgn_draw(sqrt_eig: np.ndarray, key: np.ndarray, z: np.ndarray) -> np.ndarra
     return np.fft.irfft(z, n=size, norm="ortho")[:half]
 
 
-def _fgn_rows(sqrt_eig: np.ndarray) -> Callable[[np.ndarray, np.ndarray], None]:
-    """A row filler with its own draw buffers: ``fill(keys, out)`` folds W
-    into each row of ``out``, from one draw of its increments over [-T, T]
-    (``_fgn_draw``) from the row's ``stream_keys`` row, cumulated and
-    shifted so that W(0) = 0."""
+def _fgn_map(sqrt_eig: np.ndarray) -> _Map:
+    """One worker's map of the circulant route: z, N normals in the first N
+    doubles of a complex spectrum buffer, and ``apply(body)``, which folds W
+    into ``body`` from its increments over [-T, T] (``_fgn_increments``),
+    cumulated and shifted so that W(0) = 0."""
     half = sqrt_eig.size - 1
     m = half // 2
-    z, cum = np.empty(half + 1, dtype=complex), np.empty(half + 1)
+    spectrum, cum = np.empty(half + 1, dtype=complex), np.empty(half + 1)
 
-    def fill(keys: np.ndarray, out: np.ndarray) -> None:
-        for key, body in zip(keys, out):
-            cum[0] = 0.0
-            np.cumsum(_fgn_draw(sqrt_eig, key, z), out=cum[1:])
-            np.subtract(cum, cum[m], out=cum)
-            _fold(cum[m - 1::-1], cum[m + 1:], body)
+    def apply(body: np.ndarray) -> None:
+        cum[0] = 0.0
+        np.cumsum(_fgn_increments(sqrt_eig, spectrum), out=cum[1:])
+        np.subtract(cum, cum[m], out=cum)
+        _fold(cum[m - 1::-1], cum[m + 1:], body)
 
-    return fill
+    return spectrum.view(np.float64)[:2 * half], apply
 
 
 def _route_ops(route: str, m: int, n_reps: int) -> float:
@@ -646,14 +640,12 @@ def _plan(grid: TimeGrid, n_reps: int, sampler: str, n_threads: int = 1,
     doubles, but counting it would make a refusal depend on the platform's
     BLAS (exact draws up to about 23,000 points, not 9,460, on some
     platforms only).  A dense worker holds the normals of one replica, n
-    doubles, which fit in the freed copies; the exact route's RFP filler
-    draws them into the path's own row instead, and the count is kept so
-    that it never depends on which kernel the platform has.  The circulant
-    route of length N = 4m holds W's half spectrum of N/2 + 1 values, and
-    its worker the complex spectrum of N/2 + 1 values the normals are drawn
-    into, the real inverse transform and its working copy, and the N/2 + 1
-    cumulative sums the fold reads: six vectors of N + 1 doubles bound them
-    all.  None of these depends on the number of components.
+    doubles, which fit in the freed copies.  The circulant route of length
+    N = 4m holds W's half spectrum of N/2 + 1 values, and its worker the
+    complex spectrum of N/2 + 1 values the normals are drawn into, the real
+    inverse transform and its working copy, and the N/2 + 1 cumulative sums
+    the fold reads: six vectors of N + 1 doubles bound them all.  None of
+    these depends on the number of components.
 
     **Workers.**  At most ``n_threads`` and one per replica.  Each further
     worker holds a workspace of its own, and in a streamed draw a row of its
@@ -687,29 +679,29 @@ def _plan(grid: TimeGrid, n_reps: int, sampler: str, n_threads: int = 1,
     return _Plan(sampler, n_workers, need, further)
 
 
-def _route_rows(route: str, spec: ProcessSpec, grid: TimeGrid) -> tuple[Callable, float]:
-    """The route's maker of row fillers and the jitter its factor took.  Each
-    call ``new_fill()`` allocates one worker's draw buffers and returns its
-    filler ``fill(keys, out)``, which writes a block of replicas' paths at
-    t > 0 into ``out`` from their rows of ``stream_keys``.  A dense route
-    draws from its Gram's factor in RFP storage (``_rfp_factor``) where
-    ``_rfp`` binds, and otherwise from ``np.linalg.cholesky``'s, the fbm
-    route's map then the fold (L[m + k] + L[m - 1 - k]) / sqrt(2) written
-    into the factor's last m rows."""
+def _route_rows(route: str, spec: ProcessSpec, grid: TimeGrid
+                ) -> tuple[Callable[[], _Map], float]:
+    """The route's map maker and the jitter its factor took.  Each call
+    ``new_map()`` allocates one worker's draw buffers and returns its map
+    (``_Map``) from one replica's normals to its path at t > 0.  A dense
+    route maps through its Gram's factor in RFP storage (``_rfp_factor``)
+    where ``_rfp`` binds, and otherwise through ``np.linalg.cholesky``'s,
+    the fbm route's then through the fold (L[m + k] + L[m - 1 - k]) / sqrt(2)
+    written into the factor's last m rows."""
     if route == "fgn":
-        return partial(_fgn_rows, _fgn_spectrum(spec, grid)), 0.0
+        return partial(_fgn_map, _fgn_spectrum(spec, grid)), 0.0
     n, n_work, fill_block = (_gram_fill if route == "exact" else _fbm_fill)(spec, grid)
     check = partial(_refuse_underflow, route, grid)
     if _rfp():
         rfp, jitter = _rfp_factor(n, n_work, fill_block, check)
-        return partial(_rfp_rows, rfp, n, route == "fbm"), jitter
+        return partial(_rfp_map, rfp, n, route == "fbm"), jitter
     mat, jitter = _ladder(_symmetric_gram(n, n_work, fill_block), np.arange(n) * (n + 1), check,
                           np.linalg.cholesky)
     if route == "fbm":
         m = n // 2
         _fold(mat[m - 1::-1], mat[m:], mat[m:])
         mat = mat[m:]
-    return partial(_dense_rows, mat), jitter
+    return partial(_dense_map, mat), jitter
 
 
 def _replica_runner(fills: list, keys: np.ndarray, out: np.ndarray) -> None:
@@ -766,10 +758,10 @@ class _Draw:
         self.scale, unit = spec.unit()
         with _refuse_overflow(f"the {self.plan.route} route's covariances on "
                               f"[0, {grid.horizon!r}]"):
-            new_fill, self.jitter = _route_rows(self.plan.route, unit, grid)
+            new_map, self.jitter = _route_rows(self.plan.route, unit, grid)
         self.keys = stream_keys(replica_seeds(master_seed, n_reps))
         self.master_seed = int(master_seed)
-        self.fills = [new_fill() for _ in range(self.plan.n_workers)]
+        self.fills = [_rows(new_map) for _ in range(self.plan.n_workers)]
 
     def block(self, lo: int, hi: int) -> Ensemble:
         """Replicas lo..hi-1: the bytes of those rows of the whole ensemble.

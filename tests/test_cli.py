@@ -498,6 +498,20 @@ class TestSrd:
                      "--format", "json")
         validate(json.loads(cp.stdout), "srd.v1.json")
 
+    @pytest.mark.parametrize("argv", [
+        ("srd", "--hurst", "0.5", "--coeffs", "1e200", "--n-max", "10"),
+        ("srd", "--hurst", "0.5,0.7", "--coeffs", "1e200,1", "--n-max", "10"),
+        ("verify", "--suite", "srd", "--hurst", "0.5", "--coeffs", "1e200"),
+    ])
+    def test_overflowing_brownian_weight_is_skipped(self, argv):
+        # A Brownian component's lag covariances are exactly 0, whatever its weight.
+        cp = run_cli(*argv)
+        assert cp.returncode == 0, cp.stderr
+
+    def test_brownian_lag_covariances_are_zero(self):
+        cp = run_cli("srd", "--hurst", "0.5", "--n-max", "10")
+        assert cp.stdout.splitlines()[1:] == [f"{n},0.0,0.0" for n in range(1, 11)]
+
     def test_n_max_over_budget_exits_2_before_allocating(self, monkeypatch, capsys):
         def fail(*args, **kwargs):
             raise AssertionError("a refused n_max allocated its arrays")

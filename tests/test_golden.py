@@ -50,19 +50,34 @@ def test_check_labels_new_and_moved_commands(tmp_path, monkeypatch, capsys):
         "moved: help: msfbm --help", "new: cov-help: msfbm cov --help"]
 
 
-# simulate-exact-csv's stdout where numpy's BLAS lacks the RFP routines, so the
-# exact route factors the whole Gram with psd_factor and draws with L @ z: the
-# bytes it printed before the exact route moved to RFP storage.
-_WITHOUT_RFP = {"2.4": "fe2d4dc1cac7b8916d1e6f1d179fa09dc081de72195410ae5685f5bbcd30368e"}
+# The dense routes' stdout where numpy's BLAS lacks the RFP routines, so they
+# factor the whole Gram with np.linalg.cholesky and draw with L @ z.
+# simulate-exact-csv's bytes are those it printed before the exact route moved
+# to RFP storage; simulate-fbm-csv's those the fbm route printed before its
+# draw loop became one shared loop over a linear map.
+_WITHOUT_RFP = {"2.4": {
+    "simulate-exact-csv": "fe2d4dc1cac7b8916d1e6f1d179fa09dc081de72195410ae5685f5bbcd30368e",
+    "simulate-fbm-csv": "5658ac006989243d4d7f0d3f07324e75fd361e177073729bf025d4bf7c49de96",
+}}
+
+
+def _check_without_rfp(name, threads, monkeypatch):
+    if golden.numpy_key() not in _WITHOUT_RFP:
+        pytest.skip(f"no digest recorded for numpy {golden.numpy_key()}")
+    monkeypatch.setattr(sampler, "_rfp", lambda: None)
+    got = golden.digest(golden.COMMANDS[name], threads)
+    assert got == {"exit": 0, "stdout_sha256": _WITHOUT_RFP[golden.numpy_key()][name],
+                   "stderr": ""}
 
 
 @pytest.mark.parametrize("threads", ("1", "4"))
 def test_exact_route_without_rfp_prints_the_dense_factor_bytes(threads, monkeypatch):
-    if golden.numpy_key() not in _WITHOUT_RFP:
-        pytest.skip(f"no digest recorded for numpy {golden.numpy_key()}")
-    monkeypatch.setattr(sampler, "_rfp", lambda: None)
-    got = golden.digest(golden.COMMANDS["simulate-exact-csv"], threads)
-    assert got == {"exit": 0, "stdout_sha256": _WITHOUT_RFP[golden.numpy_key()], "stderr": ""}
+    _check_without_rfp("simulate-exact-csv", threads, monkeypatch)
+
+
+@pytest.mark.parametrize("threads", ("1", "4"))
+def test_fbm_route_without_rfp_prints_the_dense_factor_bytes(threads, monkeypatch):
+    _check_without_rfp("simulate-fbm-csv", threads, monkeypatch)
 
 
 @pytest.mark.parametrize("threads", ("1", "4"))

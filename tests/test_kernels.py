@@ -442,6 +442,8 @@ class TestLagCovSeries:
         far = ns + (2 * p + 1)
         with np.errstate(over="ignore", invalid="ignore"):
             for a, h in spec.active():
+                if h == 0.5:  # a Brownian component's second difference is exactly 0
+                    continue
                 two_h = 2.0 * h
                 out += (a * a / 2.0) * (kernels._second_diff(ns, two_h)
                                         - kernels._second_diff(far, two_h))
@@ -474,8 +476,24 @@ class TestLagCovSeries:
         assert msfbm.lag_cov_series(spec, 2, ns).tobytes() == \
             self._per_component(spec, 2, ns).tobytes()
 
+    def test_brownian_components_are_exactly_zero(self):
+        # Their second difference is exactly 0, so they are skipped, and a
+        # weight whose square overflows a double never enters the sum.
+        ns = np.arange(1, 11)
+        live = ProcessSpec([1.0], [0.7])
+        for p in (0, 3):
+            for coeff in (1.0, 1e200):
+                brownian = ProcessSpec([coeff], [0.5])
+                assert msfbm.lag_cov_series(brownian, p, ns).tobytes() == np.zeros(10).tobytes()
+                mixed = ProcessSpec([coeff, 1.0], [0.5, 0.7])
+                assert msfbm.lag_cov_series(mixed, p, ns).tobytes() == \
+                    msfbm.lag_cov_series(live, p, ns).tobytes()
+        assert msfbm.mfbm_lag_cov_r(ProcessSpec([1e200], [0.5]), 4) == 0.0
+        assert msfbm.mfbm_lag_cov_r(ProcessSpec([1e200, 1.0], [0.5, 0.7]), 4) == \
+            msfbm.mfbm_lag_cov_r(live, 4)
+
     def test_overflowing_weight_is_an_arithmetic_error(self):
-        # a^2 overflows to inf, and inf * 0 from the Brownian component is NaN.
+        # a^2 overflows to inf, and inf times the H = 0.4 component's series is inf.
         spec = ProcessSpec([-1e300, -1e300], [0.4, 0.5])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -624,6 +642,23 @@ _TIME_KERNELS = {
 def test_non_finite_time_is_refused(kernel, bad):
     with pytest.raises(ValueError):
         _TIME_KERNELS[kernel](bad)
+
+
+# Each spec-level kernel that sums a^2 terms, at the spec given.
+_SUM_KERNELS = {
+    "msfbm_var": lambda spec: msfbm.msfbm_var(spec, 1.0),
+    "mfbm_cov": lambda spec: msfbm.mfbm_cov(spec, 1.0, 2.0),
+    "increment_second_moment": lambda spec: msfbm.increment_second_moment(spec, 1.0, 2.0),
+    "increment_bounds": lambda spec: msfbm.increment_bounds(spec, 1.0, 2.0),
+    "kernel_scale": lambda spec: kernel_scale(spec, 1.0),
+}
+
+
+@pytest.mark.parametrize("kernel", sorted(_SUM_KERNELS))
+def test_non_finite_result_is_an_arithmetic_error(kernel):
+    # The weight's square overflows a double, so the sum is inf.
+    with pytest.raises(ArithmeticError, match=rf"^{kernel}\(.*\) = inf is not a finite double$"):
+        _SUM_KERNELS[kernel](ProcessSpec([1e200], [0.5]))
 
 
 class TestInertComponents:

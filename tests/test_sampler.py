@@ -22,7 +22,7 @@ from msfbm.sampler import (
     FactorizationFailure,
     _fbm_fill,
     _fgn_autocov,
-    _fgn_draw,
+    _fgn_increments,
     _fgn_spectrum,
     _plan,
     _route_rows,
@@ -447,8 +447,8 @@ def _reference_sqrt_spectrum(spec, grid):
 
 
 def _reference_half_spectrum_draw(sqrt_eig, seed):
-    """Index-array assembly of a half-spectrum draw: ``_fgn_draw`` must match it
-    bit for bit."""
+    """Index-array assembly of a half-spectrum draw: ``_fgn_increments`` must
+    match it bit for bit."""
     half = sqrt_eig.size - 1
     size = 2 * half
     v = normal_stream(_key(seed), size)
@@ -461,8 +461,12 @@ def _reference_half_spectrum_draw(sqrt_eig, seed):
 
 
 def _fgn_vector(sqrt_eig, key):
-    """``_fgn_draw`` of ``_fgn_spectrum``'s ``sqrt_eig`` into a fresh buffer."""
-    return _fgn_draw(sqrt_eig, key, np.empty(sqrt_eig.size, dtype=complex))
+    """``_fgn_increments`` of ``_fgn_spectrum``'s ``sqrt_eig`` from the normal
+    stream of ``key``, drawn into a fresh buffer."""
+    z = np.empty(sqrt_eig.size, dtype=complex)
+    size = 2 * (sqrt_eig.size - 1)
+    normal_stream(key, size, out=z.view(np.float64)[:size])
+    return _fgn_increments(sqrt_eig, z)
 
 
 def _reference_fgn_ensemble(spec, grid, n_reps, master_seed):
@@ -521,8 +525,7 @@ class TestSampleViaFbm:
         spec = ProcessSpec([1.0], [0.3])
         grid = TimeGrid.uniform(5, 1.0)
         sqrt_eig = _fgn_spectrum(spec, grid)
-        z = np.empty(sqrt_eig.size, dtype=complex)
-        draws = np.array([_fgn_draw(sqrt_eig, key, z)
+        draws = np.array([_fgn_vector(sqrt_eig, key)
                           for key in stream_keys([derive_seed(2, k) for k in range(40_000)])])
         emp = draws.T @ draws / draws.shape[0]
         step = 0.25
@@ -1064,27 +1067,16 @@ class TestInertComponents:
             assert build(spec, grid).tobytes() == build(live, grid).tobytes()
 
 
-def _linear_map(monkeypatch, route, spec, grid):
-    """The route's map from one replica's normal stream to its path at t > 0,
-    built column by column: the path drawn from each unit vector in place of
-    the stream, through the route's row filler."""
-    sizes = []
-
-    def unit(key, size, out=None):
-        sizes.append(size)
-        z = np.zeros(size) if out is None else out
+def _linear_map(route, spec, grid):
+    """The route's map A from one replica's normals to its path at t > 0,
+    built column by column: the path that one worker's map (``_route_rows``)
+    writes from each unit vector in its normals buffer z."""
+    z, apply = _route_rows(route, spec, grid)[0]()
+    columns = np.empty((z.size, grid.n_points - 1))
+    for i, column in enumerate(columns):
         z.fill(0.0)
-        z[int(key[0])] = 1.0
-        return z
-
-    monkeypatch.setattr(sampler, "normal_stream", unit)
-    rows = _route_rows(route, spec, grid)[0]()
-    m = grid.n_points - 1
-    rows(np.zeros((1, 4), dtype=np.uint64), np.empty((1, m)))  # the stream's length
-    keys = np.zeros((sizes[0], 4), dtype=np.uint64)
-    keys[:, 0] = np.arange(sizes[0])
-    columns = np.empty((sizes[0], m))
-    rows(keys, columns)
+        z[i] = 1.0
+        apply(column)
     return columns.T
 
 
@@ -1101,9 +1093,9 @@ class TestLaw:
     @pytest.mark.parametrize("route,grid", [
         (route, grid) for route in ("exact", "fbm", "fgn") for grid in _LAW_GRIDS
         if route != "fgn" or grid != "non-uniform"])
-    def test_map_reproduces_the_process_gram(self, monkeypatch, route, grid):
+    def test_map_reproduces_the_process_gram(self, route, grid):
         grid = _LAW_GRIDS[grid]
-        a = _linear_map(monkeypatch, route, self.SPEC, grid)
+        a = _linear_map(route, self.SPEC, grid)
         g = gram_matrix(self.SPEC, grid)
         assert np.max(np.abs(a @ a.T - g)) <= 1e-12 * np.max(np.abs(g))
 
@@ -1175,7 +1167,7 @@ class TestRfpFactor:
         assert ens.jitter == msfbm.psd_factor(g.copy()).jitter
         # One build per rung tried, the last the one that succeeded.
         assert ens.jitter == JITTER_LADDER[len(builds) - 1] * np.max(np.diag(g))
-        a = _linear_map(monkeypatch, "exact", spec, grid)
+        a = _linear_map("exact", spec, grid)
         assert np.max(np.abs(a @ a.T - g)) <= 1e-12 * np.max(np.abs(g))
 
     def test_indefinite_gram_fails_on_every_rung(self):
@@ -1194,7 +1186,7 @@ class TestRfpFactor:
 
 class _WithoutRfp:
     """Runs its class's tests with the RFP binding patched away, so the dense
-    routes take the whole Gram, ``np.linalg.cholesky`` and ``_dense_rows``
+    routes take the whole Gram, ``np.linalg.cholesky`` and ``_dense_map``
     path of platforms whose BLAS lacks it."""
 
     @pytest.fixture(autouse=True)
