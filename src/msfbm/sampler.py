@@ -8,17 +8,19 @@ replica to its path:
 
 * "exact" factorizes the process Gram matrix on the grid and maps the
   normals through the factor.
-* "fbm" and "fgn" draw W = sum_i a_i B_i over the active components, the
+* "fbm" and "fgn" fold W = sum_i a_i B_i over the active components, the
   B_i independent fractional Brownian motions on the symmetric grid
-  {-t_k, ..., t_k}, and one fold writes (W(t) + W(-t))/sqrt(2) into the
-  path.  W is one centred Gaussian vector with covariance sum_i a_i^2 K_i,
-  K_i the fBm kernel of H_i, and is drawn from that covariance at once.
-* "fbm" maps the normals through the factor of W's dense Gram.
-* "fgn" draws W's increments on uniform grids through circulant embedding
+  {-t_k, ..., t_k}: the path is (W(t) + W(-t))/sqrt(2).  W is one centred
+  Gaussian vector with covariance sum_i a_i^2 K_i, K_i the fBm kernel of
+  H_i, and is drawn from that covariance at once.
+* "fbm" maps the normals through the factor of W's dense Gram, and folds.
+* "fgn" draws, on uniform grids, the part of W's increments that the fold
+  reads, from the circulant embedding of W's increments over [-T, T]
   (Davies-Harte; Wood & Chan 1994), which is still exact and scales to
   2^16-point paths.  The embedding's circulant row, W's weighted sum of
   the components' increment autocovariances, is real and symmetric, so
-  only its N/2 + 1 distinct eigenvalues are kept.
+  only its N/2 + 1 distinct eigenvalues are kept; the fold's part takes
+  half of W's normals and an inverse FFT of length N/2.
 
 Both dense routes factor their Gram with one kernel and one jitter loop
 (``_ladder``): in rectangular full packed storage, one triangle in
@@ -75,8 +77,8 @@ __all__ = [
 JITTER_LADDER = (0.0, 1e-14, 1e-12, 1e-10)
 
 # Fixed cost of one circulant replica draw beyond its inverse FFT (seeding and
-# drawing its normal stream, scaling it by the spectrum, and the cumulative
-# sum and fold) in the operation units of the routing estimates, measured by
+# drawing its normal stream, weighting its bins, and the read-back and
+# cumulative sum) in the operation units of the routing estimates, measured by
 # scripts/route_crossover.py (README, "Sampler routing").
 _FGN_DRAW_OPS = 3.5e5
 
@@ -526,11 +528,13 @@ def _fgn_autocov(length: int, step: float, two_h: float) -> np.ndarray:
 
 
 def _fgn_spectrum(spec: ProcessSpec, grid: TimeGrid) -> np.ndarray:
-    """Square roots of the N/2 + 1 distinct circulant-embedding eigenvalues of
-    W's increments over [-T, T], W = sum_i a_i B_i, clipped at 0, and the
-    interior bins 0 < k < N/2 also times 1/sqrt(2): the factor each bin's
-    normals take in ``_fgn_increments``.  The circulant row is W's increment
-    autocovariance, the components' weighted by a_i^2 and summed.
+    """The (m + 1, 2) weights that ``_fgn_map`` puts on bin k's (re, im)
+    normals, m the grid's steps.  They come from the circulant embedding of
+    W's increments over [-T, T], N = 4m, W = sum_i a_i B_i: its row is W's
+    increment autocovariance, the components' weighted by a_i^2 and summed,
+    and its N/2 + 1 distinct eigenvalues lambda_k are clipped at 0.  With
+    r_k = sqrt(m lambda_k), bin k's weights are (r_{2m-k}, -r_k) for
+    0 < k < m, (sqrt(2) r_2m, 0) at k = 0 and (2 r_m, 0) at k = m.
     """
     if not grid.is_uniform():
         raise ValueError("circulant embedding requires a uniform grid")
@@ -543,46 +547,54 @@ def _fgn_spectrum(spec: ProcessSpec, grid: TimeGrid) -> np.ndarray:
         raise FactorizationFailure(
             f"circulant embedding is indefinite (min eigenvalue {eig.min():.3e})"
         )
-    sqrt_eig = np.clip(eig, 0.0, None)
-    _refuse_underflow("fgn", grid, sqrt_eig)
-    np.sqrt(sqrt_eig, out=sqrt_eig)
-    sqrt_eig[1:-1] /= math.sqrt(2.0)
-    return sqrt_eig
+    r = np.clip(eig, 0.0, None)
+    _refuse_underflow("fgn", grid, r)
+    np.sqrt(r, out=r)
+    r *= math.sqrt(m)
+    weights = np.empty((m + 1, 2))
+    weights[:, 0] = r[:m - 1:-1]
+    np.negative(r[:m + 1], out=weights[:, 1])
+    weights[0, 0] *= math.sqrt(2.0)
+    weights[m, 0] *= 2.0
+    weights[0, 1] = weights[m, 1] = 0.0
+    return weights
 
 
-def _fgn_increments(sqrt_eig: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """W's N/2 increments over [-T, T] from ``_fgn_spectrum``'s half spectrum
-    of N/2 + 1 values and the N normals in the first N doubles of ``z``,
-    N/2 + 1 complex values, which it overwrites."""
-    half = z.size - 1
-    size = 2 * half
-    v = z.view(np.float64)
-    # Bin k, 0 < k < N/2, takes normals 2k and 2k+1 as (re, im); bins 0
-    # and N/2 take normals 0 and 1 as real values.
-    v[size], v[1], v[size + 1] = v[1], 0.0, 0.0
-    z *= sqrt_eig
-    # The real inverse transform of conj(z) is the forward transform of z's
-    # Hermitian extension, so the draw is the one a full complex FFT gives.
-    np.conjugate(z, out=z)
-    return np.fft.irfft(z, n=size, norm="ortho")[:half]
+def _fgn_map(weights: np.ndarray) -> _Map:
+    """One worker's map of the circulant route: z, 2m normals in the first 2m
+    doubles of a buffer of m + 1 complex bins, and ``apply(body)``, which
+    writes the path S(t_j) = sum_{i<j} d_i / sqrt(2) into ``body``.
 
-
-def _fgn_map(sqrt_eig: np.ndarray) -> _Map:
-    """One worker's map of the circulant route: z, N normals in the first N
-    doubles of a complex spectrum buffer, and ``apply(body)``, which folds W
-    into ``body`` from its increments over [-T, T] (``_fgn_increments``),
-    cumulated and shifted so that W(0) = 0."""
-    half = sqrt_eig.size - 1
-    m = half // 2
-    spectrum, cum = np.empty(half + 1, dtype=complex), np.empty(half + 1)
+    The fold (W(t) + W(-t)) / sqrt(2) reads only d_i = X_{m+i} - X_{m-1-i},
+    i < m, the part of W's increments X over [-T, T] that is odd about
+    t = 0.  On the embedding, with sigma_k^2 = 2 lambda_k / N (lambda_2m / N
+    at k = 2m) and G_1..G_2m the normals, d has the law of
+    d_i = sum_{k=1}^{2m} 2 sigma_k G_k sin(pi k (2i + 1) / N): a DST-III of
+    length 2m, which is Makhoul's (IEEE TASSP 28(1), 1980) one real inverse
+    FFT of length 2m.  Bin k is its normals times ``_fgn_spectrum``'s weights
+    (bin 0's second normal moved to bin m), times exp(i pi k / N); the
+    weights also carry the transform's 2m and the fold's 1/sqrt(2).  The
+    transform's output n is d_2n / sqrt(2), and its output 2m - 1 - n is
+    -d_{2n+1} / sqrt(2).  ``np.fft.irfft`` reads only the real part of bins 0
+    and m; their imaginary weights are 0.
+    """
+    m = weights.shape[0] - 1
+    twiddle = np.exp(1j * (math.pi / (4 * m)) * np.arange(m + 1))
+    weights = weights.reshape(-1)
+    bins = np.zeros(m + 1, dtype=complex)
+    v = bins.view(np.float64)
+    evens, odds = (m + 1) // 2, m // 2
 
     def apply(body: np.ndarray) -> None:
-        cum[0] = 0.0
-        np.cumsum(_fgn_increments(sqrt_eig, spectrum), out=cum[1:])
-        np.subtract(cum, cum[m], out=cum)
-        _fold(cum[m - 1::-1], cum[m + 1:], body)
+        v[2 * m] = v[1]
+        np.multiply(v, weights, out=v)
+        np.multiply(bins, twiddle, out=bins)
+        x = np.fft.irfft(bins, n=2 * m)
+        body[0::2] = x[:evens]
+        np.negative(x[:2 * m - 1 - odds:-1], out=body[1::2])
+        np.cumsum(body, out=body)
 
-    return spectrum.view(np.float64)[:2 * half], apply
+    return v[:2 * m], apply
 
 
 def _route_ops(route: str, m: int, n_reps: int) -> float:
@@ -590,8 +602,10 @@ def _route_ops(route: str, m: int, n_reps: int) -> float:
     replicas on ``m`` grid steps."""
     if route == "fgn":
         size = 4 * m  # circulant length: increments over [-T, T], embedded twice
-        # One normal stream and one real inverse FFT of length N per replica,
-        # the FFT about half a complex one's 5 N log2 N.
+        # One normal stream and one real inverse FFT per replica, the FFT about
+        # half a complex one's 5 N log2 N.  The draw's FFT has length N/2 since
+        # it reads only the fold's part; the term keeps N, and with it every
+        # route that F0 was fitted to pick (README, "Calibration").
         return n_reps * (_FGN_DRAW_OPS + 2.5 * size * math.log2(size))
     # A Cholesky of the Gram plus a matvec per replica.
     return m ** 3 / 3.0 + 2.0 * n_reps * m * m
@@ -640,12 +654,14 @@ def _plan(grid: TimeGrid, n_reps: int, sampler: str, n_threads: int = 1,
     doubles, but counting it would make a refusal depend on the platform's
     BLAS (exact draws up to about 23,000 points, not 9,460, on some
     platforms only).  A dense worker holds the normals of one replica, n
-    doubles, which fit in the freed copies.  The circulant route of length
-    N = 4m holds W's half spectrum of N/2 + 1 values, and its worker the
-    complex spectrum of N/2 + 1 values the normals are drawn into, the real
-    inverse transform and its working copy, and the N/2 + 1 cumulative sums
-    the fold reads: six vectors of N + 1 doubles bound them all.  None of
-    these depends on the number of components.
+    doubles, which fit in the freed copies.  The circulant route, of length
+    N = 4m, holds 2m + 2 bin weights, and its worker the m + 1 complex bins
+    the normals are drawn into, their m + 1 complex twiddles and the inverse
+    transform of 2m doubles with its working copy: about 10m doubles.  The
+    estimate counts 2m + 1 doubles held and a workspace of six vectors of
+    N + 1 doubles, which bounds them all with room to spare and is kept so
+    that no refusal or worker count moves.  None of these depends on the
+    number of components.
 
     **Workers.**  At most ``n_threads`` and one per replica.  Each further
     worker holds a workspace of its own, and in a streamed draw a row of its

@@ -180,9 +180,10 @@ def run_kernels_suite(seed: int = 0, n_draws: int = 2000) -> dict:
     return _suite_report("kernels", checks)
 
 
-def _second_moments(ens: Ensemble) -> np.ndarray:
-    """Empirical E[S(s) S(t)] over the replicas at the grid's positive times."""
-    v = ens.values[:, 1:]
+def _second_moments(ens: Ensemble, scale: float) -> np.ndarray:
+    """Empirical E[S(s) S(t)] over the replicas at the grid's positive times,
+    of the paths divided by ``scale``."""
+    v = ens.values[:, 1:] / scale
     return (v.T @ v) / ens.n_reps
 
 
@@ -192,10 +193,17 @@ def run_sampler_suite(
     n_reps: int = 3000,
     n_threads: int = 1,
 ) -> dict:
-    """Distributional and determinism checks for both sampler constructions."""
+    """Distributional and determinism checks for both sampler constructions.
+
+    The Gram, its factor and the z-gates read the unit spec, s times smaller
+    (``ProcessSpec.unit``), and the ensembles, drawn from the spec as given,
+    are divided by s, so weights far from 1 neither overflow nor underflow
+    the checks; with s = 1 no bit moves.
+    """
     spec = spec or ProcessSpec((1.0, 1.0), (0.4, 0.8))
+    scale, unit = spec.unit()
     grid = TimeGrid.uniform(9, 1.0)
-    g = gram_matrix(spec, grid)
+    g = gram_matrix(unit, grid)
     eig_min = float(np.linalg.eigvalsh(g).min())
     max_diag = float(np.max(np.diag(g)))
 
@@ -208,7 +216,7 @@ def run_sampler_suite(
                                 sampler="exact", n_threads=n_threads)
     ens_fbm = sample_ensemble(spec, grid, n_reps, derive_seed(seed, 2),
                               sampler="fbm", n_threads=n_threads)
-    emp_e, emp_f = _second_moments(ens_exact), _second_moments(ens_fbm)
+    emp_e, emp_f = _second_moments(ens_exact, scale), _second_moments(ens_fbm, scale)
     # Gaussian fourth moments: R times the variance of one entry of emp_e or emp_f.
     fourth = np.outer(np.diag(g), np.diag(g)) + g * g
     se = np.sqrt(fourth / n_reps)

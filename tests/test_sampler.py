@@ -22,7 +22,6 @@ from msfbm.sampler import (
     FactorizationFailure,
     _fbm_fill,
     _fgn_autocov,
-    _fgn_increments,
     _fgn_spectrum,
     _plan,
     _route_rows,
@@ -409,21 +408,6 @@ def _key(seed):
     return stream_keys([seed])[0]
 
 
-def _reference_fgn_draw(sqrt_eig, seed):
-    """Full complex FFT of the index-array Hermitian assembly over a full spectrum."""
-    size = sqrt_eig.size
-    half = size // 2
-    v = normal_stream(_key(seed), size)
-    z = np.empty(size, dtype=complex)
-    z[0] = sqrt_eig[0] * v[0]
-    z[half] = sqrt_eig[half] * v[1]
-    ks = np.arange(1, half)
-    zk = (sqrt_eig[ks] / math.sqrt(2.0)) * (v[2 * ks] + 1j * v[2 * ks + 1])
-    z[ks] = zk
-    z[size - ks] = np.conj(zk)
-    return (np.fft.fft(z) / math.sqrt(size)).real[: size // 2]
-
-
 def _three_power_autocov(length, step, two_h):
     """fGn autocovariance at lags 0..length: step^2H / 2 times 2 at lag 0 and
     the three-power second difference (m+1)^2H - 2 m^2H + (m-1)^2H at lags
@@ -446,40 +430,65 @@ def _reference_sqrt_spectrum(spec, grid):
     return np.sqrt(np.clip(eig, 0.0, None))
 
 
-def _reference_half_spectrum_draw(sqrt_eig, seed):
-    """Index-array assembly of a half-spectrum draw: ``_fgn_increments`` must
-    match it bit for bit."""
-    half = sqrt_eig.size - 1
-    size = 2 * half
-    v = normal_stream(_key(seed), size)
-    z = np.empty(half + 1, dtype=complex)
-    z[0] = sqrt_eig[0] * v[0]
-    z[half] = sqrt_eig[half] * v[1]
-    ks = np.arange(1, half)
-    z[ks] = np.conj((sqrt_eig[ks] / math.sqrt(2.0)) * (v[2 * ks] + 1j * v[2 * ks + 1]))
-    return np.fft.irfft(z, n=size, norm="ortho")[:half]
+def _odd_part_normals(v):
+    """G_1..G_2m, at indices 1..2m, from one replica's 2m normals ``v`` as the
+    circulant map places them: the pair (v[2k], v[2k+1]) of bin k drives
+    G_{2m-k} and G_k for 0 < k < m, v[0] drives G_2m and v[1] G_m."""
+    m = v.size // 2
+    g = np.zeros(2 * m + 1)
+    ks = np.arange(1, m)
+    g[2 * m - ks], g[ks] = v[2 * ks], v[2 * ks + 1]
+    g[2 * m], g[m] = v[0], v[1]
+    return g
 
 
-def _fgn_vector(sqrt_eig, key):
-    """``_fgn_increments`` of ``_fgn_spectrum``'s ``sqrt_eig`` from the normal
-    stream of ``key``, drawn into a fresh buffer."""
-    z = np.empty(sqrt_eig.size, dtype=complex)
-    size = 2 * (sqrt_eig.size - 1)
-    normal_stream(key, size, out=z.view(np.float64)[:size])
-    return _fgn_increments(sqrt_eig, z)
+def _reference_odd_part_draw(sqrt_eig, seed):
+    """Index-array assembly of the circulant map's path from the clipped
+    square-root eigenvalues ``sqrt_eig`` of the embedding, N = 4m: its bins,
+    one real inverse FFT of length 2m, and the de-interleaved read-back with
+    its (-1)^i sign, cumulated.  ``_fgn_map`` must match it bit for bit."""
+    m = (sqrt_eig.size - 1) // 2
+    r = sqrt_eig * math.sqrt(m)
+    v = normal_stream(_key(seed), 2 * m)
+    ks = np.arange(1, m)
+    bins = np.zeros(m + 1, dtype=complex)
+    bins.real[0] = (r[2 * m] * math.sqrt(2.0)) * v[0]
+    bins.real[ks] = r[2 * m - ks] * v[2 * ks]
+    bins.imag[ks] = -r[ks] * v[2 * ks + 1]
+    bins.real[m] = (r[m] * 2.0) * v[1]
+    bins *= np.exp(1j * (math.pi / (4 * m)) * np.arange(m + 1))
+    x = np.fft.irfft(bins, n=2 * m)
+    i = np.arange(m)
+    at = np.where(i % 2 == 0, i // 2, 2 * m - 1 - i // 2)
+    return np.cumsum(np.where(i % 2 == 0, 1.0, -1.0) * x[at])
 
 
-def _reference_fgn_ensemble(spec, grid, n_reps, master_seed):
-    """The one-stream fold: each replica's increments drawn from its own seed,
-    cumulated, and folded."""
-    m = grid.n_points - 1
-    sqrt_eig = _reference_sqrt_spectrum(spec, grid)
-    values = np.zeros((n_reps, grid.n_points))
-    for k, seed in enumerate(replica_seeds(master_seed, n_reps)):
-        cum = np.concatenate([[0.0], np.cumsum(_reference_half_spectrum_draw(sqrt_eig, seed))])
-        neg, pos = cum[m - 1::-1] - cum[m], cum[m + 1:] - cum[m]
-        values[k, 1:] = (pos + neg) / math.sqrt(2.0)
-    return values
+def _reference_sine_sum_draw(sqrt_eig, seed):
+    """The same path from the odd part's definition, through a full complex
+    FFT of length N = 4m: with sigma_k^2 = 2 lambda_k / N (lambda_2m / N at
+    k = 2m) and u_k = 2 sigma_k G_k, the increments are
+    d_i = sum_{k=1}^{2m} u_k sin(pi k (2i + 1) / N), the imaginary part of
+    N ifft(u_k exp(i pi k / N)), and the path is their cumulative sum over
+    sqrt(2)."""
+    m = (sqrt_eig.size - 1) // 2
+    size = 4 * m
+    sigma = sqrt_eig * math.sqrt(2.0 / size)
+    sigma[2 * m] = sqrt_eig[2 * m] / math.sqrt(size)
+    g = _odd_part_normals(normal_stream(_key(seed), 2 * m))
+    ks = np.arange(1, 2 * m + 1)
+    u = np.zeros(size, dtype=complex)
+    u[ks] = 2.0 * sigma[ks] * g[ks] * np.exp(1j * math.pi * ks / size)
+    return np.cumsum((size * np.fft.ifft(u)).imag[:m]) / math.sqrt(2.0)
+
+
+def _fgn_path(weights, key):
+    """``_fgn_map``'s path from ``_fgn_spectrum``'s ``weights`` and the
+    normal stream of ``key``, drawn into a fresh map."""
+    z, apply = sampler._fgn_map(weights)
+    normal_stream(key, z.size, out=z)
+    body = np.empty(weights.shape[0] - 1)
+    apply(body)
+    return body
 
 
 class TestSampleViaFbm:
@@ -520,43 +529,46 @@ class TestSampleViaFbm:
         assert float(np.max(np.abs(emp - g) / se)) <= 5.0
 
     def test_fgn_exact_increment_covariance(self):
-        # The circulant embedding reproduces the increment autocovariance
-        # exactly: check E[x_a x_b] across many draws at small size.
+        # The path's increments over the grid steps have the process's
+        # increment covariance: E[x_a x_b] across many draws at small size.
         spec = ProcessSpec([1.0], [0.3])
         grid = TimeGrid.uniform(5, 1.0)
-        sqrt_eig = _fgn_spectrum(spec, grid)
-        draws = np.array([_fgn_vector(sqrt_eig, key)
-                          for key in stream_keys([derive_seed(2, k) for k in range(40_000)])])
-        emp = draws.T @ draws / draws.shape[0]
-        step = 0.25
-        lags = np.arange(8, dtype=float)
-        gamma = 0.5 * step ** 0.6 * (
-            np.abs(lags + 1) ** 0.6 - 2 * lags ** 0.6 + np.abs(lags - 1) ** 0.6
-        )
-        for a in range(8):
-            for b in range(8):
-                want = gamma[abs(a - b)]
-                assert abs(emp[a, b] - want) <= 5 * np.sqrt(2.0 / 40_000)
+        n_reps = 40_000
+        draws = np.diff(msfbm.sample_ensemble(spec, grid, n_reps, 2, sampler="fgn").values)
+        emp = draws.T @ draws / n_reps
+        t = grid.times
+        want = np.empty((4, 4))
+        for a in range(4):
+            want[a, a] = msfbm.increment_second_moment(spec, t[a], t[a + 1])
+            for b in range(a + 1, 4):
+                w = msfbm.IncrementWindow(t[a], t[a + 1], t[b], t[b + 1])
+                want[a, b] = want[b, a] = msfbm.increment_cov(spec, w)
+        se = np.sqrt((np.outer(np.diag(want), np.diag(want)) + want * want) / n_reps)
+        assert float(np.max(np.abs(emp - want) / se)) <= 5.0
 
     @pytest.mark.parametrize("n_points", (5, 257, 2049, 2 ** 16 + 1))
     def test_fgn_draw_bit_equal_to_reference(self, n_points):
         grid = TimeGrid.uniform(n_points, 1.0)
         for spec in (ProcessSpec([1.0], [0.2]), ProcessSpec([1.5, -0.7, 2.0], [0.2, 0.5, 0.9])):
-            weighted, sqrt_eig = _fgn_spectrum(spec, grid), _reference_sqrt_spectrum(spec, grid)
-            full = np.concatenate([sqrt_eig, sqrt_eig[-2:0:-1]])
+            weights, sqrt_eig = _fgn_spectrum(spec, grid), _reference_sqrt_spectrum(spec, grid)
             for k in range(3):
-                got = _fgn_vector(weighted, _key(derive_seed(7, k)))
-                want = _reference_half_spectrum_draw(sqrt_eig, derive_seed(7, k))
+                got = _fgn_path(weights, _key(derive_seed(7, k)))
+                want = _reference_odd_part_draw(sqrt_eig, derive_seed(7, k))
                 assert got.tobytes() == want.tobytes()
-                # The same realization as the full complex FFT, up to rounding.
-                want = _reference_fgn_draw(full, derive_seed(7, k))
-                assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+                # The same realization as the sine sum's full complex FFT, up to rounding.
+                want = _reference_sine_sum_draw(sqrt_eig, derive_seed(7, k))
+                assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     def test_ensemble_matches_per_component_fold(self):
+        # Each replica is the sine sum's path from its own seed, over the
+        # spectrum of the live components' summed autocovariances.
         spec = ProcessSpec([1.5, 0.0, -0.7, 2.0], [0.2, 0.6, 0.5, 0.9])
         grid = TimeGrid.uniform(2049, 3.0)
         got = msfbm.sample_ensemble(spec, grid, 6, 21, sampler="fgn").values
-        want = _reference_fgn_ensemble(spec, grid, 6, 21)
+        sqrt_eig = _reference_sqrt_spectrum(spec, grid)
+        want = np.zeros_like(got)
+        for k, seed in enumerate(replica_seeds(21, 6)):
+            want[k, 1:] = _reference_sine_sum_draw(sqrt_eig, seed)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("route", ("exact", "fbm", "fgn"))
@@ -1080,7 +1092,9 @@ def _linear_map(route, spec, grid):
     return columns.T
 
 
-_LAW_GRIDS = {"uniform-9": TimeGrid.uniform(9, 1.0), "uniform-33": TimeGrid.uniform(33, 2.0),
+_LAW_GRIDS = {"uniform-2": TimeGrid.uniform(2, 1.0), "uniform-4": TimeGrid.uniform(4, 0.5),
+              "uniform-9": TimeGrid.uniform(9, 1.0), "uniform-10": TimeGrid.uniform(10, 3.0),
+              "uniform-33": TimeGrid.uniform(33, 2.0),
               "non-uniform": TimeGrid(np.linspace(0.0, 2.0, 20) ** 1.5)}
 
 

@@ -404,3 +404,18 @@ def test_markov_suite_passes_far_from_unit_weights(spec):
     # A residual of 1.46e-3 at weights (1000, 1) and an underflowing one at
     # weight -4.38e-135 failed the absolute 1e-12 gate before the unit spec.
     assert verify.run_markov_suite(spec)["all_passed"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["--hurst", "0.5", "--coeffs", "1e200"],
+    ["--suite", "sampler", "--hurst", "0.5", "--coeffs", "1e-200"],
+], ids=" ".join)
+def test_sampler_suite_reads_the_unit_spec(argv, tmp_path):
+    # The Gram, its factor and the z-gates read the unit spec: a squared weight
+    # of 1e400 overflowed the Gram, and one of 1e-400 underflowed it to 0.
+    out = tmp_path / "verify.json"
+    cp = subprocess.run([sys.executable, "-W", "error", "-m", "msfbm", "verify", *argv,
+                         "--out", str(out)], capture_output=True, text=True, env=package_env())
+    assert cp.returncode == cli.EXIT_OK, cp.stderr
+    assert cp.stderr == ""
+    assert json.loads(out.read_text())["all_passed"]
